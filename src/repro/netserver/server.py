@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.netserver.framing import (
@@ -382,9 +382,14 @@ class _Connection:
             line = json.dumps(result, sort_keys=True)
             return frame_text(line, max_bytes=MAX_RESPONSE_BYTES)
         except (TypeError, ValueError, FrameTooLarge) as error:
-            fallback = Response.failure(
-                ServiceErrorCode.INTERNAL,
-                f"response not wire-safe: {type(error).__name__}: {error}",
-                request=None,
+            # Keep the caller's correlation id: a pipelined client waits
+            # on exactly that id.
+            fallback = replace(
+                Response.failure(
+                    ServiceErrorCode.INTERNAL,
+                    f"response not wire-safe: {type(error).__name__}: {error}",
+                ),
+                request_id=str(result.get("request_id", "0")),
+                session=result.get("session"),
             )
             return frame_text(fallback.to_json())

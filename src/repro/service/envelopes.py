@@ -237,7 +237,7 @@ class Response:
         if self.session is not None:
             out["session"] = self.session
         if self.ok:
-            out["result"] = jsonify(self.result)
+            out["result"] = self.result  # already plain: success() normalised it
         else:
             out["error"] = dict(self.error or {})
         return out

@@ -28,10 +28,14 @@ tenant/session key.
 
 from __future__ import annotations
 
+import collections.abc
+import inspect
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,8 +81,6 @@ from repro.telemetry.sharding import ShardedPerformanceDatabase
 __all__ = [
     "StackService",
     "Session",
-    "CommandSpec",
-    "ArgSpec",
     "EVALUATOR_REGISTRY",
     "register_evaluator",
 ]
@@ -157,64 +159,89 @@ def _build_application(spec: Any) -> Application:
 
 
 # ---------------------------------------------------------------------------
-# command metadata (the typed part of the envelopes)
+# the command schema, derived from the ``_cmd_<family>_<verb>`` handlers
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ArgSpec:
-    """One declared command argument: name, wire kind, required flag."""
-
-    name: str
-    kind: str = "any"  # str | int | number | bool | list | dict | any
-    required: bool = False
-    doc: str = ""
-
-
-_KIND_CHECKS: Dict[str, Callable[[Any], bool]] = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "list": lambda v: isinstance(v, list),
-    "dict": lambda v: isinstance(v, Mapping),
-    "any": lambda v: True,
+#: Handler annotation -> (wire kind, kind check); ``Optional[X]`` reads as ``X``.
+_WIRE_KINDS: Dict[Any, Tuple[str, Callable[[Any], bool]]] = {
+    str: ("str", lambda v: isinstance(v, str)),
+    int: ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("bool", lambda v: isinstance(v, bool)),
+    list: ("list", lambda v: isinstance(v, list)),
+    collections.abc.Mapping: ("dict", lambda v: isinstance(v, Mapping)),
+    Any: ("any", lambda v: True),
 }
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    """A dispatchable command: handler plus its typed argument contract."""
+def _finite(value: float) -> bool:
+    """Whether a wire number is a finite float.  NaN fails every comparison,
+    and an int beyond the float range compares exactly, so neither passes."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
-    op: str
-    handler: Callable[..., Any]
-    doc: str
-    args: Tuple[ArgSpec, ...] = ()
-    requires_session: bool = True
 
-    def validate_args(self, given: Mapping[str, Any]) -> Dict[str, Any]:
-        known = {spec.name: spec for spec in self.args}
-        unknown = sorted(set(given) - set(known))
-        if unknown:
+def _wire_kind(annotation: Any) -> Tuple[str, Callable[[Any], bool]]:
+    members = [arg for arg in get_args(annotation) if arg is not type(None)]
+    if get_origin(annotation) is Union and len(members) == 1:
+        annotation = members[0]
+    return _WIRE_KINDS[get_origin(annotation) or annotation]
+
+
+class _Command:
+    """One wire command and the validator its handler's signature implies.
+
+    ``_cmd_<family>_<verb>`` serves ``<family>.<verb>``.  A leading
+    ``session`` parameter means the command needs a session; every other
+    parameter is an argument, required when it has no default, whose wire
+    kind comes from its annotation.
+    """
+
+    def __init__(self, handler: Callable[..., Any]):
+        params = list(inspect.signature(handler).parameters.values())[1:]  # self
+        self.requires_session = bool(params) and params[0].name == "session"
+        if self.requires_session:
+            params = params[1:]
+        hints = get_type_hints(handler)
+        self.op = handler.__name__[len("_cmd_"):].replace("_", ".", 1)
+        self.handler = handler
+        self.doc = inspect.getdoc(handler) or ""
+        #: name -> (wire kind, kind check, required), in signature order
+        self.args = {
+            p.name: (*_wire_kind(hints[p.name]), p.default is inspect.Parameter.empty)
+            for p in params
+        }
+        self.names = frozenset(self.args)
+        self.required = frozenset(name for name, spec in self.args.items() if spec[2])
+
+    def validate(self, given: Mapping[str, Any]) -> None:
+        """Reject unknown, missing, wrong-kind and non-finite arguments;
+        ``null`` passes every kind."""
+        keys = given.keys()
+        if not keys <= self.names:
             raise ServiceError(
                 ServiceErrorCode.BAD_REQUEST,
-                f"{self.op}: unknown argument(s) {unknown}; "
-                f"accepted: {sorted(known)}",
+                f"{self.op}: unknown argument(s) {sorted(keys - self.names)}; "
+                f"accepted: {sorted(self.names)}",
             )
-        missing = sorted(
-            spec.name for spec in self.args if spec.required and spec.name not in given
-        )
-        if missing:
+        if not keys >= self.required:
             raise ServiceError(
                 ServiceErrorCode.BAD_REQUEST,
-                f"{self.op}: missing required argument(s) {missing}",
+                f"{self.op}: missing required argument(s) "
+                f"{sorted(self.required.difference(keys))}",
             )
         for name, value in given.items():
-            spec = known[name]
-            if value is not None and not _KIND_CHECKS[spec.kind](value):
+            if value is None:
+                continue
+            kind, accepts, _ = self.args[name]
+            if not accepts(value):
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST,
-                    f"{self.op}: argument {name!r} must be of kind {spec.kind!r}",
+                    f"{self.op}: argument {name!r} must be of kind {kind!r}",
                 )
-        return dict(given)
+            if kind == "number" and not _finite(value):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_VALUE,
+                    f"{self.op}: argument {name!r} must be a finite number",
+                )
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -222,15 +249,16 @@ class CommandSpec:
             "doc": self.doc,
             "requires_session": self.requires_session,
             "args": [
-                {
-                    "name": spec.name,
-                    "kind": spec.kind,
-                    "required": spec.required,
-                    "doc": spec.doc,
-                }
-                for spec in self.args
+                {"name": name, "kind": kind, "required": required}
+                for name, (kind, _, required) in self.args.items()
             ],
         }
+
+
+def _derive_commands(cls: type) -> Dict[str, _Command]:
+    """``cls``'s command table, one command per ``_cmd_*`` method in definition order."""
+    commands = [_Command(fn) for name, fn in vars(cls).items() if name.startswith("_cmd_")]
+    return {command.op: command for command in commands}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +328,13 @@ _READ_ONLY_ROLES = (Role.APPLICATION, Role.MONITOR)
 
 
 class StackService:
-    """Versioned multi-tenant control plane over the whole stack."""
+    """Versioned multi-tenant control plane over the whole stack.
+
+    Each ``_cmd_*`` method is one wire command: its signature is the
+    command's schema and its docstring the command's doc.  ``_commands``,
+    derived from them once below the class, is what both dispatch and
+    ``service.describe`` read.
+    """
 
     def __init__(
         self,
@@ -337,7 +371,6 @@ class StackService:
         #: One facade, many tenants: dispatch is serialised, so concurrent
         #: clients (threads, a real server front-end) can share the service.
         self._lock = threading.RLock()
-        self._commands = self._build_commands()
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, request: Request) -> Response:
@@ -351,19 +384,19 @@ class StackService:
                         f"protocol {request.protocol!r} not served "
                         f"(this service speaks {PROTOCOL_VERSION})",
                     )
-                spec = self._commands.get(request.op)
-                if spec is None:
+                command = self._commands.get(request.op)
+                if command is None:
                     raise ServiceError(
                         ServiceErrorCode.UNKNOWN_COMMAND,
                         f"unknown command {request.op!r}; "
                         f"see service.describe for the command list",
                     )
-                args = spec.validate_args(request.args)
-                if spec.requires_session:
+                command.validate(request.args)
+                if command.requires_session:
                     session = self._session_of(request)
-                    result = spec.handler(session, **args)
+                    result = command.handler(self, session, **request.args)
                 else:
-                    result = spec.handler(**args)
+                    result = command.handler(self, **request.args)
                 return Response.success(result, request=request)
             except ServiceError as error:
                 return Response.failure(error.code, error.message, request=request)
@@ -434,341 +467,16 @@ class StackService:
             )
         return session
 
-    # -- command table -----------------------------------------------------
-    def _build_commands(self) -> Dict[str, CommandSpec]:
-        specs = [
-            CommandSpec(
-                "service.ping",
-                self._cmd_ping,
-                "Liveness probe; echoes the payload.",
-                (ArgSpec("payload", "any", doc="echoed back verbatim"),),
-                requires_session=False,
-            ),
-            CommandSpec(
-                "service.describe",
-                self._cmd_describe,
-                "Protocol version, command catalogue, cluster and shard facts.",
-                (),
-                requires_session=False,
-            ),
-            CommandSpec(
-                "session.open",
-                self._cmd_session_open,
-                "Open a tenant session carrying a Power API role, an RNG "
-                "stream and an evaluation quota.",
-                (
-                    ArgSpec("tenant", "str", required=True),
-                    ArgSpec("role", "str", doc="Power API role (default monitor)"),
-                    ArgSpec("quota", "int", doc="max chargeable evaluations"),
-                    ArgSpec("scope_hostnames", "list", doc="restrict writes to these nodes"),
-                ),
-                requires_session=False,
-            ),
-            CommandSpec("session.info", self._cmd_session_info, "Session facts.", ()),
-            CommandSpec("session.close", self._cmd_session_close, "Close this session.", ()),
-            CommandSpec(
-                "session.snapshot",
-                self._cmd_session_snapshot,
-                "Portable session-state snapshot (identity, role, quota, "
-                "RNG derivation).  Open tuning exchanges are not captured.",
-                (),
-            ),
-            CommandSpec(
-                "session.restore",
-                self._cmd_session_restore,
-                "Recreate a session from a session.snapshot blob; RNG "
-                "streams re-derive identically.",
-                (ArgSpec("state", "dict", required=True, doc="session.snapshot result"),),
-                requires_session=False,
-            ),
-            CommandSpec(
-                "power.read",
-                self._cmd_power_read,
-                "Read one attribute of one power object (role-checked).",
-                (
-                    ArgSpec("path", "str", required=True),
-                    ArgSpec("attr", "str", required=True),
-                ),
-            ),
-            CommandSpec(
-                "power.write",
-                self._cmd_power_write,
-                "Write one attribute of one power object (role- and scope-checked).",
-                (
-                    ArgSpec("path", "str", required=True),
-                    ArgSpec("attr", "str", required=True),
-                    ArgSpec("value", "number", required=True),
-                ),
-            ),
-            CommandSpec(
-                "power.read_group",
-                self._cmd_power_read_group,
-                "Read one attribute across every in-scope object of a type.",
-                (
-                    ArgSpec("obj_type", "str", required=True),
-                    ArgSpec("attr", "str", required=True),
-                ),
-            ),
-            CommandSpec(
-                "power.snapshot",
-                self._cmd_power_snapshot,
-                "Every readable attribute of every in-scope object.",
-                (),
-            ),
-            CommandSpec(
-                "power.set_caps",
-                self._cmd_power_set_caps,
-                "Batch node power caps: one envelope, one vectorised "
-                "apply_power_caps pass (watts null uncaps).",
-                (
-                    ArgSpec("indices", "list", doc="node indices"),
-                    ArgSpec("hostnames", "list", doc="node hostnames"),
-                    ArgSpec("watts", "any", required=True, doc="scalar, per-node list, or null"),
-                ),
-            ),
-            CommandSpec(
-                "power.set_frequencies",
-                self._cmd_power_set_frequencies,
-                "Batch node core-frequency targets through the vectorised "
-                "DVFS kernel.",
-                (
-                    ArgSpec("indices", "list"),
-                    ArgSpec("hostnames", "list"),
-                    ArgSpec("ghz", "any", required=True, doc="scalar or per-node list"),
-                ),
-            ),
-            CommandSpec(
-                "jobs.submit",
-                self._cmd_jobs_submit,
-                "Submit a job to the power-aware scheduler.",
-                (
-                    ArgSpec("app", "any", required=True, doc="application kind or spec"),
-                    ArgSpec("nodes", "int"),
-                    ArgSpec("params", "dict", doc="application parameters"),
-                    ArgSpec("walltime_s", "number"),
-                    ArgSpec("ranks_per_node", "int"),
-                    ArgSpec("job_id", "str"),
-                    ArgSpec("nodes_min", "int"),
-                    ArgSpec("nodes_max", "int"),
-                    ArgSpec("malleable", "bool"),
-                ),
-            ),
-            CommandSpec(
-                "jobs.query",
-                self._cmd_jobs_query,
-                "State and accounting of one job.",
-                (ArgSpec("job_id", "str", required=True),),
-            ),
-            CommandSpec("jobs.list", self._cmd_jobs_list, "All jobs and their states.", ()),
-            CommandSpec(
-                "jobs.cancel",
-                self._cmd_jobs_cancel,
-                "Cancel a pending or running job (owner or operator roles).",
-                (ArgSpec("job_id", "str", required=True),),
-            ),
-            CommandSpec(
-                "jobs.run",
-                self._cmd_jobs_run,
-                "Drive the simulated cluster until all submitted jobs finish "
-                "(operator roles).",
-                (ArgSpec("extra_time_s", "number"),),
-            ),
-            CommandSpec(
-                "jobs.advance",
-                self._cmd_jobs_advance,
-                "Advance the simulated clock by a fixed duration (operator roles).",
-                (ArgSpec("duration_s", "number", required=True),),
-            ),
-            CommandSpec("jobs.stats", self._cmd_jobs_stats, "Scheduler statistics.", ()),
-            CommandSpec(
-                "runtime.report",
-                self._cmd_runtime_report,
-                "Job-runtime telemetry reported up the stack.",
-                (ArgSpec("job_id", "str", required=True),),
-            ),
-            CommandSpec(
-                "runtime.request_power",
-                self._cmd_runtime_request_power,
-                "Ask the RM for additional job power (§3.1.1).",
-                (
-                    ArgSpec("job_id", "str", required=True),
-                    ArgSpec("watts", "number", required=True),
-                ),
-            ),
-            CommandSpec(
-                "runtime.return_power",
-                self._cmd_runtime_return_power,
-                "Declare unused job power the RM may reclaim (§3.1.1).",
-                (
-                    ArgSpec("job_id", "str", required=True),
-                    ArgSpec("watts", "number", required=True),
-                ),
-            ),
-            CommandSpec(
-                "tuning.open",
-                self._cmd_tuning_open,
-                "Open an ask/tell tuning exchange over a parameter space.",
-                (
-                    ArgSpec("parameters", "dict", required=True, doc="{name: [values]}"),
-                    ArgSpec("search", "str"),
-                    ArgSpec("batch_size", "int"),
-                    ArgSpec("minimize", "bool"),
-                    ArgSpec("seed", "int", doc="override the session-derived seed"),
-                ),
-            ),
-            CommandSpec(
-                "tuning.ask",
-                self._cmd_tuning_ask,
-                "Next batch of configurations to evaluate.",
-                (
-                    ArgSpec("tuner_id", "str", required=True),
-                    ArgSpec("n", "int"),
-                ),
-            ),
-            CommandSpec(
-                "tuning.tell",
-                self._cmd_tuning_tell,
-                "Report evaluated configurations (charged against the quota); "
-                "results land in the sharded performance database.",
-                (
-                    ArgSpec("tuner_id", "str", required=True),
-                    ArgSpec("results", "list", required=True),
-                ),
-            ),
-            CommandSpec(
-                "tuning.best",
-                self._cmd_tuning_best,
-                "Best recorded configuration of one tuning exchange.",
-                (ArgSpec("tuner_id", "str", required=True),),
-            ),
-            CommandSpec(
-                "tuning.close",
-                self._cmd_tuning_close,
-                "Close a tuning exchange.",
-                (ArgSpec("tuner_id", "str", required=True),),
-            ),
-            CommandSpec(
-                "tuning.run",
-                self._cmd_tuning_run,
-                "Run a whole batched autotuning loop service-side against a "
-                "registered evaluator.",
-                (
-                    ArgSpec("parameters", "dict", required=True),
-                    ArgSpec("evaluator", "str", required=True),
-                    ArgSpec("search", "str"),
-                    ArgSpec("max_evals", "int"),
-                    ArgSpec("batch_size", "int"),
-                    ArgSpec("cache_evaluations", "bool"),
-                    ArgSpec("seed", "int"),
-                ),
-            ),
-            CommandSpec(
-                "campaign.run",
-                self._cmd_campaign_run,
-                "Run an experiment campaign; every run is charged and captured.",
-                (
-                    ArgSpec("scenarios", "list", required=True),
-                    ArgSpec("executor", "str"),
-                    ArgSpec("max_workers", "int"),
-                    ArgSpec("name", "str"),
-                ),
-            ),
-            CommandSpec(
-                "db.best_for",
-                self._cmd_db_best_for,
-                "Best record matching tag filters (tenant-scoped unless a "
-                "site-read role).",
-                (
-                    ArgSpec("tags", "dict"),
-                    ArgSpec("minimize", "bool"),
-                ),
-            ),
-            CommandSpec(
-                "db.top_k",
-                self._cmd_db_top_k,
-                "The k best records visible to this session.",
-                (
-                    ArgSpec("k", "int", required=True),
-                    ArgSpec("minimize", "bool"),
-                ),
-            ),
-            CommandSpec(
-                "db.aggregate",
-                self._cmd_db_aggregate,
-                "Objective summary statistics over visible records.",
-                (ArgSpec("feasible_only", "bool"),),
-            ),
-            CommandSpec(
-                "db.where",
-                self._cmd_db_where,
-                "Record selection by feasibility, objective range and tags.",
-                (
-                    ArgSpec("feasible", "bool"),
-                    ArgSpec("min_objective", "number"),
-                    ArgSpec("max_objective", "number"),
-                    ArgSpec("tags", "dict"),
-                ),
-            ),
-            CommandSpec(
-                "db.stats",
-                self._cmd_db_stats,
-                "Shard layout and record counts.",
-                (),
-            ),
-            CommandSpec(
-                "db.checkpoint",
-                self._cmd_db_checkpoint,
-                "Checkpoint the sharded database into a durability root "
-                "(write-ahead journal + atomic bounded snapshot "
-                "generations); attaches the journal on first use "
-                "(operator roles).",
-                (
-                    ArgSpec("directory", "str", doc="durability root (required on first use)"),
-                    ArgSpec("keep_generations", "int", doc="snapshot generations to keep"),
-                ),
-            ),
-            CommandSpec(
-                "db.recover",
-                self._cmd_db_recover,
-                "Replace the sharded database with one recovered from a "
-                "durability root: newest valid snapshot plus the journal's "
-                "intact suffix (operator roles).",
-                (ArgSpec("directory", "str", required=True),),
-            ),
-            CommandSpec(
-                "chaos.inject",
-                self._cmd_chaos_inject,
-                "Install a named fault-injection profile on the service's "
-                "power/scheduler planes (operator roles).",
-                (
-                    ArgSpec("profile", "str", required=True, doc="registered profile name"),
-                    ArgSpec("seed", "int", doc="fault-plan seed (default 0)"),
-                    ArgSpec("enabled", "bool", doc="install disarmed when false"),
-                ),
-            ),
-            CommandSpec(
-                "chaos.status",
-                self._cmd_chaos_status,
-                "Active fault plan and injection-event counters.",
-                (),
-            ),
-            CommandSpec(
-                "chaos.clear",
-                self._cmd_chaos_clear,
-                "Remove the active fault plan (operator roles).",
-                (),
-            ),
-        ]
-        return {spec.op: spec for spec in specs}
-
     # -- service/session commands -----------------------------------------
-    def _cmd_ping(self, payload: Any = None) -> Dict[str, Any]:
+    def _cmd_service_ping(self, payload: Any = None) -> Dict[str, Any]:
+        """Liveness probe; echoes ``payload`` back verbatim."""
         return {"pong": True, "time_s": self.env.now, "payload": payload}
 
-    def _cmd_describe(self) -> Dict[str, Any]:
+    def _cmd_service_describe(self) -> Dict[str, Any]:
+        """Protocol version, command catalogue, cluster and shard facts."""
         return {
             "protocol": PROTOCOL_VERSION,
-            "commands": [spec.describe() for spec in self._commands.values()],
+            "commands": [command.describe() for command in self._commands.values()],
             "roles": [role.value for role in Role],
             "evaluators": sorted(EVALUATOR_REGISTRY),
             "use_cases": [defn.name for defn in list_use_cases()],
@@ -786,6 +494,9 @@ class StackService:
         quota: Optional[int] = None,
         scope_hostnames: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
+        """Open a tenant session carrying a Power API ``role`` (default
+        monitor), an RNG stream and a ``quota`` of chargeable evaluations;
+        ``scope_hostnames`` restricts writes to those nodes."""
         try:
             resolved = Role(role)
         except ValueError:
@@ -826,13 +537,17 @@ class StackService:
         return session.info()
 
     def _cmd_session_info(self, session: Session) -> Dict[str, Any]:
+        """Session facts."""
         return session.info()
 
     def _cmd_session_close(self, session: Session) -> Dict[str, Any]:
+        """Close this session."""
         self._sessions.pop(session.session_id, None)
         return {"closed": True, "used_evaluations": session.used_evaluations}
 
     def _cmd_session_snapshot(self, session: Session) -> Dict[str, Any]:
+        """Portable session-state snapshot (identity, role, quota, RNG
+        derivation).  Open tuning exchanges are not captured."""
         return {
             "state": {
                 "session": session.session_id,
@@ -849,6 +564,8 @@ class StackService:
         }
 
     def _cmd_session_restore(self, state: Mapping[str, Any]) -> Dict[str, Any]:
+        """Recreate a session from the ``state`` a session.snapshot returned;
+        RNG streams re-derive identically."""
         required = {"session", "tenant", "role", "ordinal"}
         missing = sorted(required - set(state))
         if missing:
@@ -925,18 +642,21 @@ class StackService:
             ) from None
 
     def _cmd_power_read(self, session: Session, path: str, attr: str) -> Dict[str, Any]:
+        """Read one attribute of one power object (role-checked)."""
         value = session.context.read(path, self._attr(attr))
         return {"path": path, "attr": attr, "value": value}
 
     def _cmd_power_write(
         self, session: Session, path: str, attr: str, value: float
     ) -> Dict[str, Any]:
+        """Write one attribute of one power object (role- and scope-checked)."""
         applied = session.context.write(path, self._attr(attr), float(value))
         return {"path": path, "attr": attr, "applied": applied}
 
     def _cmd_power_read_group(
         self, session: Session, obj_type: str, attr: str
     ) -> Dict[str, Any]:
+        """Read one attribute across every in-scope object of a type."""
         try:
             resolved = ObjType(obj_type)
         except ValueError:
@@ -954,6 +674,7 @@ class StackService:
         }
 
     def _cmd_power_snapshot(self, session: Session) -> Dict[str, Any]:
+        """Every readable attribute of every in-scope object."""
         return session.context.snapshot()
 
     def _resolve_node_indices(
@@ -995,7 +716,7 @@ class StackService:
 
     @staticmethod
     def _watt_value(value: Any, field: str) -> float:
-        """A cap/frequency scalar off the wire: number or null, never bool."""
+        """A cap scalar off the wire: finite number or null, never bool."""
         if value is None:
             return np.nan
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -1003,6 +724,8 @@ class StackService:
                 ServiceErrorCode.BAD_REQUEST,
                 f"{field!r} entries must be numbers (or null to uncap)",
             )
+        if not _finite(value):
+            raise ServiceError(ServiceErrorCode.BAD_VALUE, f"{field!r} entries must be finite")
         return float(value)
 
     def _check_batch_node_write(
@@ -1031,6 +754,9 @@ class StackService:
         indices: Optional[List[int]] = None,
         hostnames: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
+        """Batch node power caps on the ``indices`` or ``hostnames`` nodes: one
+        envelope, one vectorised apply_power_caps pass.  ``watts`` is a
+        scalar, a per-node list, or null to uncap."""
         node_indices = self._resolve_node_indices(indices, hostnames)
         self._check_batch_node_write(session, AttrName.POWER_LIMIT_MAX, node_indices)
         if isinstance(watts, list):
@@ -1065,6 +791,9 @@ class StackService:
         indices: Optional[List[int]] = None,
         hostnames: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
+        """Batch node core-frequency targets on the ``indices`` or ``hostnames``
+        nodes through the vectorised DVFS kernel; ``ghz`` is a scalar or a
+        per-node list."""
         node_indices = self._resolve_node_indices(indices, hostnames)
         self._check_batch_node_write(session, AttrName.FREQ_REQUEST, node_indices)
         def freq_value(value: Any) -> float:
@@ -1072,6 +801,8 @@ class StackService:
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST, "'ghz' entries must be numbers"
                 )
+            if not _finite(value):
+                raise ServiceError(ServiceErrorCode.BAD_VALUE, "'ghz' entries must be finite")
             return float(value)
 
         if isinstance(ghz, list):
@@ -1130,6 +861,8 @@ class StackService:
         nodes_max: Optional[int] = None,
         malleable: bool = False,
     ) -> Dict[str, Any]:
+        """Submit a job to the power-aware scheduler; ``app`` is an
+        application kind or spec, ``params`` its application parameters."""
         self._require_working_role(session, "submit jobs")
         application = _build_application(app)
         self._job_counter += 1
@@ -1154,9 +887,11 @@ class StackService:
         return self._job_dict(job)
 
     def _cmd_jobs_query(self, session: Session, job_id: str) -> Dict[str, Any]:
+        """State and accounting of one job."""
         return self._job_dict(self._job(job_id))
 
     def _cmd_jobs_list(self, session: Session) -> List[Dict[str, Any]]:
+        """All jobs and their states."""
         # Working tenants see their own jobs; operators and the site-wide
         # monitor see the whole queue.
         jobs = self.scheduler.jobs.values()
@@ -1189,6 +924,7 @@ class StackService:
             )
 
     def _cmd_jobs_cancel(self, session: Session, job_id: str) -> Dict[str, Any]:
+        """Cancel a pending or running job (owner or operator roles)."""
         job = self._job(job_id)
         self._require_owner_or_operator(session, job)
         if job.state in (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED):
@@ -1200,11 +936,14 @@ class StackService:
         return self._job_dict(job)
 
     def _cmd_jobs_run(self, session: Session, extra_time_s: float = 0.0) -> Dict[str, Any]:
+        """Drive the simulated cluster until all submitted jobs finish
+        (operator roles)."""
         self._require_operator(session, "drive the cluster")
         stats = self.scheduler.run_until_complete(extra_time_s=float(extra_time_s))
         return {"time_s": self.env.now, "stats": stats.as_dict()}
 
     def _cmd_jobs_advance(self, session: Session, duration_s: float) -> Dict[str, Any]:
+        """Advance the simulated clock by a fixed duration (operator roles)."""
         self._require_operator(session, "advance the clock")
         if duration_s <= 0:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "duration_s must be positive")
@@ -1213,6 +952,7 @@ class StackService:
         return {"time_s": self.env.now}
 
     def _cmd_jobs_stats(self, session: Session) -> Dict[str, Any]:
+        """Scheduler statistics."""
         return self.scheduler.stats().as_dict()
 
     # -- runtime layer -----------------------------------------------------
@@ -1228,11 +968,13 @@ class StackService:
         return handle
 
     def _cmd_runtime_report(self, session: Session, job_id: str) -> Dict[str, Any]:
+        """Job-runtime telemetry reported up the stack."""
         return dict(self._runtime(session, job_id).report())
 
     def _cmd_runtime_request_power(
         self, session: Session, job_id: str, watts: float
     ) -> Dict[str, Any]:
+        """Ask the RM for additional job power (§3.1.1)."""
         runtime = self._runtime(session, job_id)
         granted = runtime.request_power(float(watts))
         return {"job_id": job_id, "requested_w": granted, "report": dict(runtime.report())}
@@ -1240,6 +982,7 @@ class StackService:
     def _cmd_runtime_return_power(
         self, session: Session, job_id: str, watts: float
     ) -> Dict[str, Any]:
+        """Declare unused job power the RM may reclaim (§3.1.1)."""
         runtime = self._runtime(session, job_id)
         returned = runtime.return_power(float(watts))
         return {"job_id": job_id, "returned_w": returned, "report": dict(runtime.report())}
@@ -1293,6 +1036,9 @@ class StackService:
         minimize: bool = True,
         seed: Optional[int] = None,
     ) -> Dict[str, Any]:
+        """Open an ask/tell tuning exchange over the parameter space
+        ``parameters`` (``{name: [values]}``); ``seed`` overrides the
+        session-derived seed."""
         self._require_working_role(session, "open tuning sessions")
         if batch_size < 1:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "batch_size must be >= 1")
@@ -1329,6 +1075,7 @@ class StackService:
     def _cmd_tuning_ask(
         self, session: Session, tuner_id: str, n: Optional[int] = None
     ) -> Dict[str, Any]:
+        """Next batch of configurations to evaluate."""
         state = self._tuner(session, tuner_id)
         count = state.batch_size if n is None else int(n)
         if count < 1:
@@ -1352,6 +1099,8 @@ class StackService:
     def _cmd_tuning_tell(
         self, session: Session, tuner_id: str, results: List[Any]
     ) -> Dict[str, Any]:
+        """Report evaluated configurations (charged against the quota);
+        results land in the sharded performance database."""
         state = self._tuner(session, tuner_id)
         parsed: List[Tuple[Dict[str, Any], float, Dict[str, float], bool]] = []
         for entry in results:
@@ -1365,6 +1114,10 @@ class StackService:
             except (KeyError, ValueError) as error:
                 raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
             objective = float(entry["objective"])
+            if not _finite(objective):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_VALUE, "each result's 'objective' must be finite"
+                )
             metrics = dict(entry.get("metrics", {}))
             feasible = bool(entry.get("feasible", True))
             parsed.append((config, objective, metrics, feasible))
@@ -1397,11 +1150,13 @@ class StackService:
         }
 
     def _cmd_tuning_best(self, session: Session, tuner_id: str) -> Dict[str, Any]:
+        """Best recorded configuration of one tuning exchange."""
         state = self._tuner(session, tuner_id)
         best = self._best_feasible(session, state)
         return {"tuner_id": tuner_id, "best": None if best is None else best.to_dict()}
 
     def _cmd_tuning_close(self, session: Session, tuner_id: str) -> Dict[str, Any]:
+        """Close a tuning exchange."""
         state = self._tuner(session, tuner_id)
         del session.tuners[tuner_id]
         return {"tuner_id": tuner_id, "told_total": state.told}
@@ -1417,6 +1172,8 @@ class StackService:
         cache_evaluations: bool = False,
         seed: Optional[int] = None,
     ) -> Dict[str, Any]:
+        """Run a whole batched autotuning loop service-side against a
+        registered evaluator."""
         self._require_working_role(session, "run tuning loops")
         if max_evals < 1:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "max_evals must be >= 1")
@@ -1485,6 +1242,7 @@ class StackService:
         max_workers: Optional[int] = None,
         name: Optional[str] = None,
     ) -> Dict[str, Any]:
+        """Run an experiment campaign; every run is charged and captured."""
         self._require_working_role(session, "run campaigns")
         if executor not in ("serial", "thread", "process"):
             raise ServiceError(
@@ -1544,12 +1302,15 @@ class StackService:
         tags: Optional[Mapping[str, Any]] = None,
         minimize: bool = True,
     ) -> Dict[str, Any]:
+        """Best record matching tag filters (tenant-scoped unless a
+        site-read role)."""
         best = self.database.best_for(minimize=bool(minimize), **self._scope_tags(session, tags))
         return {"best": None if best is None else best.to_dict()}
 
     def _cmd_db_top_k(
         self, session: Session, k: int, minimize: bool = True
     ) -> Dict[str, Any]:
+        """The k best records visible to this session."""
         if k < 0:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "k must be >= 0")
         filters = self._scope_tags(session, None)
@@ -1564,6 +1325,7 @@ class StackService:
     def _cmd_db_aggregate(
         self, session: Session, feasible_only: bool = False
     ) -> Dict[str, Any]:
+        """Objective summary statistics over visible records."""
         filters = self._scope_tags(session, None)
         if filters:
             pool = self.database.where(
@@ -1580,6 +1342,7 @@ class StackService:
         max_objective: Optional[float] = None,
         tags: Optional[Mapping[str, Any]] = None,
     ) -> Dict[str, Any]:
+        """Record selection by feasibility, objective range and tags."""
         records = self.database.where(
             feasible=feasible,
             min_objective=min_objective,
@@ -1589,6 +1352,7 @@ class StackService:
         return {"records": [record.to_dict() for record in records]}
 
     def _cmd_db_stats(self, session: Session) -> Dict[str, Any]:
+        """Shard layout and record counts."""
         if session.role not in _SITE_READ_ROLES:
             # Tenant view: own record count only — no cross-tenant names,
             # no global sizes (the same isolation _scope_tags enforces).
@@ -1610,6 +1374,10 @@ class StackService:
         directory: Optional[str] = None,
         keep_generations: Optional[int] = None,
     ) -> Dict[str, Any]:
+        """Checkpoint the sharded database into the durability root
+        ``directory`` (write-ahead journal + atomic bounded snapshot
+        generations, ``keep_generations`` of them kept); attaches the
+        journal on first use, where ``directory`` is required (operator roles)."""
         self._require_operator(session, "checkpoint the database")
         from repro import durability
 
@@ -1649,6 +1417,9 @@ class StackService:
         }
 
     def _cmd_db_recover(self, session: Session, directory: str) -> Dict[str, Any]:
+        """Replace the sharded database with one recovered from a durability
+        root: newest valid snapshot plus the journal's intact suffix
+        (operator roles)."""
         self._require_operator(session, "recover the database")
         try:
             recovered = ShardedPerformanceDatabase.recover(directory)
@@ -1679,6 +1450,9 @@ class StackService:
         seed: int = 0,
         enabled: bool = True,
     ) -> Dict[str, Any]:
+        """Install the registered fault-injection ``profile`` on the service's
+        power/scheduler planes (operator roles); ``seed`` is the fault-plan
+        seed (default 0), and ``enabled=false`` installs the plan disarmed."""
         self._require_working_role(session, "inject faults")
         from repro.faults import injector as fault_injector
         from repro.faults import profiles as fault_profiles
@@ -1700,6 +1474,7 @@ class StackService:
         }
 
     def _cmd_chaos_status(self, session: Session) -> Dict[str, Any]:
+        """Active fault plan and injection-event counters."""
         from repro.faults import injector as fault_injector
 
         injector = fault_injector.active()
@@ -1708,6 +1483,7 @@ class StackService:
         return {"active": True, **injector.stats()}
 
     def _cmd_chaos_clear(self, session: Session) -> Dict[str, Any]:
+        """Remove the active fault plan (operator roles)."""
         self._require_working_role(session, "clear fault plans")
         from repro.faults import injector as fault_injector
 
@@ -1715,3 +1491,6 @@ class StackService:
         if injector is None:
             return {"cleared": False}
         return {"cleared": True, **injector.stats()}
+
+
+StackService._commands = _derive_commands(StackService)

@@ -35,6 +35,7 @@ from repro.netserver import (
     read_frame,
     worker_for_tenant,
 )
+from repro.netserver.server import _Connection
 from repro.service import MAX_WIRE_BYTES, StackService
 from repro.service.client import ServiceCallError, SessionHandle
 from repro.service.envelopes import Response
@@ -240,6 +241,18 @@ def test_oversized_frame_answers_bad_request_then_closes():
         await server.drain()
 
     run_async(scenario())
+
+
+def test_unserialisable_response_fallback_keeps_request_id():
+    # A pipelined client waits on exactly its request id, so the failure
+    # that replaces an unencodable answer must carry it.
+    frame = _Connection._frame_response(
+        {"ok": True, "request_id": "r7", "session": "s0001-acme", "result": object()}
+    )
+    (payload,) = FrameBuffer().feed(frame)
+    response = Response.from_json(payload.decode())
+    assert not response.ok and response.error_code == "SVC_RET_INTERNAL"
+    assert response.request_id == "r7" and response.session == "s0001-acme"
 
 
 def test_truncated_frame_and_midrequest_disconnect_leave_server_alive():

@@ -69,6 +69,15 @@ def test_request_envelope_round_trip():
 def test_response_envelope_round_trip_success_and_failure():
     ok = Response.success({"value": 1.5}, request=Request(op="x", request_id="7"))
     assert Response.from_json(ok.to_json()).to_dict() == ok.to_dict()
+    # success() is the one normaliser: numpy values arrive as plain JSON.
+    arrays = Response.success(
+        {"caps": np.array([250.0, 260.0]), "n": np.int64(3), "on": np.bool_(True),
+         "f": np.float32(0.5), "pair": (1, 2)},
+        request=Request(op="x", request_id="8"),
+    )
+    again = Response.from_json(arrays.to_json())
+    assert again.to_dict() == arrays.to_dict()
+    assert again.result == {"caps": [250.0, 260.0], "n": 3, "on": True, "f": 0.5, "pair": [1, 2]}
     bad = Response.failure(ServiceErrorCode.NO_PERMISSION, "nope")
     again = Response.from_json(bad.to_json())
     assert again.to_dict() == bad.to_dict()
@@ -325,6 +334,10 @@ def test_batch_set_caps_applies_vectorised_and_uncaps():
     by_name = rm.result("power.set_caps", hostnames=[hostnames[1]], watts=280.0)
     assert by_name["applied"][hostnames[1]] == 280.0
     assert state_caps[1] == 280.0
+
+    uncapped = rm.result("power.set_caps", indices=[0], watts=None)
+    assert uncapped["applied"][hostnames[0]] is None
+    assert math.isnan(state_caps[0])
 
 
 def test_batch_set_caps_bad_targets():

@@ -26,6 +26,7 @@ __all__ = [
     "SearchAlgorithm",
     "SurrogateSearch",
     "config_key",
+    "expected_improvement",
     "make_search",
     "SEARCH_REGISTRY",
 ]
@@ -40,6 +41,19 @@ def config_key(config: Mapping[str, Any]) -> tuple:
     them agree on what "the same configuration" means.
     """
     return tuple(sorted((k, repr(v)) for k, v in config.items()))
+
+
+def expected_improvement(improvement: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Expected improvement ``I·Φ(I/σ) + σ·φ(I/σ)`` of a Gaussian prediction.
+
+    The acquisition both surrogate searches maximise.  scipy is imported
+    on the first call, so only a process that fits a surrogate pays for
+    loading it.
+    """
+    from scipy.stats import norm
+
+    z = improvement / std
+    return improvement * norm.cdf(z) + std * norm.pdf(z)
 
 
 class SearchAlgorithm(abc.ABC):

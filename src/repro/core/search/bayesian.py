@@ -13,10 +13,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
-from repro.core.search.base import SurrogateSearch, register_search
+from repro.core.search.base import SurrogateSearch, expected_improvement, register_search
 from repro.core.space import ParameterSpace
 
 __all__ = ["GaussianProcessSearch"]
@@ -43,6 +41,8 @@ class _GaussianProcess:
         return self.signal * np.exp(-0.5 * sq / self.length_scale**2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
+        from scipy.linalg import cho_factor, cho_solve
+
         if len(x) == 0:
             raise ValueError("cannot fit a GP on zero observations")
         self._x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -55,6 +55,8 @@ class _GaussianProcess:
         self._alpha = cho_solve(self._chol, y_norm)
 
     def predict(self, x: np.ndarray) -> tuple:
+        from scipy.linalg import cho_solve
+
         if self._x is None or self._alpha is None or self._chol is None:
             raise RuntimeError("the GP has not been fit")
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -92,11 +94,6 @@ class GaussianProcessSearch(SurrogateSearch):
         self._gp = _GaussianProcess(length_scale=length_scale)
 
     # -- surrogate interface ------------------------------------------------------------
-    def _expected_improvement(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
-        improvement = best - mean - self.exploration
-        z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
-
     def _fit(self, finite: list) -> np.ndarray:
         objectives = np.array([o for _, o in finite])
         self._gp.fit(self.space.encode_many([c for c, _ in finite]), objectives)
@@ -104,7 +101,7 @@ class GaussianProcessSearch(SurrogateSearch):
 
     def _score(self, pool: list, objectives: np.ndarray) -> np.ndarray:
         mean, std = self._gp.predict(self.space.encode_many(pool))
-        return self._expected_improvement(mean, std, float(objectives.min()))
+        return expected_improvement(float(objectives.min()) - mean - self.exploration, std)
 
     def tell(self, config: Mapping[str, Any], objective: float) -> None:
         super().tell(config, objective)

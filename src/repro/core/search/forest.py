@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
-from scipy.stats import norm
 
-from repro.core.search.base import SurrogateSearch, register_search
+from repro.core.search.base import SurrogateSearch, expected_improvement, register_search
 from repro.core.space import ParameterSpace
 
 __all__ = ["RegressionTree", "RandomForestRegressor", "RandomForestSearch"]
@@ -173,9 +172,7 @@ class RandomForestSearch(SurrogateSearch):
     def _score(self, pool: List[Dict[str, Any]], objectives: np.ndarray) -> np.ndarray:
         """Expected improvement of ``pool`` under the fitted forest."""
         mean, std = self.forest.predict(self.space.encode_many(pool))
-        improvement = float(objectives.min()) - mean - self.exploration
-        z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        return expected_improvement(float(objectives.min()) - mean - self.exploration, std)
 
     def tell(self, config: Mapping[str, Any], objective: float) -> None:
         super().tell(config, objective)

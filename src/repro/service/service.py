@@ -72,6 +72,7 @@ from repro.service.envelopes import (
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.telemetry.database import (
+    EvaluationRecord,
     PerformanceDatabase,
     SnapshotCorruptError,
     objective_stats,
@@ -179,6 +180,22 @@ def _finite(value: float) -> bool:
     return -sys.float_info.max <= value <= sys.float_info.max
 
 
+def _metrics(value: Any) -> Dict[str, float]:
+    """A ``tuning.tell`` result's ``metrics``: an object of finite numbers."""
+    if not isinstance(value, Mapping) or not all(isinstance(key, str) for key in value):
+        raise ServiceError(
+            ServiceErrorCode.BAD_REQUEST, "each result's 'metrics' must be an object"
+        )
+    is_number = _WIRE_KINDS[float][1]
+    for key, number in value.items():
+        if not is_number(number) or not _finite(number):
+            raise ServiceError(
+                ServiceErrorCode.BAD_VALUE,
+                f"each result's 'metrics' values must be finite numbers ({key!r})",
+            )
+    return dict(value)
+
+
 def _wire_kind(annotation: Any) -> Tuple[str, Callable[[Any], bool]]:
     members = [arg for arg in get_args(annotation) if arg is not type(None)]
     if get_origin(annotation) is Union and len(members) == 1:
@@ -275,6 +292,26 @@ class _TuningState:
     batch_size: int
     seed: int
     told: int = 0
+    #: Best *feasible* record told so far (a reported best must be
+    #: deployable), kept current by :meth:`fold`.
+    best: Optional[EvaluationRecord] = None
+
+    def fold(self, record: EvaluationRecord) -> None:
+        """Fold one record of this tuner, in global order, into ``best``.
+
+        Only a strictly better objective displaces the best, so ties keep
+        the earlier record, exactly as ``min``/``max`` over the tuner's
+        records in global order would.
+        """
+        if not record.feasible:
+            return
+        best = self.best
+        if (
+            best is None
+            or (self.minimize and record.objective < best.objective)
+            or (not self.minimize and record.objective > best.objective)
+        ):
+            self.best = record
 
 
 @dataclass
@@ -988,22 +1025,22 @@ class StackService:
         return {"job_id": job_id, "returned_w": returned, "report": dict(runtime.report())}
 
     # -- tuning plane ------------------------------------------------------
-    def _best_feasible(self, session: Session, state: _TuningState):
-        """Best *feasible* record of one tuning exchange (first on ties).
+    def _refold(self, session: Session, state: _TuningState) -> None:
+        """Re-derive one tuner's best from the records the store holds for it.
 
-        ``best_for`` alone would happily return a record the client
-        declared infeasible; a reported best must be deployable.
+        For when the store gains or loses the tuner's records other than
+        through ``tuning.tell``: a recover, a campaign whose scenario tags
+        name the tuner, or a restored session reopening a tuner id whose
+        earlier records are still stored.
         """
-        pool = self.database.where(
+        state.best = None
+        for record in self.database.where(
             feasible=True,
             tenant=session.tenant,
             session=session.session_id,
             tuner=state.tuner_id,
-        )
-        if not pool:
-            return None
-        key = min if state.minimize else max
-        return key(pool, key=lambda record: record.objective)
+        ):
+            state.fold(record)
 
     def _tuner(self, session: Session, tuner_id: str) -> _TuningState:
         state = session.tuners.get(tuner_id)
@@ -1055,7 +1092,7 @@ class StackService:
         except ValueError as error:
             raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
         tuner_id = f"{session.session_id}/t{ordinal}"
-        session.tuners[tuner_id] = _TuningState(
+        state = session.tuners[tuner_id] = _TuningState(
             tuner_id=tuner_id,
             space=space,
             search=algorithm,
@@ -1063,13 +1100,14 @@ class StackService:
             batch_size=int(batch_size),
             seed=int(seed),
         )
+        self._refold(session, state)
         return {
             "tuner_id": tuner_id,
             "search": search,
             "seed": int(seed),
             "batch_size": int(batch_size),
             "minimize": bool(minimize),
-            "cardinality": session.tuners[tuner_id].space.cardinality(),
+            "cardinality": space.cardinality(),
         }
 
     def _cmd_tuning_ask(
@@ -1118,7 +1156,7 @@ class StackService:
                 raise ServiceError(
                     ServiceErrorCode.BAD_VALUE, "each result's 'objective' must be finite"
                 )
-            metrics = dict(entry.get("metrics", {}))
+            metrics = _metrics(entry.get("metrics", {}))
             feasible = bool(entry.get("feasible", True))
             parsed.append((config, objective, metrics, feasible))
         session.charge(len(parsed))
@@ -1129,16 +1167,18 @@ class StackService:
                 search_value = objective if state.minimize else -objective
             state.search.tell(config, search_value)
             state.told += 1
-            self.database.add_evaluation(
-                config=config,
-                metrics=metrics,
-                objective=objective,
-                feasible=feasible,
-                tenant=session.tenant,
-                session=session.session_id,
-                tuner=state.tuner_id,
+            state.fold(
+                self.database.add_evaluation(
+                    config=config,
+                    metrics=metrics,
+                    objective=objective,
+                    feasible=feasible,
+                    tenant=session.tenant,
+                    session=session.session_id,
+                    tuner=state.tuner_id,
+                )
             )
-        best = self._best_feasible(session, state)
+        best = state.best
         return {
             "tuner_id": tuner_id,
             "recorded": len(parsed),
@@ -1151,8 +1191,7 @@ class StackService:
 
     def _cmd_tuning_best(self, session: Session, tuner_id: str) -> Dict[str, Any]:
         """Best recorded configuration of one tuning exchange."""
-        state = self._tuner(session, tuner_id)
-        best = self._best_feasible(session, state)
+        best = self._tuner(session, tuner_id).best
         return {"tuner_id": tuner_id, "best": None if best is None else best.to_dict()}
 
     def _cmd_tuning_close(self, session: Session, tuner_id: str) -> Dict[str, Any]:
@@ -1284,6 +1323,8 @@ class StackService:
             session=session.session_id,
             campaign=campaign_name,
         )
+        for state in session.tuners.values():  # scenario tags may name a tuner
+            self._refold(session, state)
         return result.summary()
 
     # -- database plane ----------------------------------------------------
@@ -1434,6 +1475,9 @@ class StackService:
         if old_journal is not None:
             old_journal.close()
         self.database = recovered
+        for open_session in self._sessions.values():
+            for state in open_session.tuners.values():
+                self._refold(open_session, state)
         return {
             "directory": directory,
             "n_records": len(recovered),

@@ -306,20 +306,28 @@ class PerformanceDatabase:
 
         The index-level entry point :class:`ShardedPerformanceDatabase`
         uses to fan a query across shards and stitch the matches back
-        into global insertion order.
+        into global insertion order.  With tag filters the tag-index
+        matches are the only rows checked against feasibility and the
+        objective range, so the cost follows the matches, not the
+        database; without them one mask covers every row.
         """
-        mask = np.ones(len(self._records), dtype=bool)
-        if feasible is not None:
-            mask &= self._columns.feasible == feasible
-        if min_objective is not None:
-            mask &= self._columns.objective >= min_objective
-        if max_objective is not None:
-            mask &= self._columns.objective <= max_objective
+        columns = self._columns
         if tag_filters:
             indices = self._tag_indices(tag_filters)
-            tag_mask = np.zeros(len(self._records), dtype=bool)
-            tag_mask[indices] = True
-            mask &= tag_mask
+            if feasible is not None:
+                indices = indices[columns.feasible[indices] == feasible]
+            if min_objective is not None:
+                indices = indices[columns.objective[indices] >= min_objective]
+            if max_objective is not None:
+                indices = indices[columns.objective[indices] <= max_objective]
+            return indices
+        mask = np.ones(len(self._records), dtype=bool)
+        if feasible is not None:
+            mask &= columns.feasible == feasible
+        if min_objective is not None:
+            mask &= columns.objective >= min_objective
+        if max_objective is not None:
+            mask &= columns.objective <= max_objective
         return np.flatnonzero(mask)
 
     def where(
@@ -400,17 +408,21 @@ class PerformanceDatabase:
 
     # -- lookup of historically good configurations ------------------------
     def _tag_indices(self, tag_filters: Mapping[str, str]) -> np.ndarray:
-        """Ascending record indices matching all tag filters (via the index)."""
-        pools: List[np.ndarray] = []
+        """Ascending record indices matching all tag filters (via the index).
+
+        Every posting list is looked up before any is converted, so a
+        filter with no match answers without touching the others.
+        """
+        pools: List[List[int]] = []
         for key, value in tag_filters.items():
             hits = self._tag_index.get((key, str(value)))
             if not hits:
                 return np.empty(0, dtype=int)
-            pools.append(np.asarray(hits))
+            pools.append(hits)
         pools.sort(key=len)
-        result = pools[0]
+        result = np.asarray(pools[0])
         for pool in pools[1:]:
-            result = np.intersect1d(result, pool, assume_unique=True)
+            result = np.intersect1d(result, np.asarray(pool), assume_unique=True)
             if result.size == 0:
                 break
         return result

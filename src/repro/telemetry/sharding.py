@@ -46,9 +46,14 @@ _ABSENT = object()
 
 #: Distinct ``best_for`` query shapes memoized before the cache resets.
 #: Real workloads ask a handful of shapes per tenant; the cap only bounds
-#: adversarial churn, since every live entry costs one match attempt per
-#: ``add``.
+#: adversarial churn (memory, and the shapes one ``add`` can visit).
 _BEST_CACHE_MAX = 4096
+
+#: Smallest capacity of a shard's global-sequence column; it doubles when full.
+_GLOBAL_CAPACITY = 64
+
+#: A ``best_for`` query shape: (minimize, sorted stringified tag filters).
+_Shape = Tuple[bool, Tuple[Tuple[str, str], ...]]
 
 
 class ShardedPerformanceDatabase:
@@ -73,9 +78,13 @@ class ShardedPerformanceDatabase:
         self.shards: List[PerformanceDatabase] = [
             PerformanceDatabase(f"{name}/shard-{i}") for i in range(n_shards)
         ]
-        #: Per-shard global sequence numbers, parallel to the shard's records.
-        self._global: List[List[int]] = [[] for _ in range(n_shards)]
-        self._global_arrays: List[Optional[np.ndarray]] = [None] * n_shards
+        #: Per-shard global sequence numbers, parallel to the shard's
+        #: records: growable arrays whose first ``len(shard)`` entries are
+        #: live (capacity doubles when full), so an add is amortised O(1)
+        #: and a read is a view.
+        self._global: List[np.ndarray] = [
+            np.empty(_GLOBAL_CAPACITY, dtype=int) for _ in range(n_shards)
+        ]
         #: Global index -> (shard index, local index).
         self._locator: List[Tuple[int, int]] = []
         #: Optional write-ahead journal (``repro.durability``): when
@@ -83,16 +92,20 @@ class ShardedPerformanceDatabase:
         #: journal *before* mutating in-memory state.  ``None`` costs one
         #: attribute read per add — the journal-disabled overhead budget.
         self._journal: Optional[Any] = None
-        #: Running best per ``best_for`` query shape: (minimize, sorted
-        #: tag filters) -> (objective, global index) or None.  Maintained
-        #: incrementally by add() — a repeated fan-in ``best_for`` is O(1)
-        #: instead of an all-shard scan — and bit-identical to the scan by
-        #: construction: a new record only displaces the cached winner
-        #: when strictly better, which is exactly the global-order
-        #: tie-breaking the scan applies (earlier record wins ties).
+        #: Running best per ``best_for`` query shape, bucketed by the
+        #: shape's first sorted filter pair (``None`` for the unfiltered
+        #: shape): first pair -> {shape: (objective, global index) or
+        #: None}.  Maintained incrementally by add(), which visits only
+        #: the buckets its record's tags name — a repeated fan-in
+        #: ``best_for`` is a dict hit instead of an all-shard scan — and
+        #: bit-identical to the scan by construction: a new record only
+        #: displaces the cached winner when strictly better, which is
+        #: exactly the global-order tie-breaking the scan applies
+        #: (earlier record wins ties).
         self._best_cache: Dict[
-            Tuple[bool, Tuple[Tuple[str, str], ...]], Optional[Tuple[float, int]]
+            Optional[Tuple[str, str]], Dict[_Shape, Optional[Tuple[float, int]]]
         ] = {}
+        self._best_cache_shapes = 0
 
     # -- routing -----------------------------------------------------------
     @property
@@ -124,41 +137,51 @@ class ShardedPerformanceDatabase:
             journal.append_record(shard, len(self._locator), record.to_dict(), key)
         local = len(self.shards[shard])
         self.shards[shard].add(record)
-        self._global[shard].append(len(self._locator))
-        self._global_arrays[shard] = None
+        column = self._global[shard]
+        if local >= column.shape[0]:
+            column = self._global[shard] = np.resize(column, max(_GLOBAL_CAPACITY, 2 * local))
+        column[local] = len(self._locator)
         self._locator.append((shard, local))
         if self._best_cache:
             self._update_best_cache(record, len(self._locator) - 1)
         return shard
 
     def _update_best_cache(self, record: EvaluationRecord, global_index: int) -> None:
-        """Fold one new record into every cached ``best_for`` answer.
+        """Fold one new record into the cached ``best_for`` answers it matches.
 
-        Mirrors the tag-index match semantics of
-        :meth:`PerformanceDatabase.where_indices`: a record matches a
-        filter pair when the tag key is present and its stringified value
-        equals the stringified filter value.  Ties keep the cached record
-        (it has the lower global index by construction).
+        Only the unfiltered bucket and the buckets keyed by the record's
+        own tag pairs are visited; a shape there already matches on its
+        first filter pair and checks the rest.  Mirrors the tag-index
+        match semantics of :meth:`PerformanceDatabase.where_indices`: a
+        record matches a filter pair when the tag key is present and its
+        stringified value equals the stringified filter value.  Ties keep
+        the cached record (it has the lower global index by construction).
         """
         tags = record.tags
         objective = record.objective
         cache = self._best_cache
-        for key, current in cache.items():
-            minimize, filters = key
-            matched = True
-            for filter_key, filter_value in filters:
-                value = tags.get(filter_key, _ABSENT)
-                if value is _ABSENT or str(value) != filter_value:
-                    matched = False
-                    break
-            if not matched:
+        buckets = [cache.get(None)]
+        for key, value in tags.items():
+            buckets.append(cache.get((key, str(value))))
+        for bucket in buckets:
+            if not bucket:
                 continue
-            if (
-                current is None
-                or (minimize and objective < current[0])
-                or (not minimize and objective > current[0])
-            ):
-                cache[key] = (objective, global_index)
+            for shape, current in bucket.items():
+                minimize, filters = shape
+                matched = True
+                for filter_key, filter_value in filters[1:]:
+                    value = tags.get(filter_key, _ABSENT)
+                    if value is _ABSENT or str(value) != filter_value:
+                        matched = False
+                        break
+                if not matched:
+                    continue
+                if (
+                    current is None
+                    or (minimize and objective < current[0])
+                    or (not minimize and objective > current[0])
+                ):
+                    bucket[shape] = (objective, global_index)
 
     # -- durability --------------------------------------------------------
     @property
@@ -253,11 +276,8 @@ class ShardedPerformanceDatabase:
 
     # -- global-order reconstruction ---------------------------------------
     def _global_index(self, shard: int) -> np.ndarray:
-        cached = self._global_arrays[shard]
-        if cached is None:
-            cached = np.asarray(self._global[shard], dtype=int)
-            self._global_arrays[shard] = cached
-        return cached
+        """Global sequence numbers of one shard's records (a view)."""
+        return self._global[shard][: len(self.shards[shard])]
 
     def _record_at(self, global_index: int) -> EvaluationRecord:
         shard, local = self._locator[int(global_index)]
@@ -333,11 +353,11 @@ class ShardedPerformanceDatabase:
         the control plane's per-run "best so far" probe is a dict hit
         instead of an all-shard scan (ROADMAP item 4).
         """
-        cache_key = (
-            bool(minimize),
-            tuple(sorted((str(k), str(v)) for k, v in tag_filters.items())),
-        )
-        cached = self._best_cache.get(cache_key, _ABSENT)
+        filters = tuple(sorted((str(k), str(v)) for k, v in tag_filters.items()))
+        shape = (bool(minimize), filters)
+        first = filters[0] if filters else None
+        bucket = self._best_cache.get(first)
+        cached = _ABSENT if bucket is None else bucket.get(shape, _ABSENT)
         if cached is not _ABSENT:
             return None if cached is None else self._record_at(cached[1])
         best: Optional[Tuple[float, int]] = None
@@ -356,9 +376,11 @@ class ShardedPerformanceDatabase:
             else:
                 if candidate[0] > best[0] or (candidate[0] == best[0] and candidate[1] < best[1]):
                     best = candidate
-        if len(self._best_cache) >= _BEST_CACHE_MAX:
+        if self._best_cache_shapes >= _BEST_CACHE_MAX:
             self._best_cache.clear()
-        self._best_cache[cache_key] = best
+            self._best_cache_shapes = 0
+        self._best_cache.setdefault(first, {})[shape] = best
+        self._best_cache_shapes += 1
         return None if best is None else self._record_at(best[1])
 
     def top_k(self, k: int, minimize: bool = True) -> List[EvaluationRecord]:
@@ -460,14 +482,14 @@ class ShardedPerformanceDatabase:
                 os.path.join(directory, f"shard-{index}.json"),
                 name=f"{db.name}/shard-{index}",
             )
-        for shard, local in order:
-            db._locator.append((shard, local))
-            db._global[shard].append(len(db._locator) - 1)
-        sizes = [len(entries) for entries in db._global]
+        db._locator = order
+        owners = np.asarray([shard for shard, _ in order], dtype=int)
+        sizes = np.bincount(owners, minlength=db.n_shards).tolist()
         if sizes != db.shard_sizes():
             raise SnapshotCorruptError(
                 manifest_path,
                 f"manifest order inconsistent with shard files: "
                 f"{sizes} vs {db.shard_sizes()}",
             )
+        db._global = [np.flatnonzero(owners == index) for index in range(db.n_shards)]
         return db

@@ -15,10 +15,16 @@ Three pillars:
 
 import io
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.hardware.node import NodeSpec
@@ -35,6 +41,7 @@ from repro.service import (
     StackService,
 )
 from repro.service.__main__ import run_stream
+from repro.telemetry import ShardedPerformanceDatabase
 
 
 def make_service(n_nodes=4, seed=1, n_shards=4, **kwargs) -> StackService:
@@ -642,6 +649,162 @@ def test_tuning_infeasible_results_are_penalised_not_best():
         False,
         True,
     ]
+
+
+# -- running best per tuner -------------------------------------------------
+def _scan_best(service, tenant, session_id, tuner_id, minimize):
+    """The store-scan oracle for a tuner's best: ``min``/``max`` over its
+    feasible records in global order, first on ties."""
+    pool = service.database.where(
+        feasible=True, tenant=tenant, session=session_id, tuner=tuner_id
+    )
+    if not pool:
+        return None
+    return (min if minimize else max)(pool, key=lambda r: r.objective).to_dict()
+
+
+_OBJECTIVE = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))
+_RESULT = st.tuples(st.integers(0, 7), _OBJECTIVE, st.booleans())
+_ACTION = st.one_of(
+    st.tuples(st.just("tell"), st.integers(0, 4), st.lists(_RESULT, min_size=1, max_size=6)),
+    st.tuples(st.just("infeasible"), st.integers(0, 4), st.integers(1, 4)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("recover"), st.booleans()),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_ACTION, min_size=1, max_size=30))
+def test_running_best_equals_store_scan(actions):
+    """tell's ``best`` and ``tuning.best`` equal a scan of the store after
+    every call: ties, all-infeasible batches, ``minimize=False``, sessions
+    sharing a shard, and checkpoints and recovers (also from an older
+    copy, which drops records) mid-stream."""
+    with tempfile.TemporaryDirectory() as root:
+        service = make_service(n_shards=2)
+        client = ServiceClient(service)
+        operator = client.open_session("ops", role="resource_manager")
+        operator.result("db.checkpoint", directory=os.path.join(root, "live"))
+        tuners = []
+        for tenant, directions in (("a", (True, False)), ("a", (False,)), ("b", (True,)),
+                                   ("c", (False,))):
+            session = client.open_session(tenant, role="runtime")
+            for minimize in directions:
+                opened = session.result(
+                    "tuning.open", parameters={"x": list(range(8))}, search="random",
+                    minimize=minimize,
+                )
+                tuners.append((session, tenant, opened["tuner_id"], minimize))
+        copies = []
+
+        def check(told=None, index=None):
+            for position, (session, tenant, tuner_id, minimize) in enumerate(tuners):
+                expected = _scan_best(service, tenant, session.session_id, tuner_id, minimize)
+                if position == index:
+                    assert told["best"] == expected
+                best = session.result("tuning.best", tuner_id=tuner_id)["best"]
+                assert best == expected
+
+        for action in actions:
+            if action[0] in ("tell", "infeasible"):
+                index = action[1]
+                session, _, tuner_id, _ = tuners[index]
+                if action[0] == "tell":
+                    results = [
+                        {"config": {"x": x}, "objective": objective, "feasible": feasible}
+                        for x, objective, feasible in action[2]
+                    ]
+                else:
+                    results = [
+                        {"config": {"x": x}, "objective": -100.0, "feasible": False}
+                        for x in range(action[2])
+                    ]
+                told = session.result("tuning.tell", tuner_id=tuner_id, results=results)
+                check(told, index)
+            elif action[0] == "checkpoint":
+                operator.result("db.checkpoint")
+                copies.append(os.path.join(root, f"copy{len(copies)}"))
+                shutil.copytree(service.database.journal.directory, copies[-1])
+                check()
+            else:
+                rewind = action[1] and copies
+                directory = copies[-1] if rewind else service.database.journal.directory
+                operator.result("db.recover", directory=directory)
+                check()
+
+
+def test_tuning_best_reads_tuner_records_stored_outside_tell():
+    """Records that reach a tuner's tags other than through its tells (a
+    campaign tagged with the tuner id, a restored session reopening the
+    id) count towards its best, as a scan of the store would."""
+    service = make_service()
+    client = ServiceClient(service)
+    session = client.open_session("acme", role="runtime")
+    tuner_id = session.result("tuning.open", parameters={"x": [0, 1]}, search="grid")["tuner_id"]
+    session.result("tuning.tell", tuner_id=tuner_id,
+                   results=[{"config": {"x": 0}, "objective": 1e12}])
+    session.result(
+        "campaign.run",
+        scenarios=[{"use_case": "uc6", "params": {"n_iterations": 6, "n_nodes": 2},
+                    "seeds": [1], "tags": {"tuner": tuner_id}}],
+        name="tagged",
+    )
+    expected = _scan_best(service, "acme", session.session_id, tuner_id, True)
+    assert expected["tags"]["campaign"] == "tagged"
+    assert session.result("tuning.best", tuner_id=tuner_id)["best"] == expected
+
+    state = session.result("session.snapshot")["state"]
+    session.close()
+    client.result("session.restore", state=state)
+    reopened = session.result("tuning.open", parameters={"x": [0, 1]}, search="grid")
+    assert reopened["tuner_id"] == tuner_id
+    assert session.result("tuning.best", tuner_id=tuner_id)["best"] == expected
+
+
+def test_tuning_tell_and_best_never_scan_the_store(monkeypatch):
+    """tell and best cost O(batch): with the store scan disabled, 50 rounds
+    of ask/tell/best still answer the client-side minimum."""
+    client = ServiceClient(make_service())
+    session = client.open_session("acme", role="runtime")
+    tuner_id = session.result(
+        "tuning.open", parameters={"x": list(range(64)), "y": list(range(64))},
+        search="random", batch_size=4,
+    )["tuner_id"]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("tuning.tell/tuning.best scanned the store")
+
+    monkeypatch.setattr(ShardedPerformanceDatabase, "where", no_scan)
+    expected = None
+    for round_ in range(50):
+        results = []
+        for config in session.result("tuning.ask", tuner_id=tuner_id)["configs"]:
+            objective = float((config["x"] * 7 + config["y"] + round_) % 97)
+            feasible = (config["x"] + round_) % 5 != 0
+            results.append({"config": config, "objective": objective, "feasible": feasible})
+            if feasible and (expected is None or objective < expected):
+                expected = objective
+        told = session.result("tuning.tell", tuner_id=tuner_id, results=results)
+        best = session.result("tuning.best", tuner_id=tuner_id)["best"]
+        assert told["best"] == best
+        assert (None if best is None else best["objective"]) == expected
+
+
+def test_service_and_netserver_import_without_scipy():
+    """scipy loads on the first surrogate fit, not with the service."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys, repro.service, repro.netserver\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_tuning_errors():

@@ -9,7 +9,10 @@
   ``SVC_RET_BAD_REQUEST`` with the same message text as that table's
   validator, and ``null`` passes every kind check;
 * **finite numbers** — ``NaN``, ``Infinity`` and ``1e309`` off the wire
-  answer ``SVC_RET_BAD_VALUE`` and leave the shared state untouched.
+  answer ``SVC_RET_BAD_VALUE`` and leave the shared state untouched; so
+  does a ``tuning.tell`` metric that is not a finite number, while a
+  ``metrics`` that is not an object answers ``SVC_RET_BAD_REQUEST``.
+  Nothing is charged, told, stored or journaled.
 """
 
 import json
@@ -17,6 +20,7 @@ import os
 
 import pytest
 
+from repro.durability import recover
 from repro.service import Request, Response, ServiceClient, ServiceErrorCode, StackService
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "service_describe.json")
@@ -102,6 +106,7 @@ def fingerprint(service: StackService) -> str:
             state.node_power_cap_w.tolist(),
             state.pkg_freq_target_ghz.tolist(),
             len(service.database),
+            service.database.journal.appended,
             [
                 (session.used_evaluations, [t.told for t in session.tuners.values()])
                 for session in service._sessions.values()
@@ -134,13 +139,49 @@ HOSTILE = {
         '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0}, '
         '{"config": {"x": 2}, "objective": NaN}]}',
     ),
+    "tell-metrics-nan": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": {"m": NaN}}]}',
+    ),
+    "tell-metrics-inf": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": {"m": Infinity}}]}',
+    ),
+    "tell-metrics-string": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": {"m": "fast"}}]}',
+    ),
+    "tell-metrics-batch-bool": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": {"m": 2.0}}, {"config": {"x": 2}, "objective": 1.0, '
+        '"metrics": {"m": true}}]}',
+    ),
+    "tell-metrics-number": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": 5}]}',
+    ),
+    "tell-metrics-pairs": (
+        "tuning.tell",
+        '{"tuner_id": "TUNER", "results": [{"config": {"x": 1}, "objective": 1.0, '
+        '"metrics": [[1, 2.0]]}]}',
+    ),
 }
+#: Cases whose shape is wrong (not a bad number): ``SVC_RET_BAD_REQUEST``.
+MALFORMED = {"tell-metrics-number", "tell-metrics-pairs"}
 
 
-@pytest.mark.parametrize("op, args", list(HOSTILE.values()), ids=list(HOSTILE))
-def test_non_finite_numbers_are_rejected_and_change_nothing(op, args):
+@pytest.mark.parametrize("case", list(HOSTILE), ids=list(HOSTILE))
+def test_non_finite_numbers_are_rejected_and_change_nothing(case, tmp_path):
+    op, args = HOSTILE[case]
+    code = ServiceErrorCode.BAD_REQUEST if case in MALFORMED else ServiceErrorCode.BAD_VALUE
     service = make_service()
     operator = ServiceClient(service).open_session("ops", role="resource_manager", quota=10)
+    operator.result("db.checkpoint", directory=str(tmp_path))
     operator.result("jobs.advance", duration_s=1.0)
     operator.result("power.set_caps", indices=[0, 1], watts=[300.0, None])
     tuner = operator.result("tuning.open", parameters={"x": [1, 2]}, search="grid")
@@ -155,8 +196,10 @@ def test_non_finite_numbers_are_rejected_and_change_nothing(op, args):
 
     line = f'{{"op": "{op}", "session": "{operator.session_id}", "args": {args}}}'
     response = Response.from_json(service.handle_wire(line))
-    assert response.error_code == ServiceErrorCode.BAD_VALUE.value, response.error
+    assert response.error_code == code.value, response.error
     assert fingerprint(service) == before
+    replayed = recover(str(tmp_path), reattach=False)
+    assert [r.to_dict() for r in replayed] == [r.to_dict() for r in service.database]
 
     aggregate = f'{{"op": "db.aggregate", "session": "{operator.session_id}"}}'
     stats = json.loads(service.handle_wire(aggregate), parse_constant=_reject_constant)

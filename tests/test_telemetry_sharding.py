@@ -7,8 +7,13 @@ The acceptance contract of the control-plane capture layer: a 4-shard
 order — including stable tie-breaking.
 """
 
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import stable_name_key
 from repro.telemetry import PerformanceDatabase, ShardedPerformanceDatabase
@@ -201,32 +206,104 @@ def test_explicit_shard_key_overrides_tag_routing():
 
 
 # -- best_for memoization (ROADMAP item 4) ---------------------------------
-def test_best_for_cache_stays_correct_under_interleaved_adds():
-    """Query/add/query interleaving: cached answers must track every add."""
-    rng = np.random.default_rng(7)
+def _matches(record, feasible=None, min_objective=None, max_objective=None, **tags):
+    """Brute-force ``where`` predicate: the oracle for the index paths."""
+    return (
+        (feasible is None or record.feasible == feasible)
+        and (min_objective is None or record.objective >= min_objective)
+        and (max_objective is None or record.objective <= max_objective)
+        and all(k in record.tags and str(record.tags[k]) == str(v) for k, v in tags.items())
+    )
+
+
+def _assert_where_parity(single, sharded, tag_cases):
+    """``where`` and per-shard ``where_indices`` equal the merged database
+    (and a brute-force scan) for every feasible/min/max/tag combination."""
+    for feasible in (None, True, False):
+        for low in (None, -0.5):
+            for high in (None, 1.0):
+                for tags in tag_cases:
+                    case = dict(feasible=feasible, min_objective=low, max_objective=high,
+                                **tags)
+                    expected = [i for i, r in enumerate(single) if _matches(r, **case)]
+                    assert single.where_indices(**case).tolist() == expected
+                    assert _dicts(sharded.where(**case)) == _dicts(single.where(**case))
+                    merged = []
+                    for index, shard in enumerate(sharded.shards):
+                        local = shard.where_indices(**case)
+                        assert local.tolist() == [
+                            i for i, r in enumerate(shard) if _matches(r, **case)
+                        ]
+                        merged.extend(sharded._global_index(index)[local].tolist())
+                    assert sorted(merged) == expected
+
+
+_RECORD = st.tuples(
+    st.integers(0, 299),  # tenant
+    st.integers(0, 2),  # session
+    st.integers(0, 3),  # integer-valued seed tag
+    st.one_of(st.sampled_from([1.0, 2.0]), st.floats(-2.0, 2.0)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    records=st.lists(_RECORD, min_size=100, max_size=400),
+    cache_max=st.sampled_from([3, 40, 4096]),
+    query_every=st.integers(1, 9),
+)
+def test_best_for_cache_stays_correct_under_interleaved_adds(records, cache_max, query_every):
+    """Query/add/query interleaving over hundreds of tenants and cached
+    shapes (empty filter, one pair, several pairs, integer tag values
+    queried as strings and as integers), with a cache small enough to
+    reset: cached answers track every add, and ``where`` agrees too."""
+    from repro.telemetry import sharding as sharding_module
+
     single = PerformanceDatabase("reference")
     sharded = ShardedPerformanceDatabase(n_shards=4)
-    for i in range(300):
-        tenant = f"tenant{int(rng.integers(0, 4))}"
-        kwargs = dict(
-            config={"x": i},
-            metrics={},
-            objective=float(rng.choice([1.0, 2.0, float(rng.normal())])),
-            tenant=tenant,
-            session=f"{tenant}-s{int(rng.integers(0, 2))}",
-        )
-        single.add_evaluation(**kwargs)
-        sharded.add_evaluation(**kwargs)
-        if i % 7 == 0:  # query mid-stream so later adds hit a warm cache
+    with mock.patch.object(sharding_module, "_BEST_CACHE_MAX", cache_max):
+        for i, (tenant, session, seed, objective, feasible) in enumerate(records):
+            kwargs = dict(config={"i": i}, metrics={}, objective=objective,
+                          feasible=feasible, tenant=f"tenant{tenant}",
+                          session=f"tenant{tenant}-s{session}", seed=seed)
+            single.add_evaluation(**kwargs)
+            sharded.add_evaluation(**kwargs)
+            if i % query_every:
+                continue
+            shapes = [
+                {},
+                {"tenant": f"tenant{tenant}"},
+                {"tenant": f"tenant{tenant}", "session": f"tenant{tenant}-s{session}"},
+                {"seed": seed},
+                {"seed": str(seed)},
+                {"tenant": f"tenant{tenant}", "seed": seed, "session": "nobody"},
+                {"tenant": f"tenant{(tenant + 1) % 300}"},
+            ]
             for minimize in (True, False):
-                assert sharded.best_for(minimize=minimize) == single.best_for(
-                    minimize=minimize
-                ), f"after {i + 1} records (minimize={minimize})"
-                assert sharded.best_for(
-                    minimize=minimize, tenant=tenant
-                ) == single.best_for(minimize=minimize, tenant=tenant)
-    for tenant in single.tag_values("tenant"):
-        assert sharded.best_for(tenant=tenant) == single.best_for(tenant=tenant)
+                for shape in shapes:
+                    assert sharded.best_for(minimize=minimize, **shape) == single.best_for(
+                        minimize=minimize, **shape
+                    ), f"after {i + 1} records: {shape} minimize={minimize}"
+        for tenant in single.tag_values("tenant"):
+            assert sharded.best_for(tenant=tenant) == single.best_for(tenant=tenant)
+    assert sharded._best_cache_shapes <= cache_max
+    tag_cases = [{}, {"tenant": f"tenant{records[-1][0]}"}, {"seed": 1},
+                 {"tenant": f"tenant{records[0][0]}", "seed": str(records[0][2])},
+                 {"tenant": "nobody"}]
+    _assert_where_parity(single, sharded, tag_cases)
+    with tempfile.TemporaryDirectory() as directory:
+        sharded.save(directory)
+        reloaded = ShardedPerformanceDatabase.load(directory)
+    for index in range(sharded.n_shards):
+        np.testing.assert_array_equal(
+            reloaded._global_index(index), sharded._global_index(index)
+        )
+    for database in (single, reloaded):
+        database.add_evaluation({"i": -1}, {}, objective=-5.0, tenant="tenant0",
+                                session="tenant0-s0", seed=0)
+    _assert_where_parity(single, reloaded, tag_cases)
+    assert reloaded.best_for(seed=0) == single.best_for(seed=0)
 
 
 def test_best_for_cached_none_upgrades_when_match_arrives():

@@ -34,7 +34,7 @@ from repro.sim.rng import RandomStreams
 from repro.telemetry.counters import TelemetryAccumulator
 from repro.telemetry.sampler import PowerTimeSeries
 
-__all__ = ["RuntimeHooks", "RegionRecord", "JobResult", "MpiJobSimulator"]
+__all__ = ["RuntimeHooks", "RegionRecord", "JobResult", "MpiJobSimulator", "SPIN_DEMAND"]
 
 
 class RuntimeHooks:
@@ -175,21 +175,24 @@ class JobResult:
         return out
 
 
+#: What a package runs while spinning in an MPI wait loop.
+SPIN_DEMAND = PhaseDemand(
+    name="mpi_spin",
+    ref_seconds=1.0,
+    core_fraction=0.05,
+    memory_fraction=0.05,
+    comm_fraction=0.0,
+    activity_factor=0.45,
+    dram_intensity=0.05,
+)
+
+
+# repro-lint: hot
 def busy_wait_power_w(node: Node) -> float:
     """Default power drawn by a node spinning in an MPI wait loop."""
-    spin = PhaseDemand(
-        name="mpi_spin",
-        ref_seconds=1.0,
-        core_fraction=0.05,
-        memory_fraction=0.05,
-        comm_fraction=0.0,
-        activity_factor=0.45,
-        dram_intensity=0.05,
-    )
     total = node.spec.platform_power_w
     for pkg in node.packages:
-        freq, _ = pkg.effective_frequency(spin)
-        total += pkg.power_at(spin, freq_ghz=freq)
+        total += pkg.effective_frequency(SPIN_DEMAND)[2]
     return total
 
 
@@ -279,6 +282,7 @@ class MpiJobSimulator:
         factor = self._static_skew.get(node.hostname, 1.0) * dynamic
         return demand.scaled(factor)
 
+    # repro-lint: hot
     def _execute_region(self, demand: PhaseDemand, iteration: int) -> List[RegionRecord]:
         rng = self.streams.stream(f"{self.job_id}.imbalance")
         threads = self.threads_per_node
@@ -286,16 +290,16 @@ class MpiJobSimulator:
 
         results: List[tuple[Node, NodePhaseResult]] = []
         comm_base = demand.ref_seconds * demand.comm_fraction
+        comm_override = comm_base if demand.comm_fraction > 0 else None
         for node in self.nodes:
             local = self._node_demand(demand, node, rng)
             result = node.execute_phase(
-                local,
-                threads=threads,
-                comm_seconds_override=comm_base if demand.comm_fraction > 0 else None,
+                local, threads=threads, comm_seconds_override=comm_override
             )
             results.append((node, result))
 
         region_duration = max(r.duration_s for _, r in results)
+        name = demand.name
         records: List[RegionRecord] = []
         for node, result in results:
             wait = region_duration - result.duration_s
@@ -305,7 +309,7 @@ class MpiJobSimulator:
             records.append(
                 RegionRecord(
                     hostname=node.hostname,
-                    region=demand.name,
+                    region=name,
                     iteration=iteration,
                     result=result,
                     wait_s=wait,
@@ -314,7 +318,7 @@ class MpiJobSimulator:
             )
             acc = self.telemetry.setdefault(node.hostname, TelemetryAccumulator())
             acc.record_phase(
-                demand.name,
+                name,
                 result.duration_s,
                 result.power_w,
                 result.ipc,
@@ -324,7 +328,7 @@ class MpiJobSimulator:
             )
             if wait > 0:
                 acc.record_phase(
-                    f"{demand.name}.mpi_wait", wait, wait_power, 0.05, 0.0,
+                    f"{name}.mpi_wait", wait, wait_power, 0.05, 0.0,
                     result.frequency_ghz, False,
                 )
             # Average node power over the whole region (compute + wait).

@@ -11,9 +11,10 @@ the knob settings is most restrictive, exactly like firmware does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +32,6 @@ __all__ = ["PState", "CpuSpec", "PhaseExecution", "CpuPackage"]
 def _cached_pstates(spec: "CpuSpec") -> tuple["PState", ...]:
     """P-state table per SKU, shared across all packages of a cluster."""
     return tuple(spec.pstates())
-
-
-@lru_cache(maxsize=None)
-def _cached_pstate_freqs(spec: "CpuSpec") -> np.ndarray:
-    """Frequencies of the P-state table as a read-only array."""
-    freqs = np.array([p.frequency_ghz for p in _cached_pstates(spec)])
-    freqs.setflags(write=False)
-    return freqs
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ class CpuPackage:
         return float(self._state.pkg_uncore_ghz[self._index])
 
     @property
-    def power_cap_w(self) -> Optional[float]:
+    def power_cap_w(self) -> float:
         return float(self._state.pkg_power_cap_w[self._index])
 
     @property
@@ -210,12 +203,12 @@ class CpuPackage:
     # -- knob setters ----------------------------------------------------
     def clamp_frequency(self, freq_ghz: float) -> float:
         """Clamp a requested frequency to the nearest supported P-state."""
-        freq = float(np.clip(freq_ghz, self.spec.freq_min_ghz, self.max_frequency_ghz))
-        freqs = _cached_pstate_freqs(self.spec)
-        feasible = freqs[freqs <= freq + 1e-9]
-        if feasible.size == 0:
-            return float(freqs.min())
-        return float(feasible.max())
+        freq = min(max(freq_ghz, self.spec.freq_min_ghz), self.max_frequency_ghz)
+        limit = freq + 1e-9
+        for pstate in self._pstates:  # high to low
+            if pstate.frequency_ghz <= limit:
+                return pstate.frequency_ghz
+        return self._pstates[-1].frequency_ghz
 
     def set_frequency(self, freq_ghz: float) -> float:
         """Request a core frequency; returns the granted P-state frequency."""
@@ -225,19 +218,17 @@ class CpuPackage:
 
     def set_uncore_frequency(self, uncore_ghz: float) -> float:
         """Request an uncore frequency; returns the granted value."""
-        granted = float(
-            np.clip(uncore_ghz, self.spec.uncore_min_ghz, self.spec.uncore_max_ghz)
-        )
+        granted = float(min(max(uncore_ghz, self.spec.uncore_min_ghz), self.spec.uncore_max_ghz))
         self._state.pkg_uncore_ghz[self._index] = granted
         self._state.power_inputs_version += 1
         return granted
 
-    def set_power_cap(self, watts: Optional[float]) -> Optional[float]:
+    def set_power_cap(self, watts: Optional[float]) -> float:
         """Apply a package power cap (``None`` resets to the TDP default)."""
         if watts is None:
-            self._state.pkg_power_cap_w[self._index] = self.spec.tdp_w
-            return self.spec.tdp_w
-        cap = float(np.clip(watts, self.spec.min_power_cap_w, self.spec.tdp_w))
+            cap = self.spec.tdp_w
+        else:
+            cap = float(min(max(watts, self.spec.min_power_cap_w), self.spec.tdp_w))
         self._state.pkg_power_cap_w[self._index] = cap
         return cap
 
@@ -250,28 +241,9 @@ class CpuPackage:
         active_cores: Optional[int] = None,
     ) -> float:
         """Package + DRAM power for a demand at a hypothetical setting (W)."""
-        freq = self.frequency_ghz if freq_ghz is None else freq_ghz
-        uncore = self.uncore_ghz if uncore_ghz is None else uncore_ghz
-        cores = self.spec.cores if active_cores is None else min(active_cores, self.spec.cores)
-        base = pm.package_power(
-            demand,
-            freq,
-            uncore,
-            cores,
-            self.spec.freq_min_ghz,
-            self.max_frequency_ghz,
-            self.spec.uncore_min_ghz,
-            self.spec.uncore_max_ghz,
-            self.spec.params,
-            efficiency_multiplier=self.variation.power_efficiency,
-            temperature_c=self.thermal.temperature_c,
-        )
-        # Leakage variation applies to the static share only.
-        static_extra = (
-            pm.static_power(self.thermal.temperature_c, self.spec.params)
-            * (self.variation.leakage_scale - 1.0)
-        )
-        return base + static_extra
+        if freq_ghz is None:
+            freq_ghz = float(self._state.pkg_freq_target_ghz[self._index])
+        return self._first_fit(demand, (freq_ghz,), math.inf, uncore_ghz, active_cores)[1]
 
     def idle_power_w(self) -> float:
         """Power drawn when no phase is executing.
@@ -284,26 +256,66 @@ class CpuPackage:
 
     def effective_frequency(
         self, demand: PhaseDemand, active_cores: Optional[int] = None
-    ) -> tuple[float, bool]:
+    ) -> tuple[float, bool, float]:
         """Frequency actually delivered for a demand, honouring the power cap.
 
-        Returns ``(frequency_ghz, was_capped)``.  Mirrors RAPL behaviour:
+        Returns ``(frequency_ghz, was_capped, power_w)``, where ``power_w``
+        is :meth:`power_at` at that frequency.  Mirrors RAPL behaviour:
         firmware walks down the P-states until the running-average power
         fits under the cap (or the minimum P-state is reached).
         """
-        target = self.frequency_ghz
-        cap = self.power_cap_w
-        if cap is None:
-            return target, False
-        candidates = [p.frequency_ghz for p in self._pstates if p.frequency_ghz <= target + 1e-9]
-        if not candidates:
-            candidates = [self.spec.freq_min_ghz]
-        for freq in candidates:  # high to low
-            power = self.power_at(demand, freq_ghz=freq, active_cores=active_cores)
-            if power <= cap + 1e-9:
-                return freq, freq < target - 1e-9
-        return candidates[-1], True
+        target = float(self._state.pkg_freq_target_ghz[self._index])
+        cap = float(self._state.pkg_power_cap_w[self._index])
+        ceiling = target + 1e-9
+        candidates = [p.frequency_ghz for p in self._pstates if p.frequency_ghz <= ceiling]
+        freq, power = self._first_fit(
+            demand, candidates or (self.spec.freq_min_ghz,), cap, None, active_cores
+        )
+        return freq, not power <= cap + 1e-9 or freq < target - 1e-9, power
 
+    def _first_fit(
+        self,
+        demand: PhaseDemand,
+        freqs: Sequence[float],
+        cap: float,
+        uncore_ghz: Optional[float],
+        active_cores: Optional[int],
+    ) -> tuple[float, float]:
+        """The first of ``freqs`` (high to low) whose power fits under ``cap``.
+
+        Returns that frequency and its package + DRAM power, or the last
+        frequency and its power when none fits.  The frequency-independent
+        terms of the power model are computed once; each probe adds only
+        the core dynamic term.
+        """
+        spec, variation = self.spec, self.variation
+        state, index = self._state, self._index
+        params = spec.params
+        cores = spec.cores if active_cores is None else min(active_cores, spec.cores)
+        uncore = float(state.pkg_uncore_ghz[index]) if uncore_ghz is None else uncore_ghz
+        activity, p_uncore, p_static, p_dram = pm.frequency_independent_power(
+            demand,
+            uncore,
+            spec.uncore_min_ghz,
+            spec.uncore_max_ghz,
+            params,
+            temperature_c=self.thermal.temperature_c,
+        )
+        # Leakage variation applies to the static share only.
+        static_extra = p_static * (variation.leakage_scale - 1.0)
+        freq_min, freq_max = spec.freq_min_ghz, float(state.pkg_max_freq_ghz[index])
+        efficiency = variation.power_efficiency
+        limit = cap + 1e-9
+        for freq in freqs:
+            p_core = pm.core_dynamic_power(
+                freq, freq_min, freq_max, cores, activity, params, efficiency
+            )
+            power = p_core + p_uncore + p_static + p_dram + static_extra
+            if power <= limit:
+                break
+        return freq, power
+
+    # repro-lint: hot
     def execute(
         self,
         demand: PhaseDemand,
@@ -313,16 +325,17 @@ class CpuPackage:
         ref_uncore_ghz: Optional[float] = None,
     ) -> PhaseExecution:
         """Execute a phase, accumulate energy, and return the outcome."""
-        threads = self.spec.cores if threads is None else int(threads)
+        spec, state, index = self.spec, self._state, self._index
+        threads = spec.cores if threads is None else int(threads)
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        threads = min(threads, self.spec.cores)
+        threads = min(threads, spec.cores)
 
-        ref_freq = self.spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
-        ref_uncore = self.spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
+        ref_freq = spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
+        ref_uncore = spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
 
-        uncore = self.uncore_ghz
-        freq, capped = self.effective_frequency(demand, active_cores=threads)
+        uncore = float(state.pkg_uncore_ghz[index])
+        freq, capped, power = self.effective_frequency(demand, active_cores=threads)
         duration = pm.phase_duration(
             demand,
             freq,
@@ -330,19 +343,16 @@ class CpuPackage:
             threads,
             ref_freq,
             ref_uncore,
-            self.spec.params,
+            spec.params,
             comm_seconds_override=comm_seconds_override,
         )
-        power = self.power_at(demand, freq_ghz=freq, active_cores=threads)
-        cap = self.power_cap_w
-        if cap is not None:
-            power = min(power, max(cap, self.spec.min_power_cap_w))
+        power = min(power, max(float(state.pkg_power_cap_w[index]), spec.min_power_cap_w))
         energy = power * duration
         ipc = pm.effective_ipc(demand, duration, freq, threads, ref_freq)
         flops = pm.effective_flops(demand, duration)
 
-        self._state.pkg_energy_j[self._index] += energy
-        self._state.pkg_busy_seconds[self._index] += duration
+        state.pkg_energy_j[index] += energy
+        state.pkg_busy_seconds[index] += duration
         temperature = self.thermal.advance(power, duration)
 
         return PhaseExecution(

@@ -30,6 +30,7 @@ __all__ = [
     "uncore_power",
     "dram_power",
     "package_power",
+    "frequency_independent_power",
     "phase_duration",
     "effective_ipc",
     "effective_flops",
@@ -98,7 +99,7 @@ def voltage_at_frequency(
     if freq_max_ghz <= freq_min_ghz:
         raise ValueError("freq_max must exceed freq_min")
     frac = (freq_ghz - freq_min_ghz) / (freq_max_ghz - freq_min_ghz)
-    frac = float(np.clip(frac, 0.0, 1.0))
+    frac = min(max(frac, 0.0), 1.0)
     return params.v_min + (params.v_max - params.v_min) * frac
 
 
@@ -129,15 +130,15 @@ def uncore_power(
     """Uncore (mesh + LLC + memory controller) power (W)."""
     if uncore_max_ghz <= uncore_min_ghz:
         raise ValueError("uncore_max must exceed uncore_min")
-    frac = float(np.clip((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0, 1.0))
-    utilization = 0.3 + 0.7 * float(np.clip(dram_intensity, 0.0, 1.0))
+    frac = min(max((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0), 1.0)
+    utilization = 0.3 + 0.7 * min(max(dram_intensity, 0.0), 1.0)
     dynamic = (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
     return params.uncore_idle_power + dynamic
 
 
 def dram_power(dram_intensity: float, params: PowerModelParams) -> float:
     """DRAM power for the package's memory channels (W)."""
-    intensity = float(np.clip(dram_intensity, 0.0, 1.0))
+    intensity = min(max(dram_intensity, 0.0), 1.0)
     return params.dram_idle_power + (params.dram_max_power - params.dram_idle_power) * intensity
 
 
@@ -145,6 +146,41 @@ def static_power(temperature_c: float, params: PowerModelParams) -> float:
     """Leakage power, increasing with die temperature (W)."""
     delta = temperature_c - params.ref_temperature
     return params.static_power * max(0.2, 1.0 + params.leakage_temp_coeff * delta)
+
+
+def frequency_independent_power(
+    demand: PhaseDemand,
+    uncore_ghz: float,
+    uncore_min_ghz: float,
+    uncore_max_ghz: float,
+    params: PowerModelParams,
+    temperature_c: float | None = None,
+) -> tuple[float, float, float, float]:
+    """The terms of :func:`package_power` that do not depend on core frequency.
+
+    Returns ``(activity, p_uncore, p_static, p_dram)``: the core activity
+    factor to pass to :func:`core_dynamic_power`, and the uncore, static
+    and DRAM powers (W).  A P-state walk computes these once and only the
+    core term per probed frequency.
+
+    The core activity factor is weighted by how core-bound the phase is:
+    stall-heavy (memory/communication bound) phases keep cores busy
+    spinning or waiting at far lower switching activity.
+    """
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + demand.other_fraction * 0.4
+    )
+    activity = demand.activity_factor * busy_weight
+    p_uncore = uncore_power(
+        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
+    )
+    temp = params.ref_temperature if temperature_c is None else temperature_c
+    p_static = static_power(temp, params)
+    p_dram = dram_power(demand.dram_intensity, params)
+    return activity, p_uncore, p_static, p_dram
 
 
 def package_power(
@@ -160,19 +196,10 @@ def package_power(
     efficiency_multiplier: float = 1.0,
     temperature_c: float | None = None,
 ) -> float:
-    """Total package power (core + uncore + static) plus DRAM power (W).
-
-    The core activity factor is weighted by how core-bound the phase is:
-    stall-heavy (memory/communication bound) phases keep cores busy
-    spinning or waiting at far lower switching activity.
-    """
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
+    """Total package power (core + uncore + static) plus DRAM power (W)."""
+    activity, p_uncore, p_static, p_dram = frequency_independent_power(
+        demand, uncore_ghz, uncore_min_ghz, uncore_max_ghz, params, temperature_c
     )
-    activity = demand.activity_factor * busy_weight
     p_core = core_dynamic_power(
         freq_ghz,
         freq_min_ghz,
@@ -182,12 +209,6 @@ def package_power(
         params,
         efficiency_multiplier,
     )
-    p_uncore = uncore_power(
-        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
-    )
-    temp = params.ref_temperature if temperature_c is None else temperature_c
-    p_static = static_power(temp, params)
-    p_dram = dram_power(demand.dram_intensity, params)
     return p_core + p_uncore + p_static + p_dram
 
 

@@ -1,8 +1,17 @@
 """Tests for the CPU package model (P-states, caps, execution)."""
 
-import pytest
+import dataclasses
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.mpi import SPIN_DEMAND, busy_wait_power_w
+from repro.hardware import power_model as pm
 from repro.hardware.cpu import CpuPackage, CpuSpec
+from repro.hardware.node import Node, NodeSpec
+from repro.hardware.state import ClusterState
 from repro.hardware.variation import VariationDraw
 from repro.hardware.workload import PhaseDemand
 
@@ -73,9 +82,9 @@ def test_set_power_cap_clamped_and_reset():
 def test_power_cap_reduces_effective_frequency_for_compute():
     pkg = CpuPackage()
     pkg.set_frequency(pkg.spec.freq_base_ghz)
-    uncapped_freq, _ = pkg.effective_frequency(compute_demand())
+    uncapped_freq, _, _ = pkg.effective_frequency(compute_demand())
     pkg.set_power_cap(pkg.spec.min_power_cap_w)
-    capped_freq, capped = pkg.effective_frequency(compute_demand())
+    capped_freq, capped, _ = pkg.effective_frequency(compute_demand())
     assert capped
     assert capped_freq < uncapped_freq
 
@@ -85,8 +94,8 @@ def test_memory_bound_tolerates_cap_better_than_compute():
     for pkg in (pkg_a, pkg_b):
         pkg.set_frequency(pkg.spec.freq_max_ghz)
         pkg.set_power_cap(130.0)
-    freq_compute, _ = pkg_a.effective_frequency(compute_demand())
-    freq_memory, _ = pkg_b.effective_frequency(memory_demand())
+    freq_compute, _, _ = pkg_a.effective_frequency(compute_demand())
+    freq_memory, _, _ = pkg_b.effective_frequency(memory_demand())
     assert freq_memory >= freq_compute
 
 
@@ -154,3 +163,280 @@ def test_temperature_rises_under_load():
     for _ in range(20):
         pkg.execute(compute_demand(5.0), threads=28)
     assert pkg.thermal.temperature_c > start
+
+
+# -- reference: the numpy-clipped scalar path, recomputing per probe -----------
+#
+# The package model's scalar path must reproduce this bit for bit: every
+# clamp through ``np.clip``, the whole power model re-evaluated for every
+# probed P-state, and the power recomputed after the walk.
+
+
+def _ref_voltage(freq, freq_min, freq_max, params):
+    frac = (freq - freq_min) / (freq_max - freq_min)
+    frac = float(np.clip(frac, 0.0, 1.0))
+    return params.v_min + (params.v_max - params.v_min) * frac
+
+
+def _ref_static(temperature, params):
+    delta = temperature - params.ref_temperature
+    return params.static_power * max(0.2, 1.0 + params.leakage_temp_coeff * delta)
+
+
+def _ref_package_power(demand, freq, uncore, cores, freq_min, freq_max, uncore_min,
+                       uncore_max, params, efficiency, temperature):
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + demand.other_fraction * 0.4
+    )
+    activity = demand.activity_factor * busy_weight
+    volt = _ref_voltage(freq, freq_min, freq_max, params)
+    per_core = params.core_capacitance * activity * volt * volt * freq
+    p_core = float(per_core * cores * efficiency)
+    frac = float(np.clip((uncore - uncore_min) / (uncore_max - uncore_min), 0.0, 1.0))
+    utilization = 0.3 + 0.7 * float(np.clip(demand.dram_intensity, 0.0, 1.0))
+    p_uncore = params.uncore_idle_power + (
+        (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
+    )
+    p_static = _ref_static(temperature, params)
+    intensity = float(np.clip(demand.dram_intensity, 0.0, 1.0))
+    p_dram = params.dram_idle_power + (params.dram_max_power - params.dram_idle_power) * intensity
+    return p_core + p_uncore + p_static + p_dram
+
+
+def _ref_power_at(pkg, demand, freq, active_cores=None):
+    spec = pkg.spec
+    cores = spec.cores if active_cores is None else min(active_cores, spec.cores)
+    temperature = pkg.thermal.temperature_c
+    base = _ref_package_power(
+        demand, freq, pkg.uncore_ghz, cores, spec.freq_min_ghz, pkg.max_frequency_ghz,
+        spec.uncore_min_ghz, spec.uncore_max_ghz, spec.params,
+        pkg.variation.power_efficiency, temperature,
+    )
+    return base + _ref_static(temperature, spec.params) * (pkg.variation.leakage_scale - 1.0)
+
+
+def _ref_effective_frequency(pkg, demand, active_cores=None):
+    """``(freq, capped, probes)``: the list-building walk."""
+    target, cap = pkg.frequency_ghz, pkg.power_cap_w
+    candidates = [p.frequency_ghz for p in pkg.pstates if p.frequency_ghz <= target + 1e-9]
+    if not candidates:
+        candidates = [pkg.spec.freq_min_ghz]
+    for probes, freq in enumerate(candidates, start=1):
+        if _ref_power_at(pkg, demand, freq, active_cores) <= cap + 1e-9:
+            return freq, freq < target - 1e-9, probes
+    return candidates[-1], True, len(candidates)
+
+
+def _ref_execute(pkg, demand, threads, comm_seconds_override):
+    """Every PhaseExecution field but the temperature, from the pre-phase state."""
+    spec = pkg.spec
+    threads = spec.cores if threads is None else min(int(threads), spec.cores)
+    ref_freq = spec.freq_base_ghz
+    freq, capped, _ = _ref_effective_frequency(pkg, demand, active_cores=threads)
+    duration = pm.phase_duration(
+        demand, freq, pkg.uncore_ghz, threads, ref_freq, spec.uncore_max_ghz, spec.params,
+        comm_seconds_override=comm_seconds_override,
+    )
+    power = _ref_power_at(pkg, demand, freq, active_cores=threads)
+    power = min(power, max(pkg.power_cap_w, spec.min_power_cap_w))
+    return dict(
+        demand=demand, duration_s=duration, power_w=power, energy_j=power * duration,
+        frequency_ghz=freq, uncore_ghz=pkg.uncore_ghz, threads=threads,
+        ipc=pm.effective_ipc(demand, duration, freq, threads, ref_freq),
+        flops=pm.effective_flops(demand, duration), power_capped=capped,
+    )
+
+
+def _ref_busy_wait_power_w(node):
+    total = node.spec.platform_power_w
+    for pkg in node.packages:
+        freq, _, _ = _ref_effective_frequency(pkg, SPIN_DEMAND)
+        total += _ref_power_at(pkg, SPIN_DEMAND, freq)
+    return total
+
+
+def _ref_clamp_frequency(pkg, freq_ghz):
+    freq = float(np.clip(freq_ghz, pkg.spec.freq_min_ghz, pkg.max_frequency_ghz))
+    freqs = np.array([p.frequency_ghz for p in pkg.pstates])
+    feasible = freqs[freqs <= freq + 1e-9]
+    return float(freqs.min()) if feasible.size == 0 else float(feasible.max())
+
+
+# -- property: the scalar path equals the reference bit for bit ---------------
+
+SPEC = CpuSpec()
+
+
+@st.composite
+def demands(draw):
+    core = draw(st.floats(0.0, 1.0))
+    memory = draw(st.floats(0.0, 1.0 - core))
+    comm = draw(st.floats(0.0, max(0.0, 1.0 - core - memory)))
+    return PhaseDemand(
+        "probe",
+        draw(st.floats(0.0, 50.0)),
+        core_fraction=core,
+        memory_fraction=memory,
+        comm_fraction=comm,
+        activity_factor=draw(st.floats(0.0, 1.5)),
+        dram_intensity=draw(st.floats(0.0, 1.0)),
+        serial_fraction=draw(st.floats(0.0, 1.0)),
+        ref_threads=draw(st.integers(1, 2 * SPEC.cores)),
+    )
+
+
+variations = st.builds(
+    VariationDraw,
+    power_efficiency=st.floats(0.7, 1.4),
+    max_turbo_scale=st.floats(0.85, 1.1),
+    leakage_scale=st.floats(0.5, 1.8),
+)
+caps = st.one_of(st.none(), st.floats(SPEC.min_power_cap_w, SPEC.tdp_w))
+#: Targets written straight into the state: off the P-state grid, below
+#: ``freq_min`` and above the part's turbo limit.
+targets = st.floats(0.2, 4.5)
+#: Uncore settings written straight into the state, outside the range too.
+uncores = st.floats(0.6, 3.0)
+temperatures = st.floats(-250.0, 130.0)
+core_counts = st.one_of(
+    st.sampled_from([None, 1, SPEC.cores, SPEC.cores + 9]), st.integers(1, 2 * SPEC.cores)
+)
+
+
+def _set_up(pkg, state, cell, target, uncore, cap, temperature):
+    state.pkg_freq_target_ghz[cell] = target
+    state.pkg_uncore_ghz[cell] = uncore
+    pkg.set_power_cap(cap)
+    pkg.thermal.reset(temperature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    demand=demands(), variation=variations, cap=caps, target=targets, uncore=uncores,
+    temperature=temperatures, cores=core_counts,
+    comm=st.one_of(st.none(), st.floats(-1.0, 5.0)),
+)
+def test_package_physics_matches_reference(
+    demand, variation, cap, target, uncore, temperature, cores, comm
+):
+    state = ClusterState(1, 1)
+    pkg = CpuPackage(SPEC, variation, state=state, index=(0, 0))
+    _set_up(pkg, state, (0, 0), target, uncore, cap, temperature)
+
+    freq, capped, power = pkg.effective_frequency(demand, active_cores=cores)
+    ref_freq, ref_capped, _ = _ref_effective_frequency(pkg, demand, active_cores=cores)
+    assert (freq, capped) == (ref_freq, ref_capped)
+    assert power == _ref_power_at(pkg, demand, freq, active_cores=cores)
+    assert power == pkg.power_at(demand, freq_ghz=freq, active_cores=cores)
+
+    expected = _ref_execute(pkg, demand, cores, comm)
+    twin = CpuPackage(SPEC, variation)
+    twin.thermal.reset(temperature)
+    expected["temperature_c"] = twin.thermal.advance(expected["power_w"], expected["duration_s"])
+    result = pkg.execute(demand, threads=cores, comm_seconds_override=comm)
+    assert {f.name: getattr(result, f.name) for f in dataclasses.fields(result)} == expected
+    assert pkg.energy_j == expected["energy_j"]
+    assert pkg.busy_seconds == expected["duration_s"]
+
+
+def _same(*values):
+    """Equal floats, counting NaN equal to NaN."""
+    return len({repr(v) for v in values}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variation=variations,
+    request=st.one_of(st.none(), st.floats(-50.0, 500.0), st.just(float("nan"))),
+)
+def test_knob_setters_match_reference(variation, request):
+    pkg = CpuPackage(SPEC, variation)
+    if request is not None:
+        want = _ref_clamp_frequency(pkg, request)
+        assert pkg.clamp_frequency(request) == want
+        assert pkg.set_frequency(request) == pkg.frequency_ghz == want
+        want = float(np.clip(request, SPEC.uncore_min_ghz, SPEC.uncore_max_ghz))
+        assert _same(pkg.set_uncore_frequency(request), pkg.uncore_ghz, want)
+    want = SPEC.tdp_w if request is None else float(
+        np.clip(request, SPEC.min_power_cap_w, SPEC.tdp_w)
+    )
+    assert _same(pkg.set_power_cap(request), pkg.power_cap_w, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variation=st.tuples(variations, variations), cap=st.tuples(caps, caps),
+    target=st.tuples(targets, targets), uncore=st.tuples(uncores, uncores),
+    temperature=st.tuples(temperatures, temperatures),
+)
+def test_busy_wait_power_matches_reference(variation, cap, target, uncore, temperature):
+    node = Node(NodeSpec(n_sockets=2, cpu=SPEC), variations=list(variation))
+    for i, pkg in enumerate(node.packages):
+        _set_up(pkg, node.cluster_state, (0, i), target[i], uncore[i], cap[i], temperature[i])
+    assert busy_wait_power_w(node) == _ref_busy_wait_power_w(node)
+
+
+def test_reference_walk_falls_back_below_lowest_pstate():
+    """A cap under the lowest P-state's power ends the walk at the bottom."""
+    pkg = CpuPackage(SPEC, VariationDraw(1.4, 1.0, 1.8))
+    pkg.set_frequency(SPEC.freq_max_ghz)
+    pkg.set_power_cap(SPEC.min_power_cap_w)
+    demand = compute_demand()
+    lowest = pkg.pstates[-1].frequency_ghz
+    assert pkg.power_at(demand, freq_ghz=lowest) > pkg.power_cap_w
+    freq, capped, power = pkg.effective_frequency(demand)
+    assert (freq, capped) == (lowest, True) == _ref_effective_frequency(pkg, demand)[:2]
+    assert power == _ref_power_at(pkg, demand, lowest)
+    assert pkg.execute(demand).power_w == pkg.power_cap_w
+
+
+# -- structure: one power-model pass per probe, no numpy on scalars -----------
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    calls = {"static_power": 0, "core_dynamic_power": 0}
+    for name in calls:
+        real = getattr(pm, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pm, name, counting)
+    return calls
+
+
+def test_execute_evaluates_static_terms_once_and_core_term_per_probe(model_calls):
+    pkg = CpuPackage()
+    pkg.set_frequency(pkg.spec.freq_max_ghz)
+    pkg.set_power_cap(130.0)
+    _, _, probes = _ref_effective_frequency(pkg, compute_demand(), active_cores=28)
+    assert probes >= 3
+    model_calls.update(static_power=0, core_dynamic_power=0)
+    pkg.execute(compute_demand(), threads=28)
+    assert model_calls == {"static_power": 1, "core_dynamic_power": probes}
+
+
+def test_busy_wait_evaluates_static_terms_once_per_package(model_calls):
+    node = Node(NodeSpec(n_sockets=2))
+    model_calls.update(static_power=0, core_dynamic_power=0)
+    busy_wait_power_w(node)
+    assert model_calls["static_power"] == 2
+
+
+def test_scalar_path_never_calls_numpy_clip(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.clip on the scalar path")
+
+    node = Node(NodeSpec(n_sockets=2))
+    pkg = node.packages[0]
+    monkeypatch.setattr(np, "clip", forbidden)
+    pkg.set_frequency(2.437)
+    pkg.set_uncore_frequency(9.0)
+    pkg.set_power_cap(10.0)
+    pkg.execute(compute_demand(), threads=28)
+    busy_wait_power_w(node)

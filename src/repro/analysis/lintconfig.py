@@ -26,10 +26,10 @@ any INI file passed via ``--config``)::
     hot_call_depth = 3
     # RL005 sinks, as name:positional_index:keyword entries.  "strict"
     # sinks feed json.dumps directly (numpy arrays / tuples / non-str
-    # keys all drift); "lenient" sinks run through envelopes.jsonify
-    # (which converts numpy but still rejects set/bytes/complex).
+    # keys all drift); "lenient" sinks reach envelopes.encode_wire
+    # (which converts numpy but still rejects bytes/complex).
     strict_sinks = append_record:2:record, json.dumps:0:obj
-    lenient_sinks = jsonify:0:value, Response.success:0:result
+    lenient_sinks = encode_wire:0:value, Response.success:0:result
 
 Every key is optional; list values split on commas and newlines.
 """
@@ -113,7 +113,7 @@ class LintConfig:
     hot_rederef_threshold: int = 3
     hot_call_depth: int = 3
     strict_sinks: Tuple[str, ...] = ("append_record:2:record", "json.dumps:0:obj")
-    lenient_sinks: Tuple[str, ...] = ("jsonify:0:value", "Response.success:0:result")
+    lenient_sinks: Tuple[str, ...] = ("encode_wire:0:value", "Response.success:0:result")
 
     # -- derived views -----------------------------------------------------
     def sink_specs(self) -> Tuple[SinkSpec, ...]:

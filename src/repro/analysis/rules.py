@@ -22,8 +22,9 @@ only probe:
   sanctioned registries; anything else desynchronises process-pool
   workers from the parent.
 * **RL005 serialization** — expressions entering journal/wire sinks
-  (``DatabaseJournal.append_record``, ``json.dumps``, ``jsonify``,
-  ``Response.success``) must be statically plain-JSON-safe.
+  (``DatabaseJournal.append_record``, ``json.dumps``, the wire
+  encoder ``encode_wire``, ``Response.success``) must be statically
+  plain-JSON-safe.
 """
 
 from __future__ import annotations
@@ -814,7 +815,7 @@ def _json_unsafe(
                 (
                     node,
                     "a numpy array does not survive json.dumps; convert with "
-                    ".tolist() (or route through envelopes.jsonify)",
+                    ".tolist() (or send it through envelopes.encode_wire)",
                 )
             )
         elif expanded.startswith("datetime."):

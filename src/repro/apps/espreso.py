@@ -15,12 +15,13 @@ which is exactly why per-region tuning beats one global setting.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Sequence
 
 from repro.apps.base import Application
 from repro.hardware.workload import PhaseDemand
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["EspresoFeti", "FETI_REGIONS"]
 
@@ -66,6 +67,8 @@ class EspresoFeti(Application):
     @staticmethod
     def region_graph() -> nx.DiGraph:
         """The instrumented region graph (Figure 5)."""
+        import networkx as nx  # only the region graph needs it
+
         graph = nx.DiGraph()
         for parent, children in FETI_REGIONS.items():
             for child in children:

@@ -57,6 +57,10 @@ _WAL_DIR = "wal"
 _CKPT_DIR = "checkpoints"
 _GEN_PREFIX = "gen-"
 
+#: The journal's entry encoder: compact separators, built once (a
+#: ``json.dumps`` call with any option builds a new encoder each time).
+_ENTRY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def _segment_path(root: str, shard: int) -> str:
     return os.path.join(root, _WAL_DIR, f"shard-{shard}.wal")
@@ -135,9 +139,8 @@ class DatabaseJournal:
         to stitch the per-shard segments back into one total order and to
         drop entries already absorbed by a checkpoint.
         """
-        payload = json.dumps(
-            {"seq": int(seq), "shard": int(shard), "key": str(key), "record": record},
-            separators=(",", ":"),
+        payload = _ENTRY_ENCODER.encode(
+            {"seq": int(seq), "shard": int(shard), "key": str(key), "record": record}
         ).encode("utf-8")
         self._segments[shard].append(payload)
         self.appended += 1
@@ -352,14 +355,13 @@ def recover(
     surviving: List[List[bytes]] = [[] for _ in range(config["n_shards"])]
     for offset, (shard, key, record) in enumerate(replayed):
         surviving[shard].append(
-            json.dumps(
+            _ENTRY_ENCODER.encode(
                 {
                     "seq": len(db) - len(replayed) + offset,
                     "shard": shard,
                     "key": key,
                     "record": record,
-                },
-                separators=(",", ":"),
+                }
             ).encode("utf-8")
         )
     os.makedirs(os.path.join(directory, _WAL_DIR), exist_ok=True)

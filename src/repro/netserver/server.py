@@ -31,10 +31,10 @@ way out, so SIGTERM loses nothing.
 from __future__ import annotations
 
 import asyncio
-import json
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.netserver.framing import (
     MAX_FRAME_BYTES,
@@ -44,10 +44,13 @@ from repro.netserver.framing import (
     frame_text,
 )
 from repro.service.envelopes import (
+    WIRE_ENCODE_ERRORS,
     Response,
     ServiceError,
     ServiceErrorCode,
     decode_wire_line,
+    encode_wire,
+    not_wire_safe,
 )
 from repro.service.service import StackService
 
@@ -113,8 +116,12 @@ class NetworkServer:
         self.journal_dir = journal_dir
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: The journal :meth:`start` attached, which :meth:`drain` closes.
+        self._journal: Optional[Any] = None
         self._connections: Set["_Connection"] = set()
-        self._tenant_slots: Dict[str, asyncio.Semaphore] = {}
+        #: Per-tenant in-flight credits, kept only while the tenant has a
+        #: request in flight or waiting for a credit.
+        self._tenant_slots: Dict[str, _TenantSlot] = {}
         self._draining = False
         #: Lifetime counters (diagnostics + bench assertions).
         self.n_connections = 0
@@ -127,7 +134,7 @@ class NetworkServer:
         if self.journal_dir is not None and self.service.database.journal is None:
             from repro.durability import attach
 
-            attach(self.service.database, self.journal_dir)
+            self._journal = attach(self.service.database, self.journal_dir)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="svc-dispatch"
         )
@@ -143,7 +150,8 @@ class NetworkServer:
         The SIGTERM path: the listener closes, every connection's reader
         stops consuming frames, queued requests are dispatched and their
         responses flushed, and — with a journal attached — the database
-        is checkpointed so recovery replays nothing.
+        is checkpointed so recovery replays nothing.  A journal
+        :meth:`start` attached is closed; one the caller attached is not.
         """
         self._draining = True
         if self._server is not None:
@@ -163,6 +171,9 @@ class NetworkServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, database.checkpoint
             )
+        if self._journal is not None:  # a journal the caller attached stays open
+            self._journal.close()
+            self._journal = None
 
     # -- per-connection dispatch ------------------------------------------
     async def serve_connection(
@@ -202,17 +213,50 @@ class NetworkServer:
             except Exception:
                 pass
 
-    def _tenant_slot(self, tenant: str) -> asyncio.Semaphore:
+    async def _acquire_tenant_slot(self, tenant: str) -> None:
+        """Wait for one of ``tenant``'s in-flight credits."""
         slot = self._tenant_slots.get(tenant)
         if slot is None:
-            slot = asyncio.Semaphore(self.limits.max_inflight_per_tenant)
-            self._tenant_slots[tenant] = slot
-        return slot
+            slot = self._tenant_slots[tenant] = _TenantSlot(
+                self.limits.max_inflight_per_tenant
+            )
+        slot.users += 1
+        try:
+            await slot.credits.acquire()
+        except asyncio.CancelledError:
+            self._leave_tenant_slot(tenant, slot)
+            raise
 
-    def _dispatch_batch(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Executor-thread body: envelope dicts in, response dicts out."""
+    def _release_tenant_slot(self, tenant: str) -> None:
+        """Return one of ``tenant``'s credits once its response is queued."""
+        slot = self._tenant_slots[tenant]
+        slot.credits.release()
+        self._leave_tenant_slot(tenant, slot)
+
+    def _leave_tenant_slot(self, tenant: str, slot: "_TenantSlot") -> None:
+        slot.users -= 1
+        if slot.users == 0:
+            del self._tenant_slots[tenant]
+
+    def _dispatch_batch(self, payloads: List[Dict[str, Any]]) -> List[bytes]:
+        """Executor-thread body: envelope dicts in, response frames out.
+
+        Each response is encoded before the next envelope is dispatched,
+        as :class:`StackService` requires; the event loop only writes.
+        """
         handle_dict = self.service.handle_dict
-        return [handle_dict(payload) for payload in payloads]
+        frame_response = _Connection._frame_response
+        return [frame_response(handle_dict(payload)) for payload in payloads]
+
+
+class _TenantSlot:
+    """One tenant's in-flight credits and the requests holding or awaiting one."""
+
+    __slots__ = ("credits", "users")
+
+    def __init__(self, limit: int):
+        self.credits = asyncio.Semaphore(limit)
+        self.users = 0
 
 
 class _Connection:
@@ -297,7 +341,7 @@ class _Connection:
                     continue
                 tenant = tenant_of_envelope(payload)
                 await self._conn_slot.acquire()
-                await server._tenant_slot(tenant).acquire()
+                await server._acquire_tenant_slot(tenant)
                 await self._queue.put((payload, tenant))
 
     async def _dispatch_loop(self) -> None:
@@ -322,22 +366,22 @@ class _Connection:
                 batch.append(extra)
             payloads = [payload for payload, _ in batch]
             try:
-                results = await loop.run_in_executor(
+                frames = await loop.run_in_executor(
                     server._executor, server._dispatch_batch, payloads
                 )
             except Exception as error:  # handle_dict never raises; belt+braces
-                results = [
+                failure = frame_text(
                     Response.failure(
                         ServiceErrorCode.INTERNAL,
                         f"dispatch failed: {type(error).__name__}: {error}",
-                    ).to_dict()
-                    for _ in payloads
-                ]
+                    ).to_json()
+                )
+                frames = [failure] * len(payloads)
             server.n_requests += len(payloads)
-            for (payload, tenant), result in zip(batch, results):
-                self._write_queue.put_nowait(self._frame_response(result))
+            for (payload, tenant), frame in zip(batch, frames):
+                self._write_queue.put_nowait(frame)
                 self._conn_slot.release()
-                server._tenant_slot(tenant).release()
+                server._release_tenant_slot(tenant)
             if stop:
                 break
 
@@ -378,18 +422,8 @@ class _Connection:
 
     @staticmethod
     def _frame_response(result: Dict[str, Any]) -> bytes:
+        """One response frame from a ``handle_dict`` result."""
         try:
-            line = json.dumps(result, sort_keys=True)
-            return frame_text(line, max_bytes=MAX_RESPONSE_BYTES)
-        except (TypeError, ValueError, FrameTooLarge) as error:
-            # Keep the caller's correlation id: a pipelined client waits
-            # on exactly that id.
-            fallback = replace(
-                Response.failure(
-                    ServiceErrorCode.INTERNAL,
-                    f"response not wire-safe: {type(error).__name__}: {error}",
-                ),
-                request_id=str(result.get("request_id", "0")),
-                session=result.get("session"),
-            )
-            return frame_text(fallback.to_json())
+            return frame_text(encode_wire(result), max_bytes=MAX_RESPONSE_BYTES)
+        except WIRE_ENCODE_ERRORS as error:  # FrameTooLarge is a ValueError
+            return frame_text(not_wire_safe(result, error))

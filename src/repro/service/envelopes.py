@@ -2,7 +2,10 @@
 
 The control plane's wire format: every command enters the stack as a
 :class:`Request` and leaves it as a :class:`Response`, both plain frozen
-dataclasses that convert losslessly to/from dictionaries and JSON lines.
+dataclasses.  Every transport turns an envelope into wire text through
+the one encoder here, :func:`encode_wire`, exactly once: a response
+carries the handler's result as returned, and the C encoder converts
+numpy values, enums and sets on the way out.
 The envelopes carry a protocol version (checked on dispatch), a caller
 request id (echoed back verbatim, so an async client can correlate), an
 optional session id, and — on failure — a structured error with a spec
@@ -16,9 +19,10 @@ service-plane failures use a parallel ``SVC_RET_*`` namespace.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +35,9 @@ __all__ = [
     "ServiceError",
     "Request",
     "Response",
-    "jsonify",
+    "WIRE_ENCODE_ERRORS",
+    "encode_wire",
+    "not_wire_safe",
     "wire_limit_error",
     "decode_wire_line",
     "parse_wire_request",
@@ -89,30 +95,45 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
-def jsonify(value: Any) -> Any:
-    """Deep-convert a result payload to plain JSON types.
+def _wire_default(value: Any) -> Any:
+    """The wire encoder's hook for values JSON has no type for.
 
-    Handlers return whatever is natural (numpy scalars, arrays, tuples);
-    the envelope layer normalises so ``to_json`` → ``from_json`` is an
-    identity on every response the service emits.
+    Handlers return whatever is natural (numpy scalars and arrays, enums,
+    sets); this converts exactly those, and the encoder encodes what it
+    returns.  ``np.float64`` and ``str``/``int`` mixin enums never get
+    here: they subclass a JSON type and encode natively.
     """
-    if isinstance(value, (str, type(None))):
-        return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, Mapping):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [jsonify(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return list(value)
     raise TypeError(f"result payload of type {type(value).__name__} is not wire-safe")
+
+
+#: The one wire encoder.  Its C implementation walks a response once; the
+#: ``default`` hook is called only for the values JSON has no type for.
+#: Dictionary keys must be strings: keys are sorted as they are, so other
+#: key types would change the byte order (a handler converts its own).
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True, default=_wire_default)
+
+#: What :func:`encode_wire` raises for a value it cannot encode: an
+#: unconvertible type (``TypeError``), a circular reference or an int too
+#: long to print (``ValueError``), nesting deeper than the interpreter's
+#: recursion limit (``RecursionError``).
+WIRE_ENCODE_ERRORS = (TypeError, ValueError, RecursionError)
+
+
+def encode_wire(value: Any) -> str:
+    """The wire text of an envelope dictionary (or any wire value)."""
+    return _WIRE_ENCODER.encode(value)
 
 
 def _require_str(data: Mapping[str, Any], key: str, default: Optional[str] = None) -> str:
@@ -138,10 +159,11 @@ class Request:
         object.__setattr__(self, "args", dict(self.args))
 
     def to_dict(self) -> Dict[str, Any]:
+        """The envelope before encoding; ``args`` values are as given."""
         out: Dict[str, Any] = {
             "protocol": self.protocol,
             "op": self.op,
-            "args": jsonify(self.args),
+            "args": dict(self.args),
             "request_id": self.request_id,
         }
         if self.session is not None:
@@ -172,7 +194,8 @@ class Request:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The wire form: :meth:`to_dict` through :func:`encode_wire`."""
+        return encode_wire(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Request":
@@ -187,7 +210,12 @@ class Request:
 
 @dataclass(frozen=True)
 class Response:
-    """The answer envelope: result on success, structured error on failure."""
+    """The answer envelope: result on success, structured error on failure.
+
+    ``result`` holds the handler's value as it returned it (numpy values,
+    tuples and all); the wire form is the text :meth:`to_json` encodes,
+    and a response decoded by :meth:`from_json` holds plain JSON values.
+    """
 
     ok: bool
     result: Any = None
@@ -205,7 +233,7 @@ class Response:
     def success(cls, result: Any, request: Optional[Request] = None) -> "Response":
         return cls(
             ok=True,
-            result=jsonify(result),
+            result=result,
             request_id=request.request_id if request is not None else "0",
             session=request.session if request is not None else None,
         )
@@ -229,6 +257,11 @@ class Response:
         return None if self.error is None else self.error.get("code")
 
     def to_dict(self) -> Dict[str, Any]:
+        """The envelope before encoding: ``result`` is :attr:`result` as is.
+
+        Encode it once with :func:`encode_wire` (or :meth:`to_json`);
+        ``json.loads(response.to_json())`` is the plain-JSON form.
+        """
         out: Dict[str, Any] = {
             "protocol": self.protocol,
             "ok": self.ok,
@@ -237,7 +270,7 @@ class Response:
         if self.session is not None:
             out["session"] = self.session
         if self.ok:
-            out["result"] = self.result  # already plain: success() normalised it
+            out["result"] = self.result
         else:
             out["error"] = dict(self.error or {})
         return out
@@ -254,11 +287,31 @@ class Response:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The wire form: :meth:`to_dict` through :func:`encode_wire`."""
+        return encode_wire(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Response":
         return cls.from_dict(json.loads(text))
+
+
+def not_wire_safe(envelope: Mapping[str, Any], error: Exception) -> str:
+    """The wire text answered in place of a response that cannot be sent.
+
+    ``envelope`` is the response's pre-encode form and ``error`` why it
+    failed to encode (or, on a transport with a response cap, to fit).
+    The answer is ``SVC_RET_INTERNAL`` under the caller's ``request_id``
+    and ``session``: a pipelined client waits on exactly that id.
+    """
+    return Response(
+        ok=False,
+        error={
+            "code": ServiceErrorCode.INTERNAL.value,
+            "message": f"response not wire-safe: {type(error).__name__}: {error}",
+        },
+        request_id=str(envelope.get("request_id", "0")),
+        session=envelope.get("session"),
+    ).to_json()
 
 
 def wire_limit_error(n_bytes: int) -> ServiceError:

@@ -28,13 +28,13 @@ tenant/session key.
 
 from __future__ import annotations
 
-import collections.abc
 import inspect
 import os
 import sys
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -62,21 +62,18 @@ from repro.runtime.base import JobRuntime
 from repro.service.envelopes import (
     MAX_WIRE_BYTES,
     PROTOCOL_VERSION,
+    WIRE_ENCODE_ERRORS,
     Request,
     Response,
     ServiceError,
     ServiceErrorCode,
+    not_wire_safe,
     parse_wire_request,
     protocol_compatible,
 )
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
-from repro.telemetry.database import (
-    EvaluationRecord,
-    PerformanceDatabase,
-    SnapshotCorruptError,
-    objective_stats,
-)
+from repro.telemetry.database import EvaluationRecord, SnapshotCorruptError, objective_stats
 from repro.telemetry.sharding import ShardedPerformanceDatabase
 
 __all__ = [
@@ -169,7 +166,7 @@ _WIRE_KINDS: Dict[Any, Tuple[str, Callable[[Any], bool]]] = {
     float: ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     bool: ("bool", lambda v: isinstance(v, bool)),
     list: ("list", lambda v: isinstance(v, list)),
-    collections.abc.Mapping: ("dict", lambda v: isinstance(v, Mapping)),
+    Mapping: ("dict", lambda v: isinstance(v, Mapping)),
     Any: ("any", lambda v: True),
 }
 
@@ -371,6 +368,11 @@ class StackService:
     command's schema and its docstring the command's doc.  ``_commands``,
     derived from them once below the class, is what both dispatch and
     ``service.describe`` read.
+
+    A handler returns fresh containers (``to_dict()``, ``info()``, a new
+    dict), never one the service keeps and mutates: the response carries
+    the result as returned and a transport encodes it after the lock is
+    released, once, before it dispatches the next envelope.
     """
 
     def __init__(
@@ -459,7 +461,12 @@ class StackService:
                 )
 
     def handle_dict(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Dict → dict dispatch (what a JSON transport calls)."""
+        """Dict → dict dispatch (what a JSON transport calls).
+
+        Returns the response's pre-encode form (:meth:`Response.to_dict`):
+        the caller encodes it with :func:`~repro.service.envelopes.encode_wire`
+        before it dispatches another envelope.
+        """
         try:
             request = Request.from_dict(payload)
         except ServiceError as error:
@@ -476,7 +483,9 @@ class StackService:
 
         Never raises: malformed, hostile or oversized input goes through
         the transport-shared :func:`~repro.service.envelopes.parse_wire_request`
-        gate and comes back as a structured failure envelope.
+        gate and comes back as a structured failure envelope, and a result
+        that cannot be encoded answers ``SVC_RET_INTERNAL`` under the
+        request's id.
         """
         try:
             request = parse_wire_request(line)
@@ -487,7 +496,11 @@ class StackService:
                 ServiceErrorCode.BAD_REQUEST,
                 f"malformed request: {type(error).__name__}: {error}",
             ).to_json()
-        return self.handle(request).to_json()
+        response = self.handle(request)
+        try:
+            return response.to_json()
+        except WIRE_ENCODE_ERRORS as error:
+            return not_wire_safe(response.to_dict(), error)
 
     def _session_of(self, request: Request) -> Session:
         if request.session is None:
@@ -1354,13 +1367,9 @@ class StackService:
         """The k best records visible to this session."""
         if k < 0:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "k must be >= 0")
-        filters = self._scope_tags(session, None)
-        if filters:
-            # Tenant view through the one canonical top_k implementation.
-            pool = PerformanceDatabase.from_records(self.database.where(**filters))
-            records = pool.top_k(int(k), minimize=bool(minimize))
-        else:
-            records = self.database.top_k(int(k), minimize=bool(minimize))
+        records = self.database.top_k(
+            int(k), minimize=bool(minimize), **self._scope_tags(session, None)
+        )
         return {"records": [record.to_dict() for record in records]}
 
     def _cmd_db_aggregate(

@@ -383,12 +383,29 @@ class ShardedPerformanceDatabase:
         self._best_cache_shapes += 1
         return None if best is None else self._record_at(best[1])
 
-    def top_k(self, k: int, minimize: bool = True) -> List[EvaluationRecord]:
-        """The ``k`` best records, stable on ties (global insertion order)."""
-        objectives = self.objectives_array()
-        key = objectives if minimize else -objectives
-        order = np.argsort(key, kind="stable")[: max(0, k)]
-        return [self._record_at(i) for i in order]
+    def top_k(
+        self, k: int, minimize: bool = True, **tag_filters: str
+    ) -> List[EvaluationRecord]:
+        """The ``k`` best records matching ``tag_filters``, stable on ties.
+
+        Each shard selects its matches through its tag index, then one
+        ``lexsort`` on (objective key, global index) ranks them all: ties
+        keep global insertion order, as one merged database's stable sort
+        over the same matches would.
+        """
+        keys: List[np.ndarray] = []
+        positions: List[np.ndarray] = []
+        for shard_index, shard in enumerate(self.shards):
+            local = shard.where_indices(**tag_filters)
+            if local.size:
+                keys.append(shard.objectives_array()[local])
+                positions.append(self._global_index(shard_index)[local])
+        if not keys or k <= 0:
+            return []
+        key = np.concatenate(keys)
+        position = np.concatenate(positions)
+        order = np.lexsort((position, key if minimize else -key))[:k]
+        return [self._record_at(i) for i in position[order]]
 
     def aggregate(self, feasible_only: bool = False) -> Dict[str, float]:
         """Summary statistics over the globally-ordered objective column."""

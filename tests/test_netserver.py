@@ -355,6 +355,73 @@ def test_per_connection_inflight_cap_backpressures_not_errors():
     run_async(scenario())
 
 
+def test_tenant_credits_are_forgotten_once_a_tenant_goes_quiet():
+    async def scenario():
+        server = await started_server()
+        async with await AsyncServiceClient.connect(server.host, server.port) as client:
+            for i in range(12):
+                session = await client.open_session(f"short{i}", role="runtime")
+                assert (await session.result("session.info"))["tenant"] == f"short{i}"
+                await session.close()
+            assert (await client.result("service.ping"))["pong"] is True
+            assert server._tenant_slots == {}
+        await server.drain()
+
+    run_async(scenario())
+
+
+def test_per_tenant_inflight_cap_stalls_a_flood_across_connections():
+    cap = 3
+    gate = threading.Event()
+
+    async def scenario():
+        server = await started_server(
+            limits=ServerLimits(max_inflight_per_tenant=cap, max_inflight_per_connection=64)
+        )
+        handle_dict = server.service.handle_dict
+
+        def gated(payload):
+            gate.wait(TIMEOUT)
+            return handle_dict(payload)
+
+        opener = await AsyncServiceClient.connect(server.host, server.port)
+        session = await opener.open_session("flood", role="runtime")
+        server.service.handle_dict = gated
+        clients = [await AsyncServiceClient.connect(server.host, server.port)
+                   for _ in range(2)]
+        calls = [
+            asyncio.create_task(
+                client.call("session.info", session=session.session_id)
+            )
+            for client in clients
+            for _ in range(8)
+        ]
+        for _ in range(200):  # until both readers stall on a credit
+            await asyncio.sleep(0.01)
+            slot = server._tenant_slots.get("flood")
+            if slot is not None and slot.users == cap + len(clients):
+                break
+        await asyncio.sleep(0.1)
+        # cap requests hold credits; each connection's reader waits on the
+        # next one and reads nothing more, whatever its own cap allows
+        slot = server._tenant_slots["flood"]
+        assert slot.users == cap + len(clients)
+        assert slot.credits.locked()
+        assert not any(call.done() for call in calls)
+        gate.set()
+        responses = await asyncio.gather(*calls)
+        assert all(response.ok for response in responses)
+        assert server._tenant_slots == {}
+        for client in (opener, *clients):
+            await client.close()
+        await server.drain()
+
+    try:
+        run_async(scenario())
+    finally:
+        gate.set()
+
+
 def test_drain_finishes_inflight_work_and_checkpoints(tmp_path):
     async def scenario():
         service = StackService(n_nodes=4, seed=0)
@@ -389,7 +456,28 @@ def test_drain_finishes_inflight_work_and_checkpoints(tmp_path):
     n_records = run_async(scenario())
     assert n_records >= 1
     recovered = ShardedPerformanceDatabase.recover(str(tmp_path))
+    recovered.journal.close()
     assert len(recovered) == n_records
+
+
+def test_drain_closes_only_the_journal_it_attached(tmp_path):
+    from repro.durability import attach
+
+    async def serve_and_drain(service, journal_dir):
+        server = NetworkServer(service, journal_dir=journal_dir)
+        await server.start()
+        async with await AsyncServiceClient.connect(server.host, server.port) as client:
+            assert (await client.result("service.ping"))["pong"] is True
+        await server.drain()
+
+    served = StackService(n_nodes=4, seed=0)
+    run_async(serve_and_drain(served, str(tmp_path / "server")))
+    assert not served.database.journal.enabled  # start() attached it
+    owned = StackService(n_nodes=4, seed=0)
+    journal = attach(owned.database, str(tmp_path / "caller"))
+    run_async(serve_and_drain(owned, str(tmp_path / "caller")))
+    assert journal.enabled  # the caller attached it, so the caller closes it
+    journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +535,7 @@ def test_fleet_routes_by_stable_hash_out_of_order_and_recovers(tmp_path):
     assert out_of_order
     # per-worker crash-safe state: worker 0 journaled every evaluation
     recovered = ShardedPerformanceDatabase.recover(fleet.worker_journal_dir(0))
+    recovered.journal.close()
     assert len(recovered) == n_evals
     merged = recovered.merged()
     assert recovered.best_for(minimize=True) == merged.best_for(minimize=True)
@@ -479,4 +568,5 @@ def test_fleet_survives_sigkill_via_journal(tmp_path):
     finally:
         fleet.stop()
     recovered = ShardedPerformanceDatabase.recover(fleet.worker_journal_dir(0))
+    recovered.journal.close()
     assert len(recovered) == n_evals >= 1

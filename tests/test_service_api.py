@@ -14,6 +14,7 @@ Three pillars:
 """
 
 import io
+import json
 import math
 import os
 import shutil
@@ -76,14 +77,15 @@ def test_request_envelope_round_trip():
 def test_response_envelope_round_trip_success_and_failure():
     ok = Response.success({"value": 1.5}, request=Request(op="x", request_id="7"))
     assert Response.from_json(ok.to_json()).to_dict() == ok.to_dict()
-    # success() is the one normaliser: numpy values arrive as plain JSON.
+    # to_dict() is the pre-encode form; the encoder is the one normaliser,
+    # so numpy values and tuples arrive as plain JSON.
     arrays = Response.success(
         {"caps": np.array([250.0, 260.0]), "n": np.int64(3), "on": np.bool_(True),
          "f": np.float32(0.5), "pair": (1, 2)},
         request=Request(op="x", request_id="8"),
     )
     again = Response.from_json(arrays.to_json())
-    assert again.to_dict() == arrays.to_dict()
+    assert again.to_dict() == json.loads(arrays.to_json())
     assert again.result == {"caps": [250.0, 260.0], "n": 3, "on": True, "f": 0.5, "pair": [1, 2]}
     bad = Response.failure(ServiceErrorCode.NO_PERMISSION, "nope")
     again = Response.from_json(bad.to_json())
@@ -407,17 +409,12 @@ def test_batch_set_frequencies():
 # ---------------------------------------------------------------------------
 # one scripted session covers every registered command
 # ---------------------------------------------------------------------------
-def test_every_command_round_trips_through_the_wire():
-    service = make_service(n_nodes=4, seed=2)
-    client = ServiceClient(service)
-    exercised = set()
+def run_every_command(service: StackService, call) -> set:
+    """Drive one scripted session through every registered command.
 
-    def call(op, session=None, **args):
-        response = rt(client, op, session=session, **args)
-        exercised.add(op)
-        assert response.ok, (op, response.error)
-        return response.result
-
+    ``call(op, session=None, **args)`` sends one command and returns its
+    result.  Returns the ops ``service.describe`` lists.
+    """
     call("service.ping", payload={"n": 1})
     described = call("service.describe")
     all_ops = {spec["op"] for spec in described["commands"]}
@@ -519,7 +516,21 @@ def test_every_command_round_trips_through_the_wire():
     call("session.close", session=sid)
     call("session.restore", state=snapshot["state"])
     call("session.close", session=sid)
+    return all_ops
 
+
+def test_every_command_round_trips_through_the_wire():
+    service = make_service(n_nodes=4, seed=2)
+    client = ServiceClient(service)
+    exercised = set()
+
+    def call(op, session=None, **args):
+        response = rt(client, op, session=session, **args)
+        exercised.add(op)
+        assert response.ok, (op, response.error)
+        return response.result
+
+    all_ops = run_every_command(service, call)
     assert exercised == all_ops, sorted(all_ops - exercised)
 
 
@@ -791,13 +802,14 @@ def test_tuning_tell_and_best_never_scan_the_store(monkeypatch):
 
 
 def test_service_and_netserver_import_without_scipy():
-    """scipy loads on the first surrogate fit, not with the service."""
+    """scipy loads on the first surrogate fit and networkx with the first
+    region graph, not with the service, the server or the campaigns."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     code = (
-        "import sys, repro.service, repro.netserver\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, repro.service, repro.netserver, repro.experiments, repro.core.usecases\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

@@ -100,6 +100,43 @@ def test_top_k_parity_stable_ties():
             )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # tenant
+            st.integers(0, 2),  # session
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)),
+        ),
+        max_size=60,
+    ),
+    n_shards=st.integers(1, 7),
+    tags=st.fixed_dictionaries(
+        {},
+        optional={
+            "tenant": st.sampled_from(["t0", "t1", "t2", "t3", "nobody"]),
+            "session": st.sampled_from(["s0", "s1", "s2"]),
+        },
+    ),
+    k=st.integers(0, 12),
+    minimize=st.booleans(),
+)
+def test_filtered_top_k_equals_a_rebuild_over_where(records, n_shards, tags, k, minimize):
+    """A tag-filtered fan-in top_k returns the very records, in the very
+    order, of a flat database rebuilt from the matching records; ties
+    (+0.0 and -0.0 among them) keep global insertion order."""
+    sharded = ShardedPerformanceDatabase(n_shards=n_shards)
+    for i, (tenant, session, objective) in enumerate(records):
+        sharded.add_evaluation({"i": i}, {}, objective=objective,
+                               tenant=f"t{tenant}", session=f"s{session}")
+    expected = PerformanceDatabase.from_records(sharded.where(**tags)).top_k(
+        k, minimize=minimize
+    )
+    got = sharded.top_k(k, minimize=minimize, **tags)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+
+
 def test_aggregate_parity_bit_identical():
     single, sharded = _populate()
     for feasible_only in (False, True):

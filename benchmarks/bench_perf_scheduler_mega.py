@@ -55,8 +55,6 @@ def run_benchmark():
     )
     config = SchedulerConfig(
         scheduling_interval_s=10.0,
-        vectorized=True,
-        driver="event",
         monitor_interval_s=3600.0,
         backfill_depth=100,
         runtime_factory=lambda job, budget, sched: RuntimeHooks(),

@@ -10,25 +10,28 @@ loops onto the struct-of-arrays ``ClusterState`` (masked argsorts over
 the cached variation column, an incrementally maintained
 ``NodeAvailabilityProfile``).
 
-This benchmark measures both paths at 1024 nodes:
+This benchmark measures the production scheduler at 1024 nodes against
+the references in ``tests/oracles.py`` (``ScalarScheduler``, the per-Node
+list path, and ``IntervalDriverScheduler``, the fixed-tick driver):
 
 * **pass throughput** — identical frozen scheduler states (768 busy
   nodes, 384 running jobs, a 64-deep queue whose head cannot start); one
   "pass" is the head's reservation plus a backfill-candidacy sweep over
-  the queue.  Records the vectorized-vs-scalar speedup (asserted >= 5x,
-  guarded against regression in BENCH_perf.json).
+  the queue.  Records the speedup over the scalar reference (asserted
+  >= 5x, guarded against regression in BENCH_perf.json).
 * **physics-trace parity** — a 2000-job full-physics trace driven
-  end-to-end through the DES on both paths must produce *bit-identical*
-  job start/finish times+nodes and SchedulerStats parity <= 1e-9.
+  end-to-end through the DES by production and the scalar reference must
+  produce *bit-identical* job start/finish times+nodes and SchedulerStats
+  parity <= 1e-9.
 * **replay-trace throughput** — the headline ``trace_jobs_per_wall_sec``
   metric: a 10000-job replay-fidelity trace (one DES timeout per job,
   constant power) under the event driver, timed before the physics
   sections churn the heap, with decision parity pinned three ways on a
-  2000-job sibling trace — physics vec==scalar, replay vec==scalar,
-  and replay event==interval (bit-identical start times, node sets and
-  stats).  The PR-9 event-driven engine moved this from ~232 jobs/s
-  (full physics, interval ticks) to five figures; the recorded value is
-  regression-guarded.
+  2000-job sibling trace — physics production==scalar, replay
+  production==scalar, and replay event==interval (bit-identical start
+  times, node sets and stats).  The event-driven engine moved this from
+  ~232 jobs/s (full physics, interval ticks) to five figures; the
+  recorded value is regression-guarded.
 """
 
 import gc
@@ -36,6 +39,7 @@ import time
 
 import numpy as np
 from conftest import banner, record_perf, run_once
+from oracles import IntervalDriverScheduler, ScalarScheduler
 
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest
@@ -68,14 +72,14 @@ def light_app(seconds: float, iterations: int = 1) -> SyntheticApplication:
     )
 
 
-def build_scheduler(vectorized: bool, seed: int = 17) -> PowerAwareScheduler:
+def build_scheduler(scheduler_cls, seed: int = 17) -> PowerAwareScheduler:
     env = Environment()
     cluster = Cluster(ClusterSpec(n_nodes=N_NODES), seed=seed)
     policies = SitePolicies(
         system_power_budget_w=cluster.total_tdp_w(), reserve_fraction=0.0
     )
-    config = SchedulerConfig(scheduling_interval_s=10.0, vectorized=vectorized)
-    return PowerAwareScheduler(env, cluster, policies, config, RandomStreams(seed))
+    config = SchedulerConfig(scheduling_interval_s=10.0)
+    return scheduler_cls(env, cluster, policies, config, RandomStreams(seed))
 
 
 # -- frozen-state pass throughput ----------------------------------------------------
@@ -130,8 +134,8 @@ def scheduler_pass(scheduler: PowerAwareScheduler, head: Job, pending) -> float:
     return shadow + fits
 
 
-def time_passes(vectorized: bool, rounds: int) -> float:
-    scheduler = build_scheduler(vectorized=vectorized)
+def time_passes(scheduler_cls, rounds: int) -> float:
+    scheduler = build_scheduler(scheduler_cls)
     head, pending = freeze_state(scheduler, np.random.default_rng(5))
     scheduler_pass(scheduler, head, pending)  # warm caches
     # Per-round min, not mean: the pass is deterministic work, so
@@ -170,8 +174,8 @@ def make_trace(n_jobs: int, seed: int = 23):
     return requests
 
 
-def run_trace(vectorized: bool):
-    scheduler = build_scheduler(vectorized=vectorized)
+def run_trace(scheduler_cls):
+    scheduler = build_scheduler(scheduler_cls)
     scheduler.submit_trace(make_trace(N_TRACE_JOBS))
     t0 = time.perf_counter()
     stats = scheduler.run_until_complete()
@@ -202,8 +206,7 @@ def make_replay_trace(n_jobs=N_REPLAY_JOBS):
     )
 
 
-def run_replay(driver: str, vectorized: bool, seed: int = 17,
-               n_jobs=N_REPLAY_JOBS):
+def run_replay(scheduler_cls, seed: int = 17, n_jobs=N_REPLAY_JOBS):
     env = Environment()
     cluster = Cluster(ClusterSpec(n_nodes=N_NODES), seed=seed)
     policies = SitePolicies(
@@ -211,13 +214,11 @@ def run_replay(driver: str, vectorized: bool, seed: int = 17,
     )
     config = SchedulerConfig(
         scheduling_interval_s=10.0,
-        vectorized=vectorized,
-        driver=driver,
         monitor_interval_s=600.0,
         backfill_depth=100,
         runtime_factory=lambda job, budget, sched: RuntimeHooks(),
     )
-    scheduler = PowerAwareScheduler(env, cluster, policies, config, RandomStreams(seed))
+    scheduler = scheduler_cls(env, cluster, policies, config, RandomStreams(seed))
     scheduler.submit_trace(make_replay_trace(n_jobs))
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -246,21 +247,21 @@ def run_benchmark():
     # estimator).  One untimed run first: the bench opens here, and an
     # idle core needs a second or two of sustained load before frequency
     # governors stop skewing the timed reps.
-    run_replay("event", vectorized=True)
+    run_replay(PowerAwareScheduler)
     throughput_elapsed = []
     for _ in range(REPLAY_REPS):
         _, stats_tp, elapsed = run_replay(
-            "event", vectorized=True, n_jobs=N_THROUGHPUT_JOBS
+            PowerAwareScheduler, n_jobs=N_THROUGHPUT_JOBS
         )
         throughput_elapsed.append(elapsed)
     replay_wall_s = min(throughput_elapsed)
 
-    scalar_pass_s = time_passes(vectorized=False, rounds=PASS_ROUNDS_SCALAR)
-    vector_pass_s = time_passes(vectorized=True, rounds=PASS_ROUNDS_VECTOR)
+    scalar_pass_s = time_passes(ScalarScheduler, rounds=PASS_ROUNDS_SCALAR)
+    vector_pass_s = time_passes(PowerAwareScheduler, rounds=PASS_ROUNDS_VECTOR)
     speedup = scalar_pass_s / vector_pass_s
 
-    schedule_vec, stats_vec, elapsed_vec = run_trace(vectorized=True)
-    schedule_sca, stats_sca, elapsed_sca = run_trace(vectorized=False)
+    schedule_vec, stats_vec, elapsed_vec = run_trace(PowerAwareScheduler)
+    schedule_sca, stats_sca, elapsed_sca = run_trace(ScalarScheduler)
     physics_identical = schedule_vec == schedule_sca
     stats_err = max(
         abs(a - b)
@@ -268,12 +269,12 @@ def run_benchmark():
     )
 
     # Three-way decision parity on the (cheap) N_REPLAY_JOBS trace:
-    # event==interval and vectorized==scalar, bit-identical schedules.
-    sched_event, stats_event, _ = run_replay("event", vectorized=True)
+    # event==interval and production==scalar, bit-identical schedules.
+    sched_event, stats_event, _ = run_replay(PowerAwareScheduler)
     sched_interval, stats_interval, elapsed_interval = run_replay(
-        "interval", vectorized=True
+        IntervalDriverScheduler
     )
-    sched_rescalar, _, _ = run_replay("event", vectorized=False)
+    sched_rescalar, _, _ = run_replay(ScalarScheduler)
     replay_parity = (
         sched_event == sched_interval
         and sched_event == sched_rescalar

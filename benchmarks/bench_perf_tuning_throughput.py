@@ -2,27 +2,29 @@
 
 The seed reproduction ticks the ask→evaluate→tell loop one configuration
 at a time.  This benchmark runs the same 1000-evaluation tuning problem
-through (a) the sequential :class:`Autotuner` and (b) the
-:class:`BatchAutotuner` with batch proposals and evaluation memoization,
-and reports evals/sec for both.  The evaluator carries a deliberate
-fixed compute cost standing in for a real build-and-run measurement, so
-the cache's ability to skip repeated configurations (the space has only
-84 points — every tuning loop revisits them constantly) shows up as
-throughput, exactly as it would against a real plopper.
+through the :class:`Autotuner` twice: (a) one configuration at a time
+(``batch_size=1``, no cache) and (b) with batch proposals and evaluation
+memoization, and reports evals/sec for both.  The evaluator carries a
+deliberate fixed compute cost standing in for a real build-and-run
+measurement, so the cache's ability to skip repeated configurations (the
+space has only 84 points — every tuning loop revisits them constantly)
+shows up as throughput, exactly as it would against a real plopper.
 
 Acceptance: ≥5x speedup for the batched+cached engine, and the
-batch-size-1 path bit-identical to the sequential loop for the same
-seed.  Results land in ``BENCH_perf.json`` under ``tuning_throughput``.
+batch-size-1 path bit-identical to the sequential reference loop
+(``sequential_autotune`` in ``tests/oracles.py``) for the same seed.
+Results land in ``BENCH_perf.json`` under ``tuning_throughput``.
 """
 
 import time
 
 import numpy as np
 from conftest import banner, record_perf, run_once
+from oracles import sequential_autotune
 
 from repro.analysis.reporting import format_table
 from repro.core.space import ParameterSpace
-from repro.core.tuner import Autotuner, BatchAutotuner
+from repro.core.tuner import Autotuner
 
 MAX_EVALS = 1000
 BATCH_SIZE = 64
@@ -63,7 +65,7 @@ def run_comparison():
     seq_result = sequential.run()
     seq_elapsed = time.perf_counter() - t0
 
-    batched = BatchAutotuner(
+    batched = Autotuner(
         make_space(),
         evaluator,
         search="random",
@@ -78,20 +80,13 @@ def run_comparison():
     batch_elapsed = time.perf_counter() - t0
 
     # Equivalence proof: batch size 1 without the cache replays the
-    # sequential loop bit-for-bit for the same seed.
+    # sequential reference loop bit-for-bit for the same seed.
     check_evals = 60
-    seq_small = Autotuner(
+    seq_small = sequential_autotune(Autotuner(
         make_space(), evaluator, search="random", max_evals=check_evals, seed=SEED
-    ).run()
-    batch1_small = BatchAutotuner(
-        make_space(),
-        evaluator,
-        search="random",
-        max_evals=check_evals,
-        seed=SEED,
-        batch_size=1,
-        executor="serial",
-        cache_evaluations=False,
+    ))
+    batch1_small = Autotuner(
+        make_space(), evaluator, search="random", max_evals=check_evals, seed=SEED
     ).run()
     identical = (
         [r.to_dict() for r in seq_small.database]

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Any, Callable, Dict
+
+#: The reference implementations the perf benchmarks check parity against.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 #: Machine-readable performance results, merged across benchmark runs.
 PERF_JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_perf.json")

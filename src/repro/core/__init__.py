@@ -42,7 +42,6 @@ from repro.core.stack import PowerStack, PowerStackConfig
 from repro.core.translation import GoalTranslator, TranslationStep
 from repro.core.tuner import (
     Autotuner,
-    BatchAutotuner,
     EvaluationCache,
     SerialExecutor,
     ThreadedExecutor,
@@ -51,7 +50,6 @@ from repro.core.tuner import (
 
 __all__ = [
     "Autotuner",
-    "BatchAutotuner",
     "BooleanParameter",
     "CategoricalParameter",
     "CoTuner",

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 from repro.core.constraints import ConstraintSet
 from repro.core.objectives import Objective, WeightedObjective
 from repro.core.space import ParameterSpace
-from repro.core.tuner import Autotuner, BatchAutotuner, TuningResult
+from repro.core.tuner import Autotuner, TuningResult
 from repro.telemetry.database import PerformanceDatabase
 
 __all__ = ["CoTuningResult", "CoTuner"]
@@ -87,11 +87,11 @@ class CoTuningResult:
 class CoTuner:
     """Joint tuner over a dictionary of per-layer parameter spaces.
 
-    ``batch_size``, ``executor`` and ``cache_evaluations`` select the
-    batched engine (:class:`~repro.core.tuner.BatchAutotuner`): whole
-    generations are asked/told at once, evaluations run through the chosen
-    executor, and repeated cross-layer configurations are served from the
-    memoization cache.  The defaults keep the sequential loop.
+    ``batch_size``, ``executor`` and ``cache_evaluations`` are forwarded
+    to the :class:`~repro.core.tuner.Autotuner`: whole generations are
+    asked/told at once, evaluations run through the chosen executor, and
+    repeated cross-layer configurations are served from the memoization
+    cache.  The defaults evaluate one configuration at a time.
 
     Executor selection (``executor=``):
 
@@ -128,7 +128,7 @@ class CoTuner:
         self.evaluator = evaluator
         self.joint_space = self._build_joint_space()
         self._flat_evaluator = _FlatEvaluator(self.layers, self.SEPARATOR, evaluator)
-        common = dict(
+        self._autotuner = Autotuner(
             space=self.joint_space,
             evaluator=self._flat_evaluator,
             objective=objective,
@@ -137,17 +137,11 @@ class CoTuner:
             max_evals=max_evals,
             seed=seed,
             name=name,
+            batch_size=batch_size,
+            executor=executor,
+            max_workers=max_workers,
+            cache_evaluations=cache_evaluations,
         )
-        if batch_size > 1 or executor != "serial" or cache_evaluations:
-            self._autotuner: Autotuner = BatchAutotuner(
-                batch_size=batch_size,
-                executor=executor,
-                max_workers=max_workers,
-                cache_evaluations=cache_evaluations,
-                **common,
-            )
-        else:
-            self._autotuner = Autotuner(**common)
 
     # -- space composition -------------------------------------------------------------
     def _build_joint_space(self) -> ParameterSpace:
@@ -179,10 +173,8 @@ class CoTuner:
         return self._autotuner.database
 
     def close(self) -> None:
-        """Release executor resources (thread pools); no-op when sequential."""
-        close = getattr(self._autotuner, "close", None)
-        if close is not None:
-            close()
+        """Release executor resources (no-op for the serial executor)."""
+        self._autotuner.close()
 
     def run(self, callback=None) -> CoTuningResult:
         result = self._autotuner.run(callback=callback)

@@ -1,4 +1,4 @@
-"""The single-loop autotuner (the ytopt flow of Figure 4).
+"""The autotuning loop (the ytopt flow of Figure 4).
 
 The loop is exactly the paper's three steps: (1) the search algorithm
 assigns values in the allowed ranges, (2) the evaluator ("plopper")
@@ -6,16 +6,16 @@ builds/runs the configuration and measures it, (3) the result is
 appended to the performance database; repeat until ``max_evals``.  The
 best configuration is read off the database at the end.
 
-:class:`BatchAutotuner` is the batched/parallel variant: it drives the
-same loop through :meth:`SearchAlgorithm.ask_batch` /
-:meth:`SearchAlgorithm.tell_batch`, evaluates each batch through a
-pluggable executor (:class:`SerialExecutor`, the thread-pool
-:class:`ThreadedExecutor` for GIL-releasing / subprocess evaluators, or
-the process-pool :class:`ProcessExecutor` for CPU-bound pure-Python
-evaluators) and memoizes evaluator calls in an :class:`EvaluationCache`
-keyed by the canonical configuration.  With ``batch_size=1``, a serial
-executor and the cache disabled it reproduces the sequential
-:class:`Autotuner` bit-for-bit.
+:class:`Autotuner` runs the steps a batch at a time through
+:meth:`SearchAlgorithm.ask_batch` / :meth:`SearchAlgorithm.tell_batch`,
+evaluates each batch through a pluggable executor
+(:class:`SerialExecutor`, the thread-pool :class:`ThreadedExecutor` for
+GIL-releasing / subprocess evaluators, or the process-pool
+:class:`ProcessExecutor` for CPU-bound pure-Python evaluators) and can
+memoize evaluator calls in an :class:`EvaluationCache` keyed by the
+canonical configuration.  Its defaults (``batch_size=1``, a serial
+executor, no cache, no retries) are the one-configuration-at-a-time
+loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.telemetry.database import EvaluationRecord, PerformanceDatabase
 __all__ = [
     "TuningResult",
     "Autotuner",
-    "BatchAutotuner",
     "EvaluationCache",
     "SerialExecutor",
     "ThreadedExecutor",
@@ -151,14 +150,14 @@ class ProcessExecutor:
         wrapper (:func:`_process_worker_call`) around the bound evaluator
         instead, because pickling an arbitrary ``fn`` (typically a tuner
         bound method) would drag the whole tuner object graph across the
-        process boundary.  ``BatchAutotuner`` enforces this contract by
+        process boundary.  :class:`Autotuner` enforces this contract by
         rejecting subclasses that override ``_call_evaluator``.
         """
         items = list(items)
         if not items:
             return []
         if self._evaluator is None:
-            # No bound evaluator (used outside BatchAutotuner): degrade to
+            # No bound evaluator (used outside Autotuner): degrade to
             # in-process evaluation rather than pickling a bound method.
             return [fn(item) for item in items]
         if self._pool is None:
@@ -243,12 +242,12 @@ class TuningResult:
     infeasible_evaluations: int = 0
     failed_evaluations: int = 0
     convergence: List[float] = field(default_factory=list)
-    #: Evaluation-cache statistics (always 0 for the sequential Autotuner).
+    #: Evaluation-cache statistics (0 without ``cache_evaluations``).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Retry-with-backoff statistics (``BatchAutotuner`` with
-    #: ``max_retries > 0``): attempts re-issued for failed evaluations,
-    #: and how many of those ultimately succeeded.
+    #: Retry-with-backoff statistics (``max_retries > 0``): attempts
+    #: re-issued for failed evaluations, and how many of those
+    #: ultimately succeeded.
     retried_evaluations: int = 0
     recovered_evaluations: int = 0
 
@@ -268,7 +267,20 @@ class TuningResult:
 
 
 class Autotuner:
-    """Ask / evaluate / tell loop over one parameter space."""
+    """Batched ask/evaluate/tell loop with optional memoization and parallelism.
+
+    Per round the loop (1) asks the search for a whole batch, (2) rejects
+    constraint-violating proposals without spending evaluations, (3)
+    resolves the rest through the evaluation cache (which also
+    deduplicates identical configurations within a batch), (4) runs the
+    misses through the executor, and (5) reports the whole batch back
+    with one ``tell_batch``.  Records land in the database in ask order.
+
+    ``cache_evaluations`` is opt-in (matching :class:`~repro.core.cotuner.CoTuner`
+    and the end-to-end tuner): memoization assumes a deterministic
+    evaluator — failures are cached too, so a flaky evaluator would pin
+    a transient failure for the rest of the run.
+    """
 
     def __init__(
         self,
@@ -282,9 +294,21 @@ class Autotuner:
         database: Optional[PerformanceDatabase] = None,
         name: str = "autotuner",
         infeasible_penalty_factor: float = 10.0,
+        batch_size: int = 1,
+        executor: Union[str, Any] = "serial",
+        max_workers: Optional[int] = None,
+        cache_evaluations: bool = False,
+        max_retries: int = 0,
+        retry_backoff_s: float = 0.0,
     ):
         if max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
         self.space = space
         self.evaluator = evaluator
         self.objective = make_objective(objective) if isinstance(objective, str) else objective
@@ -296,133 +320,6 @@ class Autotuner:
         self.database = database if database is not None else PerformanceDatabase(name)
         self.name = name
         self.infeasible_penalty_factor = float(infeasible_penalty_factor)
-
-    # -- evaluation of one configuration ---------------------------------------------------
-    def _call_evaluator(self, config: Dict[str, Any]) -> _Outcome:
-        """Run the evaluator, turning exceptions into failure metrics."""
-        try:
-            return dict(self.evaluator(config)), False
-        except Exception as error:  # evaluator failures are data, not crashes
-            metrics = {"error": 1.0, "error_message_hash": float(abs(hash(str(error))) % 10_000)}
-            return metrics, True
-
-    def _evaluate_one(self, config: Dict[str, Any]) -> EvaluationRecord:
-        metrics, failed = self._call_evaluator(config)
-        return self._record_evaluation(config, metrics, failed)
-
-    def _record_evaluation(
-        self, config: Dict[str, Any], metrics: Dict[str, float], failed: bool
-    ) -> EvaluationRecord:
-        feasible = (not failed) and self.constraints.allows_metrics(metrics)
-        objective_value = PENALTY_OBJECTIVE if failed else float(self.objective(metrics))
-        record = self.database.add_evaluation(
-            config=config,
-            metrics=metrics,
-            objective=objective_value,
-            elapsed_s=metrics.get("runtime_s", 0.0),
-            feasible=feasible,
-            tuner=self.name,
-        )
-        return record
-
-    def _search_value(self, record: EvaluationRecord) -> float:
-        """Objective value reported to the search (penalised when infeasible)."""
-        if record.feasible:
-            return record.objective
-        if record.objective >= PENALTY_OBJECTIVE:
-            return PENALTY_OBJECTIVE
-        magnitude = abs(record.objective)
-        return record.objective + self.infeasible_penalty_factor * (magnitude + 1.0)
-
-    # -- main loop -------------------------------------------------------------------------------
-    def run(
-        self, callback: Optional[Callable[[int, EvaluationRecord], None]] = None
-    ) -> TuningResult:
-        """Run up to ``max_evals`` evaluations and return the best result."""
-        infeasible = 0
-        failed = 0
-        convergence: List[float] = []
-        best_feasible: Optional[EvaluationRecord] = None
-
-        for index in range(self.max_evals):
-            if self.search.is_exhausted():
-                break
-            config = self.search.ask()
-            config = self.space.validate(config)
-            if not self.space.is_allowed(config):
-                # The search proposed a forbidden combination: reject without
-                # spending an evaluation on it.
-                self.search.tell(config, PENALTY_OBJECTIVE)
-                continue
-
-            record = self._evaluate_one(config)
-            if not record.feasible:
-                infeasible += 1
-            if "error" in record.metrics:
-                failed += 1
-            self.search.tell(config, self._search_value(record))
-
-            if record.feasible and (
-                best_feasible is None or record.objective < best_feasible.objective
-            ):
-                best_feasible = record
-            convergence.append(
-                best_feasible.objective if best_feasible is not None else math.inf
-            )
-            if callback is not None:
-                callback(index, record)
-
-        best = best_feasible or self.database.best(minimize=True, feasible_only=False)
-        return TuningResult(
-            best_config=dict(best.config) if best is not None else None,
-            best_metrics=dict(best.metrics) if best is not None else {},
-            best_objective=best.objective if best is not None else math.inf,
-            evaluations=len(self.database),
-            database=self.database,
-            objective_name=getattr(self.objective, "name", "objective"),
-            infeasible_evaluations=infeasible,
-            failed_evaluations=failed,
-            convergence=convergence,
-        )
-
-
-class BatchAutotuner(Autotuner):
-    """Batched ask/evaluate/tell loop with memoization and parallel evaluation.
-
-    Per round the loop (1) asks the search for a whole batch, (2) rejects
-    constraint-violating proposals without spending evaluations, (3)
-    resolves the rest through the evaluation cache (which also
-    deduplicates identical configurations within a batch), (4) runs the
-    misses through the executor, and (5) reports the whole batch back
-    with one ``tell_batch``.  Records land in the database in ask order,
-    so with ``batch_size=1`` the run is indistinguishable from
-    :class:`Autotuner`.
-
-    ``cache_evaluations`` is opt-in (matching :class:`~repro.core.cotuner.CoTuner`
-    and the end-to-end tuner): memoization assumes a deterministic
-    evaluator — failures are cached too, so a flaky evaluator would pin
-    a transient failure for the rest of the run.
-    """
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        evaluator: Evaluator,
-        batch_size: int = 16,
-        executor: Union[str, Any] = "serial",
-        max_workers: Optional[int] = None,
-        cache_evaluations: bool = False,
-        max_retries: int = 0,
-        retry_backoff_s: float = 0.0,
-        **kwargs: Any,
-    ):
-        super().__init__(space, evaluator, **kwargs)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         self.batch_size = int(batch_size)
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
@@ -451,6 +348,39 @@ class BatchAutotuner(Autotuner):
         close = getattr(self.executor, "close", None)
         if close is not None:
             close()
+
+    # -- evaluation of one configuration ---------------------------------------------------
+    def _call_evaluator(self, config: Dict[str, Any]) -> _Outcome:
+        """Run the evaluator, turning exceptions into failure metrics."""
+        try:
+            return dict(self.evaluator(config)), False
+        except Exception as error:  # evaluator failures are data, not crashes
+            metrics = {"error": 1.0, "error_message_hash": float(abs(hash(str(error))) % 10_000)}
+            return metrics, True
+
+    def _record_evaluation(
+        self, config: Dict[str, Any], metrics: Dict[str, float], failed: bool
+    ) -> EvaluationRecord:
+        feasible = (not failed) and self.constraints.allows_metrics(metrics)
+        objective_value = PENALTY_OBJECTIVE if failed else float(self.objective(metrics))
+        record = self.database.add_evaluation(
+            config=config,
+            metrics=metrics,
+            objective=objective_value,
+            elapsed_s=metrics.get("runtime_s", 0.0),
+            feasible=feasible,
+            tuner=self.name,
+        )
+        return record
+
+    def _search_value(self, record: EvaluationRecord) -> float:
+        """Objective value reported to the search (penalised when infeasible)."""
+        if record.feasible:
+            return record.objective
+        if record.objective >= PENALTY_OBJECTIVE:
+            return PENALTY_OBJECTIVE
+        magnitude = abs(record.objective)
+        return record.objective + self.infeasible_penalty_factor * (magnitude + 1.0)
 
     # -- batch evaluation ------------------------------------------------------------------
     def _map_with_retries(self, configs: List[Dict[str, Any]]) -> List[_Outcome]:
@@ -515,7 +445,7 @@ class BatchAutotuner(Autotuner):
     def run(
         self, callback: Optional[Callable[[int, EvaluationRecord], None]] = None
     ) -> TuningResult:
-        """Run up to ``max_evals`` evaluations in batches and return the best."""
+        """Run up to ``max_evals`` evaluations and return the best result."""
         infeasible = 0
         failed = 0
         convergence: List[float] = []
@@ -539,7 +469,7 @@ class BatchAutotuner(Autotuner):
             for config, ok in zip(configs, allowed):
                 if not ok:
                     # Forbidden combination: reject without spending an
-                    # evaluation on it (mirrors the sequential loop).
+                    # evaluation on it.
                     tell_values.append(PENALTY_OBJECTIVE)
                     slot += 1
                     continue
@@ -578,3 +508,12 @@ class BatchAutotuner(Autotuner):
             retried_evaluations=self.retried_evaluations,
             recovered_evaluations=self.recovered_evaluations,
         )
+
+
+class BatchAutotuner(Autotuner):
+    """The same loop under its former name.
+
+    A subclass rather than an alias: ``perfbench/layers.py`` wraps
+    ``run`` on both names, and wrapping one shared ``run`` twice would
+    count every traced run twice.
+    """

@@ -54,7 +54,6 @@ def experiment(
     seed: int = 1,
     n_nodes: int = 1024,
     workload: str = _DEFAULT_WORKLOAD,
-    driver: str = "event",
     monitor_interval_s: float = 600.0,
     backfill_depth: int = 100,
     reserve_fraction: float = 0.0,
@@ -69,8 +68,6 @@ def experiment(
     )
     config = SchedulerConfig(
         scheduling_interval_s=10.0,
-        vectorized=True,
-        driver=driver,
         monitor_interval_s=monitor_interval_s,
         backfill_depth=backfill_depth,
         runtime_factory=_bare_runtime,
@@ -80,7 +77,6 @@ def experiment(
     stats = scheduler.run_until_complete()
     return {
         "workload": workload,
-        "driver": driver,
         "n_nodes": n_nodes,
         "n_jobs": len(requests),
         "sim_horizon_s": env.now,
@@ -92,7 +88,6 @@ def run_use_case(
     seed: int = 1,
     n_nodes: int = 1024,
     workload: str = _DEFAULT_WORKLOAD,
-    driver: str = "event",
     monitor_interval_s: float = 600.0,
     backfill_depth: int = 100,
     reserve_fraction: float = 0.0,
@@ -103,7 +98,6 @@ def run_use_case(
         seed=seed,
         n_nodes=n_nodes,
         workload=workload,
-        driver=driver,
         monitor_interval_s=monitor_interval_s,
         backfill_depth=backfill_depth,
         reserve_fraction=reserve_fraction,

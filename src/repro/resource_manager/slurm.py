@@ -153,8 +153,6 @@ class SchedulerConfig:
     #: Per-job static imbalance passed to the job simulator.
     static_imbalance: float = 0.08
     imbalance_sigma: float = 0.03
-    #: Optional cap on how long the scheduler keeps scheduling (safety net).
-    max_simulated_time_s: Optional[float] = None
     runtime_factory: Optional[RuntimeFactory] = None
     #: Crash-recovery policy (only exercised under fault injection):
     #: re-queue interrupted jobs, up to ``max_restarts`` times each, and
@@ -163,20 +161,12 @@ class SchedulerConfig:
     requeue_on_crash: bool = True
     max_restarts: int = 2
     quarantine_repair_s: Optional[float] = None
-    #: Drive node selection / feasibility / reservations on the cluster's
-    #: struct-of-arrays state (the default).  ``False`` selects the scalar
-    #: per-``Node``-list reference path, which must stay decision-identical
-    #: (bench_perf_scheduler_scale asserts bit-equal schedules).
-    vectorized: bool = True
-    #: Simulation driver.  ``"event"`` (the default) arms wakeups only for
-    #: real state changes — arrivals, completions, repairs, explicit
-    #: schedule requests — and fast-forwards over idle time (the power
-    #: monitor suspends while nothing runs and replays its sampling grid
-    #: bit-exactly on wake).  ``"interval"`` keeps the historical
-    #: fixed-tick scheduler/monitor loops; the two drivers are
-    #: decision-identical on continuous-time traces (the parity suite in
-    #: tests/test_event_driver_parity.py pins start times, node
-    #: assignments and stats across both).
+    #: Simulation driver; ``"event"`` is the only one (the field stays so
+    #: callers passing it keep working).  It arms wakeups only for real
+    #: state changes — arrivals, completions, repairs, explicit schedule
+    #: requests — and fast-forwards over idle time (the power monitor
+    #: suspends while nothing runs and replays its sampling grid
+    #: bit-exactly on wake).
     driver: str = "event"
     #: Bound on how many queued jobs one backfill sweep examines past the
     #: FCFS head (SLURM's ``bf_max_job_test``).  ``None`` keeps the
@@ -193,8 +183,8 @@ class SchedulerConfig:
             raise ValueError("max_restarts must be >= 0")
         if self.quarantine_repair_s is not None and self.quarantine_repair_s <= 0:
             raise ValueError("quarantine_repair_s must be positive")
-        if self.driver not in ("event", "interval"):
-            raise ValueError(f"driver must be 'event' or 'interval', got {self.driver!r}")
+        if self.driver != "event":
+            raise ValueError(f"driver must be 'event', got {self.driver!r}")
         if self.backfill_depth is not None and self.backfill_depth < 1:
             raise ValueError("backfill_depth must be >= 1 (or None for unbounded)")
 
@@ -319,17 +309,17 @@ class PowerAwareScheduler:
         #: incrementally so run_until_complete's liveness check is O(1)
         #: instead of scanning every submitted job per event step.
         self._finished_count = 0
-        #: Event driver: a pass is armed at the next scheduler-grid time
-        #: (interval-parity for mutations no event follows, e.g. cancel).
+        #: A pass is armed at the next scheduling-grid time (for mutations
+        #: no event follows, e.g. a pending cancel).
         self._grid_pass_armed = False
-        #: Next scheduler tick-grid time (event driver), advanced with the
-        #: same float accumulation the interval loop uses so deferred
-        #: passes land on bit-identical timestamps.
+        #: Next scheduling-grid time, advanced one interval at a time in
+        #: floating point like a fixed-tick loop, so deferred passes land
+        #: on the tick reference's timestamps (tests/oracles.py) exactly.
         self._sched_grid: Optional[float] = None
-        #: Suspended-monitor state (event driver): while no job runs the
-        #: monitor process parks on ``_mon_wake`` and ``_mon_next`` holds
-        #: the first unsampled grid time; wakes replay the missed grid
-        #: bit-exactly before any state mutation.
+        #: Suspended-monitor state: while no job runs the monitor process
+        #: parks on ``_mon_wake`` and ``_mon_next`` holds the first
+        #: unsampled grid time; wakes replay the missed grid bit-exactly
+        #: before any state mutation.
         self._mon_suspended = False
         self._mon_wake = None
         self._mon_next = 0.0
@@ -388,16 +378,12 @@ class PowerAwareScheduler:
         self.env.process(self._arrival_process(list(requests)))
 
     def start(self) -> None:
-        """Start the driver processes (monitor; plus ticks under "interval")."""
+        """Start the power monitor and the scheduling grid."""
         if self._started:
             return
         self._started = True
         self._sched_grid = self.env.now
-        if self.config.driver == "interval":
-            self.env.process(self._scheduler_loop())
-            self.env.process(self._monitor_loop())
-        else:
-            self.env.process(self._event_monitor_loop())
+        self.env.process(self._event_monitor_loop())
 
     def run_until_complete(self, extra_time_s: float = 0.0) -> "SchedulerStats":
         """Convenience driver: run the DES until all submitted jobs finished."""
@@ -451,31 +437,17 @@ class PowerAwareScheduler:
             if progressed:
                 self._schedule()
 
-    def _scheduler_loop(self):
-        while True:
-            if (
-                self.config.max_simulated_time_s is not None
-                and self.env.now > self.config.max_simulated_time_s
-            ):
-                return
-            self._schedule()
-            yield self.env.timeout(self.config.scheduling_interval_s)
-
-    def _monitor_loop(self):
-        while True:
-            self._sample_power()
-            yield self.env.timeout(self.config.monitor_interval_s)
-
     def _event_monitor_loop(self):
-        """Event-driver monitor: tick while jobs run, suspend while idle.
+        """Power monitor: tick while jobs run, suspend while idle.
 
-        While the running set is non-empty this is the interval monitor
-        verbatim (same sample times, same timeout accumulation — the
-        samples are bit-identical).  When the machine idles the process
-        parks on an event instead of burning a wakeup every interval;
+        While the running set is non-empty it samples every
+        ``monitor_interval_s`` (same sample times, same timeout
+        accumulation as a fixed-tick monitor, so the samples are
+        bit-identical).  When the machine idles the process parks on an
+        event instead of burning a wakeup every interval;
         :meth:`_monitor_catch_up` replays the skipped grid samples — at
-        their historical timestamps, with provably unchanged state —
-        before anything mutates power/allocation state.
+        their grid timestamps, with provably unchanged state — before
+        anything mutates power/allocation state.
         """
         interval = self.config.monitor_interval_s
         while True:
@@ -488,7 +460,7 @@ class PowerAwareScheduler:
             self._mon_wake = self.env.event()
             yield self._mon_wake
             # Resumed (and caught up) by _resume_monitor; land the next
-            # real sample back on the historical grid.
+            # real sample back on the sampling grid.
             delay = self._mon_next - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
@@ -501,7 +473,7 @@ class PowerAwareScheduler:
         draw, the free mask, package temperatures — changes while zero
         jobs run, except through the replayed samples themselves (thermal
         excursions consume their RNG streams in replay order, exactly as
-        interval ticks would have).  Callers must invoke this BEFORE
+        fixed ticks would have).  Callers must invoke this BEFORE
         mutating any of that state.
         """
         if not self._mon_suspended:
@@ -557,43 +529,32 @@ class PowerAwareScheduler:
 
     # -- scheduling core ----------------------------------------------------------------------
     def _free_count(self) -> int:
-        if self.config.vectorized:
-            return self.cluster.state.free_count
-        return len(self.cluster.free_nodes())
+        return self.cluster.state.free_count
 
-    def _ranked_free_indices(self) -> Sequence[int]:
-        """Free nodes in selection order (best-first for the active policy).
+    def _ranked_free_indices(self) -> np.ndarray:
+        """Free node indices in selection order (best-first for the policy).
 
-        The vectorized non-thermal ranking is memoized per free-set
-        version: the efficiency key is immutable after construction, so
-        an unchanged free mask ranks identically and one argsort serves
-        every candidate a pass plans.  Thermal ranking keys on drifting
+        The non-thermal ranking is memoized per free-set version: the
+        efficiency key is immutable after construction, so an unchanged
+        free mask ranks identically and one argsort serves every
+        candidate a pass plans.  Thermal ranking keys on drifting
         temperatures and stays uncached.
         """
-        if self.config.vectorized:
-            if self.config.thermal_aware_node_selection:
-                return self.cluster.rank_free_by_temperature()
-            state = self.cluster.state
-            if (
-                self._ranked_cache is not None
-                and self._ranked_cache_version == state.free_version
-            ):
-                return self._ranked_cache
-            if self.config.power_aware_node_selection:
-                ranked = self.cluster.rank_free_by_efficiency()
-            else:
-                ranked = self.cluster.free_node_indices()
-            self._ranked_cache = ranked
-            self._ranked_cache_version = state.free_version
-            return ranked
-        free = self.cluster.free_nodes()
         if self.config.thermal_aware_node_selection:
-            ranked = self.cluster.rank_nodes_by_temperature(free)
-        elif self.config.power_aware_node_selection:
-            ranked = self.cluster.rank_nodes_by_efficiency(free)
+            return self.cluster.rank_free_by_temperature()
+        state = self.cluster.state
+        if (
+            self._ranked_cache is not None
+            and self._ranked_cache_version == state.free_version
+        ):
+            return self._ranked_cache
+        if self.config.power_aware_node_selection:
+            ranked = self.cluster.rank_free_by_efficiency()
         else:
-            ranked = free
-        return [n.node_id for n in ranked]
+            ranked = self.cluster.free_node_indices()
+        self._ranked_cache = ranked
+        self._ranked_cache_version = state.free_version
+        return ranked
 
     def _choose_node_count(self, job: Job, free_count: int) -> Optional[int]:
         """Node count to start the job with (moldable jobs shrink to fit)."""
@@ -624,8 +585,7 @@ class PowerAwareScheduler:
         ranked = self._ranked_free_indices()
         if len(ranked) < count:
             return None
-        chosen = ranked[:count]
-        indices = tuple(chosen.tolist() if isinstance(chosen, np.ndarray) else chosen)
+        indices = tuple(ranked[:count].tolist())
         spec = self.cluster.spec.node
         budget = self.policies.job_budget_w(
             job_nodes=count,
@@ -747,15 +707,15 @@ class PowerAwareScheduler:
 
     # repro-lint: hot
     def _request_schedule(self) -> None:
-        """Run a pass for the current timestamp, inline, under both drivers.
+        """Run a pass for the current timestamp, inline.
 
         Completion-triggered passes deliberately stay per-trigger: node
         selection ranks the free pool at pass time, so batching two
         same-instant completions into one pass is decision-*visible*
         (the second job's nodes would join the pool before the first
         pass ranked it — runtime floors make simultaneous finishes
-        real).  Per-trigger inline passes make the event driver's call
-        sequence exactly the interval compat mode's, so parity holds
+        real).  Per-trigger inline passes make the call sequence exactly
+        the tick reference's in tests/oracles.py, so parity holds
         structurally.  Same-timestamp triggers that ARE decision-neutral
         coalesce upstream instead: arrival batches run one pass per
         timestamp (:meth:`_arrival_process`), and tickless mutations
@@ -765,16 +725,16 @@ class PowerAwareScheduler:
         self._schedule()
 
     def _request_grid_pass(self) -> None:
-        """Arm a pass at the next scheduler tick-grid time (event driver).
+        """Arm a pass at the next scheduling-grid time.
 
         Mutations that no event follows — a pending-job cancel, a
-        corridor reclaim freeing nodes — were historically picked up by
-        the next interval tick.  The event driver replicates exactly that
-        timestamp: the grid is advanced with the same float accumulation
-        the tick loop uses, so the deferred pass makes bit-identical
-        decisions at bit-identical times.
+        corridor reclaim freeing nodes — get their pass deferred to the
+        scheduling grid, so decisions match the tick reference in
+        tests/oracles.py: the grid is advanced with the same float
+        accumulation as a fixed-tick loop, so the deferred pass makes
+        bit-identical decisions at bit-identical times.
         """
-        if self.config.driver == "interval" or self._grid_pass_armed:
+        if self._grid_pass_armed:
             return
         if self._sched_grid is None:
             # Driver not started yet: the start()-time pass covers it.
@@ -785,13 +745,6 @@ class PowerAwareScheduler:
         while grid <= now:
             grid = grid + interval
         self._sched_grid = grid
-        if (
-            self.config.max_simulated_time_s is not None
-            and grid > self.config.max_simulated_time_s
-        ):
-            # The interval loop would have stopped ticking before this
-            # grid point; stay faithful to that.
-            return
         self._grid_pass_armed = True
         self.env.timeout(grid - now).callbacks.append(self._fire_grid_pass)
 
@@ -807,39 +760,14 @@ class PowerAwareScheduler:
     def _shadow_time(self, head: Job) -> float:
         """Estimated earliest start of the head job (its reservation time).
 
-        The vectorized path reads the incrementally maintained
-        :class:`NodeAvailabilityProfile` (one cumulative sum); the scalar
-        reference path re-sorts the running set per call.  Cancelled jobs
-        stay in ``self.running`` (and in the profile) until the simulator
-        actually unwinds and their nodes are reclaimed, so pending
-        releases are never undercounted.
+        Reads the incrementally maintained :class:`NodeAvailabilityProfile`
+        (one cumulative sum).  Cancelled jobs stay in ``self.running``
+        (and in the profile) until the simulator actually unwinds and
+        their nodes are reclaimed, and quarantined nodes are entries too,
+        so pending releases are never undercounted.
         """
         needed = min(head.request.acceptable_node_counts() or [head.request.nodes_requested])
-        free = self._free_count()
-        if self.config.vectorized:
-            return self._availability.earliest_start(needed, free, self.env.now)
-        if free >= needed:
-            return self.env.now
-        releases = sorted(
-            [
-                (
-                    (job.start_time_s or self.env.now) + job.request.walltime_estimate_s,
-                    # The owned-node ledger tracks malleable grow/shrink; the
-                    # launch snapshot (assigned_nodes) does not.
-                    len(self._owned_nodes.get(job.job_id, job.assigned_nodes)),
-                )
-                for job in self.running.values()
-            ]
-            # Quarantined nodes free up at their repair time; the
-            # vectorized path reads these from the availability profile.
-            + [(release_s, 1) for release_s in self.quarantined.values()]
-        )
-        available = free
-        for when, count in releases:
-            available += count
-            if available >= needed:
-                return max(when, self.env.now)
-        return self.env.now + PESSIMISTIC_SHADOW_S  # pessimistic: nothing frees up soon
+        return self._availability.earliest_start(needed, self._free_count(), self.env.now)
 
     # -- launching -----------------------------------------------------------------------------
     def _default_runtime(self, job: Job, budget_w: Optional[float]) -> RuntimeHooks:
@@ -1079,9 +1007,8 @@ class PowerAwareScheduler:
             self.queue.remove(job)
             job.mark_cancelled(self.env.now)
             self._finished_count += 1
-            # A pending cancel can unblock the FCFS head.  The interval
-            # driver picks that up at its next tick; the event driver arms
-            # a pass at that same grid time.
+            # A pending cancel can unblock the FCFS head; the pass that
+            # notices it runs at the next scheduling-grid time.
             self._request_grid_pass()
         elif job.state is JobState.RUNNING:
             sim = self._sims.get(job_id)

@@ -84,7 +84,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             'per line, e.g. {"op":"service.describe"}; exit with "quit".',
             file=sys.stderr,
         )
-    run_stream(service, sys.stdin, sys.stdout, prompt="> " if interactive else "")
+    try:
+        run_stream(service, sys.stdin, sys.stdout, prompt="> " if interactive else "")
+    finally:
+        service.close()
     return 0
 
 

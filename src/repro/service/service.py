@@ -48,7 +48,7 @@ from repro.apps.stream import DgemmKernel, StreamTriad
 from repro.core.objectives import PENALTY_OBJECTIVE
 from repro.core.search.base import SearchAlgorithm, make_search
 from repro.core.space import ParameterSpace
-from repro.core.tuner import BatchAutotuner
+from repro.core.tuner import Autotuner
 from repro.experiments.campaign import Campaign
 from repro.experiments.registry import build_scenario, list_use_cases
 from repro.experiments.shared import make_cluster
@@ -85,7 +85,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# served evaluators (for tuning.run, which drives a BatchAutotuner here)
+# served evaluators (for tuning.run, which drives an Autotuner here)
 # ---------------------------------------------------------------------------
 def quadratic_evaluator(config: Mapping[str, Any]) -> Dict[str, float]:
     """Sum of squared distances of numeric parameters from 1.0."""
@@ -410,6 +410,13 @@ class StackService:
         #: One facade, many tenants: dispatch is serialised, so concurrent
         #: clients (threads, a real server front-end) can share the service.
         self._lock = threading.RLock()
+
+    def close(self) -> None:
+        """Detach the database's write-ahead journal, if any, and close it."""
+        with self._lock:
+            journal = self.database.detach_journal()
+            if journal is not None:
+                journal.close()
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, request: Request) -> Response:
@@ -1134,7 +1141,7 @@ class StackService:
         configs: List[Dict[str, Any]] = []
         if not state.search.is_exhausted():
             # Forbidden combinations are rejected service-side without
-            # spending client evaluations — mirroring BatchAutotuner.
+            # spending client evaluations — mirroring Autotuner.
             for config in state.search.ask_batch(count):
                 config = state.space.validate(config)
                 if state.space.is_allowed(config):
@@ -1241,7 +1248,7 @@ class StackService:
         if seed is None:
             seed = int(session.streams.stream(f"tuning-run:{run_id}").integers(0, 2**31 - 1))
         try:
-            tuner = BatchAutotuner(
+            tuner = Autotuner(
                 space,
                 fn,
                 batch_size=int(batch_size),
@@ -1480,9 +1487,7 @@ class StackService:
             ) from error
         # SnapshotCorruptError (unrecoverable config corruption) propagates
         # and maps to SVC_RET_SNAPSHOT_CORRUPT in handle().
-        old_journal = self.database.detach_journal()
-        if old_journal is not None:
-            old_journal.close()
+        self.close()
         self.database = recovered
         for open_session in self._sessions.values():
             for state in open_session.tuners.values():

@@ -2,15 +2,16 @@
 
 Covers the batch ask/tell protocol of every registered search algorithm
 (determinism under a fixed seed, validity of proposals), the
-BatchAutotuner's equivalence to the sequential Autotuner at batch size
-1, evaluation memoization, thread-pool evaluation, the vectorized
-ParameterSpace batch APIs, and the O(1) running best of the performance
-database.
+Autotuner's equivalence at batch size 1 to the one-at-a-time reference
+loop (``oracles.sequential_autotune``), evaluation memoization,
+thread-pool evaluation, the vectorized ParameterSpace batch APIs, and
+the O(1) running best of the performance database.
 """
 
 import numpy as np
 import pytest
 
+from oracles import sequential_autotune
 from repro.core.constraints import ConstraintSet, ForbiddenCombination, MetricConstraint
 from repro.core.cotuner import CoTuner
 from repro.core.parameters import (
@@ -19,11 +20,10 @@ from repro.core.parameters import (
     IntegerParameter,
     OrdinalParameter,
 )
-from repro.core.search.base import SEARCH_REGISTRY, make_search
+from repro.core.search.base import SEARCH_REGISTRY, SearchAlgorithm, make_search
 from repro.core.space import ParameterSpace
 from repro.core.tuner import (
     Autotuner,
-    BatchAutotuner,
     EvaluationCache,
     ProcessExecutor,
     SerialExecutor,
@@ -126,35 +126,93 @@ def test_genetic_ask_batch_breeds_from_population():
     assert len(search._population) <= 6
 
 
-# -- BatchAutotuner ----------------------------------------------------------------------
+# -- Autotuner ---------------------------------------------------------------------------
+
+
+class UnfilteredSearch(SearchAlgorithm):
+    """Uniform proposals that ignore the space's constraints.
+
+    Every built-in search filters forbidden combinations itself, so only
+    a search like this one reaches the tuner's rejection branch.
+    """
+
+    name = "unfiltered"
+
+    def ask(self):
+        return {param.name: param.sample(self.rng) for param in self.space.parameters()}
+
+
+def hostile_space():
+    """``make_space`` with x == 64 forbidden: 72 of its 84 points allowed."""
+    space = make_space()
+    space.add_constraint(
+        ForbiddenCombination(
+            predicate=lambda cfg: cfg["x"] == 64, description="no x=64", required_keys=("x",)
+        )
+    )
+    return space
+
+
+def raising_evaluator(config):
+    if config["algo"] == "c" and config["y"] >= 0.4:
+        raise RuntimeError("deterministic failure")
+    return evaluator(config)
+
+
+def assert_reproduces_reference(make_tuner):
+    """``make_tuner().run`` equals ``sequential_autotune(make_tuner())``:
+    records, callback pairs, search history and every result field."""
+    reference_calls, calls = [], []
+    reference_tuner, tuner = make_tuner(), make_tuner()
+    reference = sequential_autotune(
+        reference_tuner, callback=lambda i, r: reference_calls.append((i, r.to_dict()))
+    )
+    result = tuner.run(callback=lambda i, r: calls.append((i, r.to_dict())))
+    assert [r.to_dict() for r in result.database] == [
+        r.to_dict() for r in reference.database
+    ]
+    assert calls == reference_calls
+    assert tuner.search.history == reference_tuner.search.history
+    for field in ("best_config", "best_metrics", "best_objective", "evaluations",
+                  "objective_name", "infeasible_evaluations", "failed_evaluations",
+                  "convergence", "cache_hits", "cache_misses", "retried_evaluations",
+                  "recovered_evaluations"):
+        assert getattr(result, field) == getattr(reference, field), field
+    return result
 
 
 @pytest.mark.parametrize("name", ALL_SEARCHES)
 def test_batch_size_one_reproduces_sequential_autotuner(name):
-    sequential = Autotuner(
-        make_space(), evaluator, search=name, max_evals=25, seed=7
-    ).run()
-    batch_one = BatchAutotuner(
-        make_space(),
-        evaluator,
-        search=name,
-        max_evals=25,
-        seed=7,
-        batch_size=1,
-        executor="serial",
-        cache_evaluations=False,
-    ).run()
-    assert [r.to_dict() for r in sequential.database] == [
-        r.to_dict() for r in batch_one.database
-    ]
-    assert sequential.convergence == batch_one.convergence
-    assert sequential.best_config == batch_one.best_config
-    assert sequential.best_objective == batch_one.best_objective
+    assert_reproduces_reference(
+        lambda: Autotuner(make_space(), evaluator, search=name, max_evals=25, seed=7)
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SEARCHES + ["unfiltered"])
+def test_batch_size_one_reproduces_sequential_autotuner_on_hostile_runs(name):
+    """Forbidden proposals, raising evaluations, infeasible records and
+    more evaluations than the 72 allowed configurations."""
+
+    def make_tuner():
+        space = hostile_space()
+        search = UnfilteredSearch(space, seed=5) if name == "unfiltered" else name
+        return Autotuner(
+            space, raising_evaluator, search=search, max_evals=80, seed=5,
+            constraints=ConstraintSet().add(MetricConstraint(metric="runtime_s", upper=3.0)),
+        )
+
+    result = assert_reproduces_reference(make_tuner)
+    assert result.failed_evaluations > 0
+    assert result.infeasible_evaluations > result.failed_evaluations
+    if name == "grid":
+        assert result.evaluations == 72  # the grid ran out before max_evals
+    if name == "unfiltered":
+        assert result.evaluations < 80  # forbidden proposals spent ask slots
 
 
 def test_batch_autotuner_respects_max_evals_and_orders_records():
     seen = []
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(), evaluator, search="random", max_evals=50, seed=0, batch_size=16
     )
     result = tuner.run(callback=lambda index, record: seen.append(index))
@@ -170,7 +228,7 @@ def test_batch_autotuner_memoizes_repeated_configs():
         calls.append(dict(config))
         return evaluator(config)
 
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(),
         counting,
         search="random",
@@ -196,7 +254,7 @@ def test_batch_autotuner_caches_failures_too():
         calls.append(dict(config))
         raise RuntimeError("deterministic failure")
 
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(),
         failing,
         search="random",
@@ -211,11 +269,11 @@ def test_batch_autotuner_caches_failures_too():
 
 
 def test_batch_autotuner_threadpool_matches_serial():
-    serial = BatchAutotuner(
+    serial = Autotuner(
         make_space(), evaluator, search="random", max_evals=60, seed=4,
         batch_size=12, executor="serial", cache_evaluations=False,
     ).run()
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(), evaluator, search="random", max_evals=60, seed=4,
         batch_size=12, executor="thread", max_workers=4, cache_evaluations=False,
     )
@@ -226,11 +284,11 @@ def test_batch_autotuner_threadpool_matches_serial():
 
 
 def test_batch_autotuner_processpool_matches_serial():
-    serial = BatchAutotuner(
+    serial = Autotuner(
         make_space(), evaluator, search="random", max_evals=60, seed=4,
         batch_size=12, executor="serial", cache_evaluations=False,
     ).run()
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(), evaluator, search="random", max_evals=60, seed=4,
         batch_size=12, executor="process", max_workers=2, cache_evaluations=False,
     )
@@ -247,7 +305,7 @@ def _failing_evaluator(config):
 
 
 def test_processpool_converts_worker_exceptions_to_failures():
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         make_space(), _failing_evaluator, search="random", max_evals=40, seed=7,
         batch_size=8, executor="process", max_workers=2,
     )
@@ -263,7 +321,7 @@ def test_processpool_converts_worker_exceptions_to_failures():
 
 def test_processpool_rejects_unpicklable_evaluator():
     with pytest.raises(TypeError):
-        BatchAutotuner(
+        Autotuner(
             make_space(),
             lambda config: {"runtime_s": 1.0},
             search="random",
@@ -284,7 +342,9 @@ def test_cotuner_process_executor_passthrough():
         executor="process",
         max_workers=2,
     )
-    assert isinstance(cotuner._autotuner, BatchAutotuner)
+    tuner = cotuner._autotuner
+    assert tuner.batch_size == 3 and tuner.cache is None
+    assert isinstance(tuner.executor, ProcessExecutor) and tuner.executor.max_workers == 2
     result = cotuner.run()
     cotuner.close()
     assert result.best_by_layer["runtime"]["cap"] == 300
@@ -314,7 +374,7 @@ def test_batch_autotuner_constraint_rejections_do_not_evaluate():
     # grid search which walks the raw cartesian grid... it also filters.
     # Instead drive an infeasibility constraint on metrics.
     constraints = ConstraintSet().add(MetricConstraint(metric="runtime_s", upper=2.0))
-    result = BatchAutotuner(
+    result = Autotuner(
         space, counting, search="random", max_evals=40, seed=2,
         batch_size=8, constraints=constraints,
     ).run()
@@ -367,7 +427,9 @@ def test_cotuner_batched_engine_matches_layers():
         batch_size=4,
         cache_evaluations=True,
     )
-    assert isinstance(cotuner._autotuner, BatchAutotuner)
+    tuner = cotuner._autotuner
+    assert tuner.batch_size == 4 and isinstance(tuner.executor, SerialExecutor)
+    assert isinstance(tuner.cache, EvaluationCache)
     result = cotuner.run()
     cotuner.close()
     assert result.best_objective == pytest.approx(7.0)

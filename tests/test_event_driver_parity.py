@@ -1,18 +1,19 @@
-"""Decision parity: event-driven driver == interval-driven driver.
+"""Decision parity: the event-driven scheduler == the fixed-tick reference.
 
-The PR-9 event engine (idle fast-forward, coalesced passes, suspended
+The event engine (idle fast-forward, coalesced passes, suspended
 monitor, O(schedulable) sweeps) is a pure *when-to-wake* optimization:
 for any workload it must produce bit-identical scheduling decisions —
 per-job start times, node assignments, terminal states — and identical
-aggregate stats to the historical interval ticker.  This suite pins
-that equivalence across the scenarios that stress different wakeup
-sources: FCFS/EASY contention, mid-flight cancels, injected node
+aggregate stats to the interval ticker kept in ``oracles.py``.  This
+suite pins that equivalence across the scenarios that stress different
+wakeup sources: FCFS/EASY contention, mid-flight cancels, injected node
 crashes with requeue, and binding power budgets.
 """
 
 import numpy as np
 import pytest
 
+from oracles import IntervalDriverScheduler
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest
 from repro.apps.mpi import RuntimeHooks
@@ -25,11 +26,9 @@ from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.workloads.synth import synthesize_replay_trace
 
-DRIVERS = ("event", "interval")
-
 
 def build_scheduler(
-    driver,
+    scheduler_cls=PowerAwareScheduler,
     n_nodes=32,
     seed=11,
     budget_fraction=None,
@@ -46,8 +45,8 @@ def build_scheduler(
         config_kwargs.setdefault(
             "runtime_factory", lambda job, budget_w, sched: RuntimeHooks()
         )
-    config = SchedulerConfig(driver=driver, vectorized=True, **config_kwargs)
-    return PowerAwareScheduler(env, cluster, policies, config, RandomStreams(seed))
+    config = SchedulerConfig(**config_kwargs)
+    return scheduler_cls(env, cluster, policies, config, RandomStreams(seed))
 
 
 def decisions(scheduler):
@@ -107,8 +106,8 @@ def physics_trace(n_jobs=24, seed=9):
     return requests
 
 
-def run_driver(driver, requests, before_run=None, inject=None, **build_kwargs):
-    scheduler = build_scheduler(driver, **build_kwargs)
+def run_driver(scheduler_cls, requests, before_run=None, inject=None, **build_kwargs):
+    scheduler = build_scheduler(scheduler_cls, **build_kwargs)
     scheduler.submit_trace(requests)
     if before_run is not None:
         before_run(scheduler)
@@ -121,17 +120,17 @@ def run_driver(driver, requests, before_run=None, inject=None, **build_kwargs):
 
 
 def assert_driver_parity(requests, before_run=None, profile=None, **build_kwargs):
-    results = {}
-    for driver in DRIVERS:
-        inject = get_profile(profile, seed=7) if profile else None
-        results[driver] = run_driver(
-            driver, list(requests), before_run=before_run, inject=inject,
+    results = [
+        run_driver(
+            scheduler_cls, list(requests), before_run=before_run,
+            inject=get_profile(profile, seed=7) if profile else None,
             **build_kwargs,
         )
-    sched_e, stats_e = results["event"]
-    sched_i, stats_i = results["interval"]
+        for scheduler_cls in (PowerAwareScheduler, IntervalDriverScheduler)
+    ]
+    (sched_e, stats_e), (sched_i, stats_i) = results
     assert fingerprint(sched_e, stats_e) == fingerprint(sched_i, stats_i)
-    return results["event"]
+    return results[0]
 
 
 def test_fcfs_easy_parity_on_contended_replay_trace():
@@ -198,7 +197,7 @@ def test_parity_under_binding_power_budget():
     assert stats.jobs_completed == 80
     # The budget actually binds: the capped run schedules differently
     # from an uncapped one (power admission, not node supply, gated it).
-    uncapped, _ = run_driver("event", list(trace))
+    uncapped, _ = run_driver(PowerAwareScheduler, list(trace))
     assert decisions(scheduler) != decisions(uncapped)
 
 
@@ -224,7 +223,7 @@ def gapped_trace():
 def test_event_monitor_suspends_while_idle():
     """Satellite: the monitor parks during idle spells instead of ticking."""
     trace = gapped_trace()
-    scheduler = build_scheduler("event", monitor_interval_s=5.0)
+    scheduler = build_scheduler(monitor_interval_s=5.0)
     scheduler.submit_trace(list(trace))
     scheduler.start()
     scheduler.env.run(until=5_000.0)  # mid-gap: nothing runs
@@ -235,13 +234,13 @@ def test_event_monitor_suspends_while_idle():
 
 
 def test_idle_fast_forward_saves_wakeups_but_not_samples():
-    """The gap costs the interval driver thousands of DES events; the
+    """The gap costs the tick reference thousands of DES events; the
     event driver skips them while reproducing the identical sampling
-    grid (catch-up replays owed samples at their historical stamps)."""
+    grid (catch-up replays owed samples at their grid stamps)."""
     trace = gapped_trace()
-    event_sched, event_stats = run_driver("event", list(trace),
+    event_sched, event_stats = run_driver(PowerAwareScheduler, list(trace),
                                           monitor_interval_s=5.0)
-    interval_sched, interval_stats = run_driver("interval", list(trace),
+    interval_sched, interval_stats = run_driver(IntervalDriverScheduler, list(trace),
                                                 monitor_interval_s=5.0)
     assert fingerprint(event_sched, event_stats) == \
         fingerprint(interval_sched, interval_stats)

@@ -8,10 +8,11 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import ScalarScheduler
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest
 from repro.core.space import ParameterSpace
-from repro.core.tuner import BatchAutotuner
+from repro.core.tuner import Autotuner
 from repro.faults import injector as faults
 from repro.faults.conformance import (
     assert_scheduler_invariants,
@@ -58,12 +59,11 @@ def request(job_id, nodes=2, arrival=0.0, walltime=300.0, app=None):
     )
 
 
-def run_chaos_schedule(profile, seed=3, vectorized=False, n_jobs=8, n_nodes=8):
+def run_chaos_schedule(profile, seed=3, scheduler_cls=PowerAwareScheduler, n_jobs=8,
+                       n_nodes=8):
     env = Environment()
     cluster = Cluster(ClusterSpec(n_nodes=n_nodes), seed=seed)
-    sched = PowerAwareScheduler(
-        env, cluster, config=SchedulerConfig(vectorized=vectorized)
-    )
+    sched = scheduler_cls(env, cluster, config=SchedulerConfig())
     with faults.injected(get_profile(profile, seed=seed)) as inj:
         sched.submit_trace(
             [request(f"j{i}", nodes=2, arrival=5.0 * i) for i in range(n_jobs)]
@@ -314,8 +314,10 @@ def test_chaos_schedule_replays_bit_identically():
 
 
 def test_chaos_vectorized_matches_scalar():
-    scalar, s_stats, _ = run_chaos_schedule("node-crash", seed=5, vectorized=False)
-    vector, v_stats, _ = run_chaos_schedule("node-crash", seed=5, vectorized=True)
+    scalar, s_stats, _ = run_chaos_schedule(
+        "node-crash", seed=5, scheduler_cls=ScalarScheduler
+    )
+    vector, v_stats, _ = run_chaos_schedule("node-crash", seed=5)
     assert s_stats.as_dict() == v_stats.as_dict()
     assert [
         (j.job_id, j.state.name, j.start_time_s, j.end_time_s)
@@ -405,7 +407,7 @@ def small_space():
 
 
 def test_tuner_retries_recover_transient_failures():
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         small_space(),
         FlakyEvaluator(failures=1),
         batch_size=3,
@@ -423,7 +425,7 @@ def test_tuner_retries_recover_transient_failures():
 
 
 def test_tuner_without_retries_records_failures():
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         small_space(),
         FlakyEvaluator(failures=1),
         batch_size=3,
@@ -439,9 +441,9 @@ def test_tuner_without_retries_records_failures():
 
 def test_tuner_retry_validation():
     with pytest.raises(ValueError):
-        BatchAutotuner(small_space(), lambda c: {"objective": 0.0}, max_retries=-1)
+        Autotuner(small_space(), lambda c: {"objective": 0.0}, max_retries=-1)
     with pytest.raises(ValueError):
-        BatchAutotuner(small_space(), lambda c: {"objective": 0.0}, retry_backoff_s=-1.0)
+        Autotuner(small_space(), lambda c: {"objective": 0.0}, retry_backoff_s=-1.0)
 
 
 def eval_square(config):
@@ -472,7 +474,7 @@ def test_chaotic_evaluator_pickles():
 
 def test_chaotic_evaluator_with_tuner_retries():
     plan = get_profile("straggler", seed=2)
-    tuner = BatchAutotuner(
+    tuner = Autotuner(
         small_space(),
         ChaoticEvaluator(eval_square, plan),
         batch_size=3,

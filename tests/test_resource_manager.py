@@ -163,6 +163,12 @@ def test_scheduler_runs_single_job_to_completion():
     assert scheduler.committed_power_w == pytest.approx(0.0)
 
 
+def test_scheduler_config_serves_only_the_event_driver():
+    assert SchedulerConfig().driver == "event"
+    with pytest.raises(ValueError, match="driver must be 'event'"):
+        SchedulerConfig(driver="interval")
+
+
 def test_scheduler_rejects_duplicate_job_ids():
     scheduler = build_scheduler()
     scheduler.submit(request("dup"))

@@ -14,13 +14,15 @@ Covers the PR-3 scheduler work:
   ``cancel()`` dropped the job from reservation accounting early, letting
   long backfills delay the head);
 * cancelled jobs never surface in ``scheduler.completed``;
-* the scalar (``vectorized=False``) and vectorized paths produce
-  bit-identical schedules and SchedulerStats on identical traces.
+* the scalar reference (``oracles.ScalarScheduler``) and the vectorized
+  scheduler produce bit-identical schedules and SchedulerStats on
+  identical traces.
 """
 
 import numpy as np
 import pytest
 
+from oracles import ScalarScheduler
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.lulesh import LuleshProxy
@@ -64,7 +66,8 @@ def request(job_id, nodes=1, arrival=0.0, walltime=600.0, app=None,
     )
 
 
-def build_scheduler(n_nodes=6, seed=3, vectorized=True, variation=None, **config_kwargs):
+def build_scheduler(n_nodes=6, seed=3, scheduler_cls=PowerAwareScheduler, variation=None,
+                    **config_kwargs):
     env = Environment()
     spec = ClusterSpec(n_nodes=n_nodes)
     if variation is not None:
@@ -73,10 +76,8 @@ def build_scheduler(n_nodes=6, seed=3, vectorized=True, variation=None, **config
     policies = SitePolicies(
         system_power_budget_w=cluster.total_tdp_w(), reserve_fraction=0.0
     )
-    config = SchedulerConfig(
-        scheduling_interval_s=5.0, vectorized=vectorized, **config_kwargs
-    )
-    return PowerAwareScheduler(env, cluster, policies, config, RandomStreams(1))
+    config = SchedulerConfig(scheduling_interval_s=5.0, **config_kwargs)
+    return scheduler_cls(env, cluster, policies, config, RandomStreams(1))
 
 
 # -- array twins --------------------------------------------------------------------
@@ -338,8 +339,8 @@ def test_property_head_never_starts_after_reservation(seed):
 # -- scalar vs vectorized parity -----------------------------------------------------
 
 
-def run_trace(vectorized: bool, n_jobs=18, seed=13):
-    scheduler = build_scheduler(n_nodes=12, seed=seed, vectorized=vectorized)
+def run_trace(scheduler_cls, n_jobs=18, seed=13):
+    scheduler = build_scheduler(n_nodes=12, seed=seed, scheduler_cls=scheduler_cls)
     jobs = WorkloadGenerator(
         RandomStreams(seed), mean_interarrival_s=20.0, max_nodes_per_job=4
     ).generate(n_jobs)
@@ -358,8 +359,8 @@ def run_trace(vectorized: bool, n_jobs=18, seed=13):
 
 
 def test_scalar_and_vectorized_paths_produce_identical_schedules():
-    schedule_vec, stats_vec, sched_vec = run_trace(vectorized=True)
-    schedule_sca, stats_sca, sched_sca = run_trace(vectorized=False)
+    schedule_vec, stats_vec, sched_vec = run_trace(PowerAwareScheduler)
+    schedule_sca, stats_sca, sched_sca = run_trace(ScalarScheduler)
     assert schedule_vec == schedule_sca  # bit-identical starts/ends/nodes
     assert sched_vec.backfilled_jobs == sched_sca.backfilled_jobs
     assert sched_vec.head_reservations == sched_sca.head_reservations

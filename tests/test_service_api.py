@@ -41,12 +41,27 @@ from repro.service import (
     ServiceErrorCode,
     StackService,
 )
+from repro.service.__main__ import main as service_main
 from repro.service.__main__ import run_stream
 from repro.telemetry import ShardedPerformanceDatabase
 
 
+#: Services built by the running test, closed when it ends.
+_BUILT = []
+
+
 def make_service(n_nodes=4, seed=1, n_shards=4, **kwargs) -> StackService:
-    return StackService(n_nodes=n_nodes, seed=seed, n_shards=n_shards, **kwargs)
+    service = StackService(n_nodes=n_nodes, seed=seed, n_shards=n_shards, **kwargs)
+    _BUILT.append(service)
+    return service
+
+
+@pytest.fixture(autouse=True)
+def close_built_services():
+    """Close every service the test built (a db.checkpoint journal stays open otherwise)."""
+    yield
+    while _BUILT:
+        _BUILT.pop().close()
 
 
 def rt(client: ServiceClient, op: str, session=None, **args) -> Response:
@@ -962,6 +977,27 @@ def test_run_stream_scripted_session():
     assert handled == 4
     assert [r.ok for r in lines] == [True, True, True, False]
     assert lines[-1].error_code == ServiceErrorCode.BAD_REQUEST.value
+
+
+def test_stdin_driver_closes_the_service_when_input_ends(monkeypatch, tmp_path):
+    """The journal a piped db.checkpoint attached is closed at end of input."""
+    journals = []
+    close = StackService.close
+
+    def recording_close(service):
+        journals.append(service.database.journal)
+        close(service)
+
+    monkeypatch.setattr(StackService, "close", recording_close)
+    checkpoint = {"op": "db.checkpoint", "session": "s0001-ops",
+                  "args": {"directory": str(tmp_path / "dur")}}
+    script = '{"op":"session.open","args":{"tenant":"ops","role":"administrator"}}\n'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script + json.dumps(checkpoint) + "\n"))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert service_main(["--nodes", "2"]) == 0
+    (journal,) = journals
+    assert journal is not None
+    assert all(segment.closed for segment in journal._segments)
 
 
 def test_client_raises_helper_and_context_manager():

@@ -13,14 +13,8 @@ import os
 
 import pytest
 
-from repro.service import Request, ServiceClient, ServiceErrorCode, StackService
-
-
-def make_service(**kwargs) -> StackService:
-    kwargs.setdefault("n_nodes", 4)
-    kwargs.setdefault("seed", 1)
-    kwargs.setdefault("n_shards", 4)
-    return StackService(**kwargs)
+from repro.service import Request, ServiceClient, ServiceErrorCode
+from test_service_api import close_built_services, make_service  # noqa: F401  (autouse)
 
 
 def _populate(client, session, n_evals=6):
@@ -91,6 +85,20 @@ def test_recover_replays_unchckpointed_tail(tmp_path):
     op = other.result("session.open", tenant="ops", role="administrator")["session"]
     recovered = other.call("db.recover", session=op, directory=root)
     assert recovered.ok and recovered.result["n_records"] == 6
+
+
+def test_close_detaches_and_closes_the_journal(tmp_path):
+    service = make_service()
+    client = ServiceClient(service)
+    session = client.result("session.open", tenant="acme", role="administrator")[
+        "session"
+    ]
+    assert client.call("db.checkpoint", session=session, directory=str(tmp_path)).ok
+    journal = service.database.journal
+    service.close()
+    assert service.database.journal is None
+    assert all(segment.closed for segment in journal._segments)
+    service.close()  # nothing left to close
 
 
 def test_checkpoint_requires_operator_role(tmp_path):

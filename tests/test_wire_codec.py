@@ -157,6 +157,7 @@ def test_every_command_answers_with_the_reference_encoding(monkeypatch):
         return json.loads(wire)["result"]
 
     all_ops = run_every_command(service, call)
+    service.close()
     assert answered == all_ops, sorted(all_ops - answered)
 
 

@@ -214,7 +214,7 @@ def run_schedule(requests):
     )
     scheduler = PowerAwareScheduler(
         env, cluster, policies,
-        SchedulerConfig(driver="event", vectorized=True), RandomStreams(5),
+        SchedulerConfig(), RandomStreams(5),
     )
     scheduler.submit_trace(list(requests))
     stats = scheduler.run_until_complete()

@@ -46,11 +46,14 @@ class TileableKernel(Application):
     ):
         if problem_n <= 0:
             raise ValueError("problem_n must be positive")
+        base_seconds = float(base_seconds)
+        if not 0.0 < base_seconds < math.inf:
+            raise ValueError("base_seconds must be finite and positive")
         self.problem_n = int(problem_n)
         self.datatype_bytes = int(datatype_bytes)
         self.l2_kib_per_core = int(l2_kib_per_core)
         self.n_iterations = int(n_iterations)
-        self.base_seconds = float(base_seconds)
+        self.base_seconds = base_seconds
 
     # -- tunable surface -------------------------------------------------------
     def parameter_space(self) -> Dict[str, Sequence[Any]]:

@@ -12,9 +12,10 @@ the knob settings is most restrictive, exactly like firmware does.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +33,19 @@ __all__ = ["PState", "CpuSpec", "PhaseExecution", "CpuPackage"]
 def _cached_pstates(spec: "CpuSpec") -> tuple["PState", ...]:
     """P-state table per SKU, shared across all packages of a cluster."""
     return tuple(spec.pstates())
+
+
+@lru_cache(maxsize=None)
+def _walk_table(spec: "CpuSpec") -> tuple:
+    """What every P-state walk on a SKU shares, built once per ``CpuSpec``:
+    the P-state frequencies high to low, their negations (ascending, for
+    ``bisect``), the one-entry ``freq_min`` fallback of a walk that no
+    P-state can start, and the SKU's ``power_model.sku_constants``."""
+    freqs = tuple(p.frequency_ghz for p in _cached_pstates(spec))
+    sku = pm.sku_constants(
+        spec.params, spec.freq_min_ghz, spec.uncore_min_ghz, spec.uncore_max_ghz
+    )
+    return freqs, tuple(-f for f in freqs), (spec.freq_min_ghz,), sku
 
 
 @dataclass(frozen=True)
@@ -153,9 +167,19 @@ class CpuPackage:
         )
 
         self._pstates = _cached_pstates(self.spec)
-        # Bind this package's cells: achievable turbo is scaled by
-        # manufacturing variation, knobs start at their firmware defaults.
-        state.pkg_max_freq_ghz[index] = self.spec.freq_max_ghz * self.variation.max_turbo_scale
+        self._table = _walk_table(self.spec)
+        # Achievable turbo is scaled by manufacturing variation.  The
+        # variation cells below are written here only, so the walk reads
+        # them as scalars bound here instead of from the state.  Plain
+        # floats, not a per-package tuple or object: those are allocations
+        # the garbage collector tracks, and a 512-node trace replay peaked
+        # 2-4.5 MB higher with them.
+        turbo = self._turbo_ghz = float(self.spec.freq_max_ghz * self.variation.max_turbo_scale)
+        self._freq_span_ghz = turbo - self.spec.freq_min_ghz
+        self._efficiency = self.variation.power_efficiency
+        self._leakage_extra = self.variation.leakage_scale - 1.0
+        # Bind this package's cells; knobs start at their firmware defaults.
+        state.pkg_max_freq_ghz[index] = turbo
         state.pkg_freq_target_ghz[index] = self.spec.freq_base_ghz
         state.pkg_uncore_ghz[index] = self.spec.uncore_max_ghz
         state.power_inputs_version += 1
@@ -203,12 +227,20 @@ class CpuPackage:
     # -- knob setters ----------------------------------------------------
     def clamp_frequency(self, freq_ghz: float) -> float:
         """Clamp a requested frequency to the nearest supported P-state."""
-        freq = min(max(freq_ghz, self.spec.freq_min_ghz), self.max_frequency_ghz)
-        limit = freq + 1e-9
-        for pstate in self._pstates:  # high to low
-            if pstate.frequency_ghz <= limit:
-                return pstate.frequency_ghz
-        return self._pstates[-1].frequency_ghz
+        freq = min(max(freq_ghz, self.spec.freq_min_ghz), self._turbo_ghz)
+        freqs = self._table[0]
+        index = self._first_at_or_below(freq + 1e-9)
+        return freqs[index] if index < len(freqs) else freqs[-1]
+
+    def _first_at_or_below(self, ceiling: float) -> int:
+        """Index of the first P-state (high to low) at or below ``ceiling``,
+        or the table's length when there is none."""
+        freqs, negated, _, _ = self._table
+        index = bisect_left(negated, -ceiling)
+        # A NaN ceiling bisects to the front, yet no P-state is at or below it.
+        if index < len(freqs) and not freqs[index] <= ceiling:
+            return len(freqs)
+        return index
 
     def set_frequency(self, freq_ghz: float) -> float:
         """Request a core frequency; returns the granted P-state frequency."""
@@ -241,9 +273,12 @@ class CpuPackage:
         active_cores: Optional[int] = None,
     ) -> float:
         """Package + DRAM power for a demand at a hypothetical setting (W)."""
+        state, index = self._state, self._index
         if freq_ghz is None:
-            freq_ghz = float(self._state.pkg_freq_target_ghz[self._index])
-        return self._first_fit(demand, (freq_ghz,), math.inf, uncore_ghz, active_cores)[1]
+            freq_ghz = float(state.pkg_freq_target_ghz[index])
+        if uncore_ghz is None:
+            uncore_ghz = float(state.pkg_uncore_ghz[index])
+        return self._walk(demand, (freq_ghz,), 0, math.inf, uncore_ghz, active_cores)[1]
 
     def idle_power_w(self) -> float:
         """Power drawn when no phase is executing.
@@ -261,59 +296,47 @@ class CpuPackage:
 
         Returns ``(frequency_ghz, was_capped, power_w)``, where ``power_w``
         is :meth:`power_at` at that frequency.  Mirrors RAPL behaviour:
-        firmware walks down the P-states until the running-average power
-        fits under the cap (or the minimum P-state is reached).
+        firmware walks down the P-states from the target until the
+        running-average power fits under the cap (or the minimum P-state
+        is reached); a target below every P-state runs at ``freq_min``.
         """
-        target = float(self._state.pkg_freq_target_ghz[self._index])
-        cap = float(self._state.pkg_power_cap_w[self._index])
-        ceiling = target + 1e-9
-        candidates = [p.frequency_ghz for p in self._pstates if p.frequency_ghz <= ceiling]
-        freq, power = self._first_fit(
-            demand, candidates or (self.spec.freq_min_ghz,), cap, None, active_cores
+        state, index = self._state, self._index
+        target = float(state.pkg_freq_target_ghz[index])
+        cap = float(state.pkg_power_cap_w[index])
+        freqs, _, floor, _ = self._table
+        start = self._first_at_or_below(target + 1e-9)
+        if start == len(freqs):
+            freqs, start = floor, 0
+        freq, power = self._walk(
+            demand, freqs, start, cap, float(state.pkg_uncore_ghz[index]), active_cores
         )
         return freq, not power <= cap + 1e-9 or freq < target - 1e-9, power
 
-    def _first_fit(
+    def _walk(
         self,
         demand: PhaseDemand,
-        freqs: Sequence[float],
+        freqs: Tuple[float, ...],
+        start: int,
         cap: float,
-        uncore_ghz: Optional[float],
+        uncore_ghz: float,
         active_cores: Optional[int],
     ) -> tuple[float, float]:
-        """The first of ``freqs`` (high to low) whose power fits under ``cap``.
-
-        Returns that frequency and its package + DRAM power, or the last
-        frequency and its power when none fits.  The frequency-independent
-        terms of the power model are computed once; each probe adds only
-        the core dynamic term.
-        """
-        spec, variation = self.spec, self.variation
-        state, index = self._state, self._index
-        params = spec.params
-        cores = spec.cores if active_cores is None else min(active_cores, spec.cores)
-        uncore = float(state.pkg_uncore_ghz[index]) if uncore_ghz is None else uncore_ghz
-        activity, p_uncore, p_static, p_dram = pm.frequency_independent_power(
+        """:func:`~repro.hardware.power_model.pstate_walk` at this package's
+        die temperature, with its SKU's and its own bound constants."""
+        cores = self.spec.cores
+        return pm.pstate_walk(
             demand,
-            uncore,
-            spec.uncore_min_ghz,
-            spec.uncore_max_ghz,
-            params,
-            temperature_c=self.thermal.temperature_c,
+            freqs,
+            start,
+            cap,
+            uncore_ghz,
+            cores if active_cores is None else min(active_cores, cores),
+            float(self._state.pkg_temperature_c[self._index]),
+            self._table[3],
+            self._freq_span_ghz,
+            self._efficiency,
+            self._leakage_extra,
         )
-        # Leakage variation applies to the static share only.
-        static_extra = p_static * (variation.leakage_scale - 1.0)
-        freq_min, freq_max = spec.freq_min_ghz, float(state.pkg_max_freq_ghz[index])
-        efficiency = variation.power_efficiency
-        limit = cap + 1e-9
-        for freq in freqs:
-            p_core = pm.core_dynamic_power(
-                freq, freq_min, freq_max, cores, activity, params, efficiency
-            )
-            power = p_core + p_uncore + p_static + p_dram + static_extra
-            if power <= limit:
-                break
-        return freq, power
 
     # repro-lint: hot
     def execute(
@@ -336,7 +359,7 @@ class CpuPackage:
 
         uncore = float(state.pkg_uncore_ghz[index])
         freq, capped, power = self.effective_frequency(demand, active_cores=threads)
-        duration = pm.phase_duration(
+        duration, ipc, flops = pm.phase_timing(
             demand,
             freq,
             uncore,
@@ -348,8 +371,6 @@ class CpuPackage:
         )
         power = min(power, max(float(state.pkg_power_cap_w[index]), spec.min_power_cap_w))
         energy = power * duration
-        ipc = pm.effective_ipc(demand, duration, freq, threads, ref_freq)
-        flops = pm.effective_flops(demand, duration)
 
         state.pkg_energy_j[index] += energy
         state.pkg_busy_seconds[index] += duration

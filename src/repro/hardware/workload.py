@@ -21,10 +21,18 @@ READEX/MERIC and Conductor-style runtimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
 __all__ = ["PhaseDemand"]
+
+
+def _checked_ref_seconds(seconds: float) -> float:
+    """``seconds`` if it is a finite duration >= 0; ValueError otherwise."""
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"ref_seconds must be finite and >= 0, got {seconds}")
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ class PhaseDemand:
     tags: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ref_seconds < 0:
-            raise ValueError(f"ref_seconds must be >= 0, got {self.ref_seconds}")
+        _checked_ref_seconds(self.ref_seconds)
         for attr in ("core_fraction", "memory_fraction", "comm_fraction"):
             value = getattr(self, attr)
             if not 0.0 <= value <= 1.0:
@@ -102,15 +109,21 @@ class PhaseDemand:
     @property
     def other_fraction(self) -> float:
         """Knob-insensitive residual fraction."""
-        return max(
-            0.0, 1.0 - self.core_fraction - self.memory_fraction - self.comm_fraction
-        )
+        other = 1.0 - self.core_fraction - self.memory_fraction - self.comm_fraction
+        return other if other > 0.0 else 0.0
 
     def scaled(self, factor: float) -> "PhaseDemand":
-        """Return a copy whose reference duration is multiplied by ``factor``."""
+        """Return a copy whose reference duration is multiplied by ``factor``.
+
+        The other fields (``tags`` the same object) are copied as they
+        are, so only the new duration is validated.
+        """
         if factor < 0:
             raise ValueError("factor must be >= 0")
-        return replace(self, ref_seconds=self.ref_seconds * factor)
+        ref_seconds = _checked_ref_seconds(self.ref_seconds * factor)
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), ref_seconds=ref_seconds)
+        return copy
 
     def with_tags(self, **tags: str) -> "PhaseDemand":
         merged = dict(self.tags)
@@ -126,8 +139,4 @@ class PhaseDemand:
         if threads < 1:
             raise ValueError("threads must be >= 1")
         s = self.serial_fraction
-
-        def time_at(n: int) -> float:
-            return s + (1.0 - s) / n
-
-        return time_at(threads) / time_at(self.ref_threads)
+        return (s + (1.0 - s) / threads) / (s + (1.0 - s) / self.ref_threads)

@@ -150,7 +150,7 @@ def _build_application(spec: Any) -> Application:
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return builder(**kwargs)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ServiceError(
             ServiceErrorCode.BAD_REQUEST, f"bad application spec for {kind!r}: {error}"
         ) from error

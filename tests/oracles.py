@@ -14,7 +14,11 @@ provably decision-identical:
   reservation on per-``Node`` lists and a per-call sort of the running
   set;
 * :func:`sequential_autotune` — one ``ask``/evaluate/``tell`` per
-  configuration.
+  configuration;
+* the scalar power-model functions (:func:`voltage_at_frequency` through
+  :func:`effective_flops`) — one small function per formula, which the
+  package pass (``power_model.pstate_walk`` and ``phase_timing``) folds
+  into one scalar pass with the same operations in the same order.
 
 Not collected by pytest (no ``test_`` prefix); ``benchmarks/conftest.py``
 puts this directory on ``sys.path`` so the benchmarks import it too.
@@ -29,11 +33,26 @@ import numpy as np
 
 from repro.core.objectives import PENALTY_OBJECTIVE
 from repro.core.tuner import Autotuner, TuningResult
+from repro.hardware.power_model import PowerModelParams, dram_power
+from repro.hardware.workload import PhaseDemand
 from repro.resource_manager.job import Job
 from repro.resource_manager.slurm import PESSIMISTIC_SHADOW_S, PowerAwareScheduler
 from repro.telemetry.database import EvaluationRecord
 
-__all__ = ["IntervalDriverScheduler", "ScalarScheduler", "sequential_autotune"]
+__all__ = [
+    "IntervalDriverScheduler",
+    "ScalarScheduler",
+    "sequential_autotune",
+    "voltage_at_frequency",
+    "core_dynamic_power",
+    "uncore_power",
+    "static_power",
+    "frequency_independent_power",
+    "package_power",
+    "phase_duration",
+    "effective_ipc",
+    "effective_flops",
+]
 
 
 class IntervalDriverScheduler(PowerAwareScheduler):
@@ -159,3 +178,190 @@ def sequential_autotune(
         failed_evaluations=failed,
         convergence=convergence,
     )
+
+
+# -- the scalar package power model, one function per formula ----------------
+
+
+def voltage_at_frequency(
+    freq_ghz: float, freq_min_ghz: float, freq_max_ghz: float, params: PowerModelParams
+) -> float:
+    """Operating voltage for a core frequency (linear V/f approximation)."""
+    if freq_max_ghz <= freq_min_ghz:
+        raise ValueError("freq_max must exceed freq_min")
+    frac = (freq_ghz - freq_min_ghz) / (freq_max_ghz - freq_min_ghz)
+    frac = min(max(frac, 0.0), 1.0)
+    return params.v_min + (params.v_max - params.v_min) * frac
+
+
+def core_dynamic_power(
+    freq_ghz: float,
+    freq_min_ghz: float,
+    freq_max_ghz: float,
+    active_cores: int,
+    activity_factor: float,
+    params: PowerModelParams,
+    efficiency_multiplier: float = 1.0,
+) -> float:
+    """Dynamic power of the active cores (W)."""
+    if active_cores < 0:
+        raise ValueError("active_cores must be >= 0")
+    volt = voltage_at_frequency(freq_ghz, freq_min_ghz, freq_max_ghz, params)
+    per_core = params.core_capacitance * activity_factor * volt * volt * freq_ghz
+    return float(per_core * active_cores * efficiency_multiplier)
+
+
+def uncore_power(
+    uncore_ghz: float,
+    uncore_min_ghz: float,
+    uncore_max_ghz: float,
+    dram_intensity: float,
+    params: PowerModelParams,
+) -> float:
+    """Uncore (mesh + LLC + memory controller) power (W)."""
+    if uncore_max_ghz <= uncore_min_ghz:
+        raise ValueError("uncore_max must exceed uncore_min")
+    frac = min(max((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0), 1.0)
+    utilization = 0.3 + 0.7 * min(max(dram_intensity, 0.0), 1.0)
+    dynamic = (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
+    return params.uncore_idle_power + dynamic
+
+
+def static_power(temperature_c: float, params: PowerModelParams) -> float:
+    """Leakage power, increasing with die temperature (W)."""
+    delta = temperature_c - params.ref_temperature
+    return params.static_power * max(0.2, 1.0 + params.leakage_temp_coeff * delta)
+
+
+def frequency_independent_power(
+    demand: PhaseDemand,
+    uncore_ghz: float,
+    uncore_min_ghz: float,
+    uncore_max_ghz: float,
+    params: PowerModelParams,
+    temperature_c: float | None = None,
+) -> tuple[float, float, float, float]:
+    """The terms of :func:`package_power` that do not depend on core frequency.
+
+    Returns ``(activity, p_uncore, p_static, p_dram)``: the core activity
+    factor to pass to :func:`core_dynamic_power`, and the uncore, static
+    and DRAM powers (W).  A P-state walk computes these once and only the
+    core term per probed frequency.
+
+    The core activity factor is weighted by how core-bound the phase is:
+    stall-heavy (memory/communication bound) phases keep cores busy
+    spinning or waiting at far lower switching activity.
+    """
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + demand.other_fraction * 0.4
+    )
+    activity = demand.activity_factor * busy_weight
+    p_uncore = uncore_power(
+        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
+    )
+    temp = params.ref_temperature if temperature_c is None else temperature_c
+    p_static = static_power(temp, params)
+    p_dram = dram_power(demand.dram_intensity, params)
+    return activity, p_uncore, p_static, p_dram
+
+
+def package_power(
+    demand: PhaseDemand,
+    freq_ghz: float,
+    uncore_ghz: float,
+    active_cores: int,
+    freq_min_ghz: float,
+    freq_max_ghz: float,
+    uncore_min_ghz: float,
+    uncore_max_ghz: float,
+    params: PowerModelParams,
+    efficiency_multiplier: float = 1.0,
+    temperature_c: float | None = None,
+) -> float:
+    """Total package power (core + uncore + static) plus DRAM power (W)."""
+    activity, p_uncore, p_static, p_dram = frequency_independent_power(
+        demand, uncore_ghz, uncore_min_ghz, uncore_max_ghz, params, temperature_c
+    )
+    p_core = core_dynamic_power(
+        freq_ghz,
+        freq_min_ghz,
+        freq_max_ghz,
+        active_cores,
+        activity,
+        params,
+        efficiency_multiplier,
+    )
+    return p_core + p_uncore + p_static + p_dram
+
+
+def phase_duration(
+    demand: PhaseDemand,
+    freq_ghz: float,
+    uncore_ghz: float,
+    threads: int,
+    ref_freq_ghz: float,
+    ref_uncore_ghz: float,
+    params: PowerModelParams,
+    comm_seconds_override: float | None = None,
+) -> float:
+    """Duration of a phase at the given operating point (seconds).
+
+    ``comm_seconds_override`` lets the MPI layer substitute the actual
+    (imbalance-dependent) communication time; when ``None`` the nominal
+    communication fraction of the reference duration is used.
+    """
+    if freq_ghz <= 0 or uncore_ghz <= 0:
+        raise ValueError("frequencies must be positive")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    thread_factor = demand.thread_scaling(threads)
+    base = demand.ref_seconds
+    core_time = base * demand.core_fraction * (ref_freq_ghz / freq_ghz) * thread_factor
+    mem_time = (
+        base
+        * demand.memory_fraction
+        * (ref_uncore_ghz / uncore_ghz) ** params.uncore_perf_exponent
+        * (0.5 + 0.5 * thread_factor)
+    )
+    other_time = base * demand.other_fraction
+    if comm_seconds_override is None:
+        comm_time = base * demand.comm_fraction
+    else:
+        comm_time = max(0.0, float(comm_seconds_override))
+    return core_time + mem_time + other_time + comm_time
+
+
+def effective_ipc(
+    demand: PhaseDemand,
+    duration_s: float,
+    freq_ghz: float,
+    threads: int,
+    ref_freq_ghz: float,
+) -> float:
+    """Average retired instructions per cycle per core over the phase.
+
+    The instruction count of the phase is fixed by the work, so IPC falls
+    when the duration stretches (e.g. stalled on memory at high core
+    frequency) and rises when the core-bound portion dominates.
+    """
+    if duration_s <= 0:
+        return 0.0
+    knob_sensitive = demand.core_fraction + demand.memory_fraction + demand.other_fraction
+    ref_busy = demand.ref_seconds * max(knob_sensitive, 1e-9)
+    instructions = demand.ops_per_cycle_ref * (ref_freq_ghz * 1e9) * ref_busy * demand.ref_threads
+    cycles = freq_ghz * 1e9 * duration_s * threads
+    if cycles <= 0:
+        return 0.0
+    return float(instructions / cycles)
+
+
+def effective_flops(demand: PhaseDemand, duration_s: float) -> float:
+    """Average useful FLOP/s over the phase."""
+    if duration_s <= 0:
+        return 0.0
+    useful_fraction = demand.core_fraction + demand.memory_fraction + demand.other_fraction
+    total_flops = demand.flops_per_second_ref * demand.ref_seconds * max(useful_fraction, 1e-9)
+    return float(total_flops / duration_s)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import effective_flops, effective_ipc, phase_duration
 from repro.apps.mpi import SPIN_DEMAND, busy_wait_power_w
 from repro.hardware import power_model as pm
 from repro.hardware.cpu import CpuPackage, CpuSpec
 from repro.hardware.node import Node, NodeSpec
+from repro.hardware.power_model import PowerModelParams
 from repro.hardware.state import ClusterState
 from repro.hardware.variation import VariationDraw
 from repro.hardware.workload import PhaseDemand
@@ -169,7 +171,8 @@ def test_temperature_rises_under_load():
 #
 # The package model's scalar path must reproduce this bit for bit: every
 # clamp through ``np.clip``, the whole power model re-evaluated for every
-# probed P-state, and the power recomputed after the walk.
+# probed P-state, the power recomputed after the walk, and the candidate
+# P-states rebuilt from the SKU on every call.
 
 
 def _ref_voltage(freq, freq_min, freq_max, params):
@@ -221,7 +224,9 @@ def _ref_power_at(pkg, demand, freq, active_cores=None):
 def _ref_effective_frequency(pkg, demand, active_cores=None):
     """``(freq, capped, probes)``: the list-building walk."""
     target, cap = pkg.frequency_ghz, pkg.power_cap_w
-    candidates = [p.frequency_ghz for p in pkg.pstates if p.frequency_ghz <= target + 1e-9]
+    candidates = [
+        p.frequency_ghz for p in pkg.spec.pstates() if p.frequency_ghz <= target + 1e-9
+    ]
     if not candidates:
         candidates = [pkg.spec.freq_min_ghz]
     for probes, freq in enumerate(candidates, start=1):
@@ -236,7 +241,7 @@ def _ref_execute(pkg, demand, threads, comm_seconds_override):
     threads = spec.cores if threads is None else min(int(threads), spec.cores)
     ref_freq = spec.freq_base_ghz
     freq, capped, _ = _ref_effective_frequency(pkg, demand, active_cores=threads)
-    duration = pm.phase_duration(
+    duration = phase_duration(
         demand, freq, pkg.uncore_ghz, threads, ref_freq, spec.uncore_max_ghz, spec.params,
         comm_seconds_override=comm_seconds_override,
     )
@@ -245,8 +250,8 @@ def _ref_execute(pkg, demand, threads, comm_seconds_override):
     return dict(
         demand=demand, duration_s=duration, power_w=power, energy_j=power * duration,
         frequency_ghz=freq, uncore_ghz=pkg.uncore_ghz, threads=threads,
-        ipc=pm.effective_ipc(demand, duration, freq, threads, ref_freq),
-        flops=pm.effective_flops(demand, duration), power_capped=capped,
+        ipc=effective_ipc(demand, duration, freq, threads, ref_freq),
+        flops=effective_flops(demand, duration), power_capped=capped,
     )
 
 
@@ -260,7 +265,7 @@ def _ref_busy_wait_power_w(node):
 
 def _ref_clamp_frequency(pkg, freq_ghz):
     freq = float(np.clip(freq_ghz, pkg.spec.freq_min_ghz, pkg.max_frequency_ghz))
-    freqs = np.array([p.frequency_ghz for p in pkg.pstates])
+    freqs = np.array([p.frequency_ghz for p in pkg.spec.pstates()])
     feasible = freqs[freqs <= freq + 1e-9]
     return float(freqs.min()) if feasible.size == 0 else float(feasible.max())
 
@@ -285,6 +290,45 @@ def demands(draw):
         dram_intensity=draw(st.floats(0.0, 1.0)),
         serial_fraction=draw(st.floats(0.0, 1.0)),
         ref_threads=draw(st.integers(1, 2 * SPEC.cores)),
+        tags=draw(st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2)),
+    )
+
+
+@st.composite
+def cpu_specs(draw):
+    """The default SKU, or one with its own P-state grid and power-model constants."""
+    if draw(st.booleans()):
+        return SPEC
+    freq_min = draw(st.floats(0.5, 1.6))
+    freq_max = draw(st.floats(freq_min + 0.5, 4.2))
+    uncore_min = draw(st.floats(0.8, 1.6))
+    tdp = draw(st.floats(90.0, 300.0))
+    v_min = draw(st.floats(0.5, 0.9))
+    params = PowerModelParams(
+        v_min=v_min,
+        v_max=draw(st.floats(v_min + 0.1, 1.4)),
+        core_capacitance=draw(st.floats(0.5, 6.0)),
+        static_power=draw(st.floats(0.0, 40.0)),
+        leakage_temp_coeff=draw(st.floats(0.0, 0.01)),
+        ref_temperature=draw(st.floats(40.0, 80.0)),
+        uncore_max_power=draw(st.floats(10.0, 40.0)),
+        uncore_idle_power=draw(st.floats(0.0, 10.0)),
+        dram_max_power=draw(st.floats(10.0, 50.0)),
+        dram_idle_power=draw(st.floats(0.0, 10.0)),
+        uncore_perf_exponent=draw(st.floats(0.3, 1.2)),
+    )
+    return CpuSpec(
+        model="probe",
+        cores=draw(st.integers(1, 64)),
+        freq_min_ghz=freq_min,
+        freq_base_ghz=draw(st.floats(freq_min, freq_max)),
+        freq_max_ghz=freq_max,
+        freq_step_ghz=draw(st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 0.3])),
+        uncore_min_ghz=uncore_min,
+        uncore_max_ghz=draw(st.floats(uncore_min + 0.2, 3.0)),
+        tdp_w=tdp,
+        min_power_cap_w=draw(st.floats(20.0, tdp)),
+        params=params,
     )
 
 
@@ -313,17 +357,21 @@ def _set_up(pkg, state, cell, target, uncore, cap, temperature):
     pkg.thermal.reset(temperature)
 
 
+def _fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    demand=demands(), variation=variations, cap=caps, target=targets, uncore=uncores,
-    temperature=temperatures, cores=core_counts,
+    spec=cpu_specs(), demand=demands(), variation=variations, cap=caps, target=targets,
+    uncore=uncores, temperature=temperatures, cores=core_counts,
     comm=st.one_of(st.none(), st.floats(-1.0, 5.0)),
 )
 def test_package_physics_matches_reference(
-    demand, variation, cap, target, uncore, temperature, cores, comm
+    spec, demand, variation, cap, target, uncore, temperature, cores, comm
 ):
     state = ClusterState(1, 1)
-    pkg = CpuPackage(SPEC, variation, state=state, index=(0, 0))
+    pkg = CpuPackage(spec, variation, state=state, index=(0, 0))
     _set_up(pkg, state, (0, 0), target, uncore, cap, temperature)
 
     freq, capped, power = pkg.effective_frequency(demand, active_cores=cores)
@@ -333,13 +381,81 @@ def test_package_physics_matches_reference(
     assert power == pkg.power_at(demand, freq_ghz=freq, active_cores=cores)
 
     expected = _ref_execute(pkg, demand, cores, comm)
-    twin = CpuPackage(SPEC, variation)
-    twin.thermal.reset(temperature)
-    expected["temperature_c"] = twin.thermal.advance(expected["power_w"], expected["duration_s"])
+    expected["temperature_c"] = _ref_temperature(pkg, temperature, expected)
     result = pkg.execute(demand, threads=cores, comm_seconds_override=comm)
-    assert {f.name: getattr(result, f.name) for f in dataclasses.fields(result)} == expected
+    assert _fields(result) == expected
     assert pkg.energy_j == expected["energy_j"]
     assert pkg.busy_seconds == expected["duration_s"]
+
+
+def _ref_temperature(pkg, temperature, expected):
+    """The die temperature after the expected phase, on a fresh package."""
+    twin = CpuPackage(pkg.spec, pkg.variation)
+    twin.thermal.reset(temperature)
+    return twin.thermal.advance(expected["power_w"], expected["duration_s"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=cpu_specs(), demand=demands(), variation=st.tuples(variations, variations),
+    cap=st.tuples(caps, caps), target=st.tuples(targets, targets),
+    uncore=st.tuples(uncores, uncores), temperature=st.tuples(temperatures, temperatures),
+    threads=st.one_of(st.none(), st.integers(-3, 4 * SPEC.cores)),
+    comm=st.one_of(st.none(), st.floats(-1.0, 5.0)),
+)
+def test_node_phase_matches_reference_aggregation(
+    spec, demand, variation, cap, target, uncore, temperature, threads, comm
+):
+    node = Node(NodeSpec(n_sockets=2, cpu=spec), variations=list(variation))
+    for i, pkg in enumerate(node.packages):
+        _set_up(pkg, node.cluster_state, (0, i), target[i], uncore[i], cap[i], temperature[i])
+    total = node.spec.total_cores if threads is None else max(1, min(threads, 2 * spec.cores))
+    expected = []
+    for pkg, start_temperature in zip(node.packages, temperature):
+        outcome = _ref_execute(pkg, demand, max(1, total // 2), comm)
+        outcome["temperature_c"] = _ref_temperature(pkg, start_temperature, outcome)
+        expected.append(outcome)
+
+    result = node.execute_phase(demand, threads=threads, comm_seconds_override=comm)
+    assert [_fields(execution) for execution in result.per_package] == expected
+    duration = max(e["duration_s"] for e in expected)
+    power = sum(e["power_w"] for e in expected) + node.spec.platform_power_w
+    assert _fields(result) == dict(
+        duration_s=duration,
+        power_w=power,
+        energy_j=power * duration,
+        frequency_ghz=min(e["frequency_ghz"] for e in expected),
+        ipc=sum(e["ipc"] for e in expected) / 2,
+        flops=sum(e["flops"] for e in expected),
+        power_capped=any(e["power_capped"] for e in expected),
+        per_package=result.per_package,
+    )
+    assert node.current_power_w == power
+    for i, outcome in enumerate(expected):
+        assert node.rapl.domain(f"package-{i}").total_energy_j() == outcome["energy_j"] * 0.8
+        assert node.rapl.domain(f"dram-{i}").total_energy_j() == outcome["energy_j"] * 0.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(demand=demands(), factor=st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e308)))
+def test_scaled_copies_like_dataclasses_replace(demand, factor):
+    try:
+        expected = dataclasses.replace(demand, ref_seconds=demand.ref_seconds * factor)
+    except ValueError:
+        with pytest.raises(ValueError):
+            demand.scaled(factor)
+        return
+    scaled = demand.scaled(factor)
+    assert type(scaled) is PhaseDemand
+    assert _fields(scaled) == _fields(expected)
+    assert scaled.tags is demand.tags
+
+
+def test_packages_of_one_sku_share_their_walk_table():
+    first = CpuPackage(CpuSpec())
+    second = CpuPackage(CpuSpec(), VariationDraw(1.2, 0.9, 1.3))
+    assert first._table is second._table
+    assert CpuPackage(CpuSpec(freq_step_ghz=0.2))._table is not first._table
 
 
 def _same(*values):
@@ -349,31 +465,32 @@ def _same(*values):
 
 @settings(max_examples=150, deadline=None)
 @given(
+    spec=cpu_specs(),
     variation=variations,
     request=st.one_of(st.none(), st.floats(-50.0, 500.0), st.just(float("nan"))),
 )
-def test_knob_setters_match_reference(variation, request):
-    pkg = CpuPackage(SPEC, variation)
+def test_knob_setters_match_reference(spec, variation, request):
+    pkg = CpuPackage(spec, variation)
     if request is not None:
         want = _ref_clamp_frequency(pkg, request)
         assert pkg.clamp_frequency(request) == want
         assert pkg.set_frequency(request) == pkg.frequency_ghz == want
-        want = float(np.clip(request, SPEC.uncore_min_ghz, SPEC.uncore_max_ghz))
+        want = float(np.clip(request, spec.uncore_min_ghz, spec.uncore_max_ghz))
         assert _same(pkg.set_uncore_frequency(request), pkg.uncore_ghz, want)
-    want = SPEC.tdp_w if request is None else float(
-        np.clip(request, SPEC.min_power_cap_w, SPEC.tdp_w)
+    want = spec.tdp_w if request is None else float(
+        np.clip(request, spec.min_power_cap_w, spec.tdp_w)
     )
     assert _same(pkg.set_power_cap(request), pkg.power_cap_w, want)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    variation=st.tuples(variations, variations), cap=st.tuples(caps, caps),
+    spec=cpu_specs(), variation=st.tuples(variations, variations), cap=st.tuples(caps, caps),
     target=st.tuples(targets, targets), uncore=st.tuples(uncores, uncores),
     temperature=st.tuples(temperatures, temperatures),
 )
-def test_busy_wait_power_matches_reference(variation, cap, target, uncore, temperature):
-    node = Node(NodeSpec(n_sockets=2, cpu=SPEC), variations=list(variation))
+def test_busy_wait_power_matches_reference(spec, variation, cap, target, uncore, temperature):
+    node = Node(NodeSpec(n_sockets=2, cpu=spec), variations=list(variation))
     for i, pkg in enumerate(node.packages):
         _set_up(pkg, node.cluster_state, (0, i), target[i], uncore[i], cap[i], temperature[i])
     assert busy_wait_power_w(node) == _ref_busy_wait_power_w(node)
@@ -393,39 +510,53 @@ def test_reference_walk_falls_back_below_lowest_pstate():
     assert pkg.execute(demand).power_w == pkg.power_cap_w
 
 
-# -- structure: one power-model pass per probe, no numpy on scalars -----------
+# -- structure: one P-state walk per power evaluation, no numpy on scalars ----
 
 
 @pytest.fixture
-def model_calls(monkeypatch):
-    calls = {"static_power": 0, "core_dynamic_power": 0}
-    for name in calls:
-        real = getattr(pm, name)
+def walks(monkeypatch):
+    """The ``(freqs, start, (freq, power))`` of every P-state walk."""
+    calls = []
+    real = pm.pstate_walk
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def recording(demand, freqs, start, *args):
+        result = real(demand, freqs, start, *args)
+        calls.append((freqs, start, result))
+        return result
 
-        monkeypatch.setattr(pm, name, counting)
+    monkeypatch.setattr(pm, "pstate_walk", recording)
     return calls
 
 
-def test_execute_evaluates_static_terms_once_and_core_term_per_probe(model_calls):
+def test_execute_evaluates_static_terms_once_and_core_term_per_probe(walks):
+    """One walk per ``execute`` and per ``power_at``: it computes the
+    frequency-independent terms once and the core term for each P-state it
+    probes, down to the first that fits.  No power is evaluated after it."""
     pkg = CpuPackage()
     pkg.set_frequency(pkg.spec.freq_max_ghz)
     pkg.set_power_cap(130.0)
     _, _, probes = _ref_effective_frequency(pkg, compute_demand(), active_cores=28)
     assert probes >= 3
-    model_calls.update(static_power=0, core_dynamic_power=0)
-    pkg.execute(compute_demand(), threads=28)
-    assert model_calls == {"static_power": 1, "core_dynamic_power": probes}
+    freq, _, power = pkg.effective_frequency(compute_demand(), active_cores=28)
+    walks.clear()
+    assert pkg.power_at(compute_demand(), freq_ghz=freq, active_cores=28) == power
+    assert [(freqs, start) for freqs, start, _ in walks] == [((freq,), 0)]
+    walks.clear()
+    result = pkg.execute(compute_demand(), threads=28)
+    [(freqs, start, walked)] = walks
+    assert walked == (freq, power)
+    assert freqs.index(freq) - start + 1 == probes
+    assert (result.frequency_ghz, result.power_w) == (freq, min(power, pkg.power_cap_w))
 
 
-def test_busy_wait_evaluates_static_terms_once_per_package(model_calls):
+def test_busy_wait_evaluates_static_terms_once_per_package(walks):
+    """One walk per package, and the node's draw is the sum of their powers."""
     node = Node(NodeSpec(n_sockets=2))
-    model_calls.update(static_power=0, core_dynamic_power=0)
-    busy_wait_power_w(node)
-    assert model_calls["static_power"] == 2
+    walks.clear()
+    total = busy_wait_power_w(node)
+    assert len(walks) == 2
+    (_, _, (_, first)), (_, _, (_, second)) = walks
+    assert total == node.spec.platform_power_w + first + second
 
 
 def test_scalar_path_never_calls_numpy_clip(monkeypatch):

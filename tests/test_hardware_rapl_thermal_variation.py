@@ -1,5 +1,7 @@
 """Tests for RAPL, thermal model, variation model and the GPU device."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,31 @@ def test_rapl_energy_counter_wraps():
     assert domain.wrap_count == 2
     assert 0 <= domain.read_energy_j() < ENERGY_COUNTER_WRAP_J
     assert domain.total_energy_j() == pytest.approx(ENERGY_COUNTER_WRAP_J * 2.5)
+
+
+def test_rapl_counter_takes_a_huge_addition_in_one_step():
+    """Subtracting the wrap value once per wrap never ends here: ``e - W == e``."""
+    domain = RaplDomain("package-0", 70.0, 205.0)
+    domain.accumulate_energy(1e22)
+    assert domain.wrap_count == int(1e22 // ENERGY_COUNTER_WRAP_J)
+    assert domain.read_energy_j() == math.fmod(1e22, ENERGY_COUNTER_WRAP_J)
+    with pytest.raises(ValueError):
+        domain.accumulate_energy(math.inf)
+    assert domain.wrap_count == int(1e22 // ENERGY_COUNTER_WRAP_J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(additions=st.lists(st.floats(0.0, 50 * ENERGY_COUNTER_WRAP_J), max_size=12))
+def test_property_rapl_wrap_matches_subtracting_once_per_wrap(additions):
+    domain = RaplDomain("package-0", 70.0, 205.0)
+    energy, wraps = 0.0, 0
+    for joules in additions:
+        domain.accumulate_energy(joules)
+        energy += joules
+        while energy >= ENERGY_COUNTER_WRAP_J:
+            energy -= ENERGY_COUNTER_WRAP_J
+            wraps += 1
+        assert (domain.read_energy_j(), domain.wrap_count) == (energy, wraps)
 
 
 def test_rapl_delta_handles_wrap():

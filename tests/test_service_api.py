@@ -1038,6 +1038,47 @@ def test_wire_survives_pathologically_nested_json():
     assert response.error_code == ServiceErrorCode.BAD_REQUEST.value
 
 
+@pytest.mark.parametrize(
+    "app",
+    [
+        # An integer field of 1e309 (inf) used to fail int() as SVC_RET_INTERNAL.
+        '{"kind":"stream","array_mib":1e309}',
+        '{"kind":"kernel","n_iterations":1e309}',
+        '{"kind":"lulesh","problem_size":1e309}',
+        # These used to be accepted: the job "completed" with a NaN end time,
+        # or failed mid-run and stayed "running".
+        '{"kind":"kernel","base_seconds":NaN}',
+        '{"kind":"kernel","base_seconds":1e309}',
+        '{"kind":"kernel","base_seconds":-4.0}',
+    ],
+    ids=[
+        "stream-array_mib-inf",
+        "kernel-n_iterations-inf",
+        "lulesh-problem_size-inf",
+        "kernel-base_seconds-nan",
+        "kernel-base_seconds-inf",
+        "kernel-base_seconds-negative",
+    ],
+)
+def test_jobs_submit_rejects_hostile_app_specs_over_the_wire(app):
+    service = make_service(n_nodes=2)
+    opened = Response.from_json(
+        service.handle_wire('{"op":"session.open","args":{"tenant":"acme","role":"runtime"}}')
+    )
+    session = opened.result["session"]
+    response = Response.from_json(
+        service.handle_wire(
+            '{"op":"jobs.submit","session":"%s","args":{"app":%s}}' % (session, app)
+        )
+    )
+    assert not response.ok
+    assert response.error_code == ServiceErrorCode.BAD_REQUEST.value
+    listed = Response.from_json(
+        service.handle_wire('{"op":"jobs.list","session":"%s"}' % session)
+    )
+    assert listed.ok and listed.result == []
+
+
 def test_run_stream_outlives_hostile_lines():
     """The REPL loop answers every hostile line and keeps serving."""
     service = make_service(n_nodes=2)

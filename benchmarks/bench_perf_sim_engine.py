@@ -2,19 +2,19 @@
 
 Every PowerStack evaluation replays a workload through the
 :mod:`repro.sim.engine` event loop, so events/sec bounds how fast the
-end-to-end tuner can go.  This microbenchmark drives the kernel with the
-mix the scheduler actually produces — timeout chains per actor, a
-periodic monitor, and fan-in ``AllOf`` conditions — and records
-events/sec into ``BENCH_perf.json``.  The ``__slots__`` layout of
-``Event``/``Timeout``/``Process``/``Condition``/``Environment`` keeps
-per-event allocation overhead down on exactly this path.
+end-to-end tuner can go.  This microbenchmark drives the kernel with
+timeout chains per actor, a periodic monitor, and a joiner process that
+yields each actor process in turn, and records events/sec into
+``BENCH_perf.json``.  The ``__slots__`` layout of
+``Event``/``Timeout``/``Process``/``Environment`` keeps per-event
+allocation overhead down on exactly this path.
 """
 
 import time
 
 from conftest import banner, record_perf, run_once
 
-from repro.sim.engine import AllOf, Environment
+from repro.sim.engine import Environment
 
 N_ACTORS = 200
 TIMEOUTS_PER_ACTOR = 250
@@ -35,13 +35,13 @@ def run_simulation():
 
     procs = [env.process(actor(i)) for i in range(N_ACTORS)]
     env.process(monitor())
-    env.process(iter_barrier(env, procs))
+    env.process(join(procs))
 
     t0 = time.perf_counter()
     env.run()
     elapsed = time.perf_counter() - t0
 
-    # Timeouts + per-process init/finish events + monitor ticks + the barrier.
+    # Timeouts + per-process init/finish events + monitor ticks + the join.
     events = N_ACTORS * (TIMEOUTS_PER_ACTOR + 2) + MONITOR_TICKS + 2
     return {
         "events": events,
@@ -51,15 +51,16 @@ def run_simulation():
     }
 
 
-def iter_barrier(env, procs):
-    yield AllOf(env, procs)
+def join(procs):
+    for proc in procs:
+        yield proc
 
 
 def test_perf_sim_engine_event_throughput(benchmark):
     stats = run_once(benchmark, run_simulation)
     banner(
         f"Perf: simulation kernel — {N_ACTORS} actors x {TIMEOUTS_PER_ACTOR} "
-        f"timeouts + monitor + AllOf barrier"
+        f"timeouts + monitor + join"
     )
     print(
         f"{stats['events']} events in {stats['elapsed_s']:.3f}s -> "

@@ -403,14 +403,6 @@ class MpiJobSimulator:
         return result
 
     # -- convenience -------------------------------------------------------------
-    def run_to_completion(self) -> JobResult:
-        """Run the job in a private environment and return the result.
-
-        This is the evaluation path used by the auto-tuners: each tuning
-        evaluation simulates one job standalone.
-        """
-        return self.env.run(self.env.process(self.run()))
-
     @staticmethod
     def evaluate(
         nodes: Sequence[Node],
@@ -418,7 +410,11 @@ class MpiJobSimulator:
         params: Optional[Mapping[str, Any]] = None,
         **kwargs: Any,
     ) -> JobResult:
-        """One-shot helper: build an environment, run the job, return results."""
+        """One-shot helper: build an environment, run the job, return results.
+
+        This is the evaluation path of the auto-tuners and use cases: each
+        evaluation simulates one job standalone.
+        """
         env = Environment()
         sim = MpiJobSimulator(env, nodes, application, params, **kwargs)
         return env.run(env.process(sim.run()))

@@ -1,13 +1,13 @@
 """The seven co-tuning use cases of §3.2, as runnable library functions.
 
-Each module registers its experiment with the
-:mod:`repro.experiments` campaign registry and exposes a thin
-``run_use_case(...)`` shim over the registered runner: it builds the
-relevant slice of the PowerStack, runs the experiment the paper
-describes, and returns a plain dictionary of results.  The benchmark
-harness (``benchmarks/bench_uc*.py``) and the integration tests call
-these functions; campaigns (``python -m repro.experiments``) run
-scenario×seed grids of them in parallel with columnar result capture.
+Each module defines one public runner, ``run_use_case(...)``, and
+registers it with the :mod:`repro.experiments` campaign registry: it
+builds the relevant slice of the PowerStack, runs the experiment the
+paper describes, and returns a plain dictionary of results.  The
+benchmark harness (``benchmarks/bench_uc*.py``) and the integration
+tests call these functions directly; campaigns
+(``python -m repro.experiments``) run scenario×seed grids of them
+through the registry, in parallel with columnar result capture.
 
 | module | paper section | layers co-tuned |
 |---|---|---|

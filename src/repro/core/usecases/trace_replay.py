@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.apps.mpi import RuntimeHooks
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.resource_manager.policies import SitePolicies
 from repro.resource_manager.slurm import PowerAwareScheduler, SchedulerConfig
@@ -50,7 +50,7 @@ def _bare_runtime(job, budget, scheduler) -> RuntimeHooks:
     objective_metric="stats.mean_wait_s",
     minimize=True,
 )
-def experiment(
+def run_use_case(
     seed: int = 1,
     n_nodes: int = 1024,
     workload: str = _DEFAULT_WORKLOAD,
@@ -82,23 +82,3 @@ def experiment(
         "sim_horizon_s": env.now,
         "stats": stats.as_dict(),
     }
-
-
-def run_use_case(
-    seed: int = 1,
-    n_nodes: int = 1024,
-    workload: str = _DEFAULT_WORKLOAD,
-    monitor_interval_s: float = 600.0,
-    backfill_depth: int = 100,
-    reserve_fraction: float = 0.0,
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``trace`` campaign runner."""
-    return run_registered(
-        "trace",
-        seed=seed,
-        n_nodes=n_nodes,
-        workload=workload,
-        monitor_interval_s=monitor_interval_s,
-        backfill_depth=backfill_depth,
-        reserve_fraction=reserve_fraction,
-    )

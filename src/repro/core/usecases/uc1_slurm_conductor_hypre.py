@@ -24,7 +24,7 @@ from repro.apps.mpi import MpiJobSimulator
 from repro.core.cotuner import CoTuner
 from repro.core.objectives import make_objective
 from repro.core.space import ParameterSpace
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import fresh_nodes, make_cluster
 from repro.hardware.cluster import Cluster
 from repro.runtime.conductor import ConductorRuntime
@@ -164,7 +164,7 @@ def cotune_hypre_conductor_rm(
     objective_metric="cotuned.best_metrics.throughput_jobs_per_hour",
     minimize=False,
 )
-def experiment(
+def run_use_case(
     n_nodes: int = 8,
     per_node_budget_w: Optional[float] = 280.0,
     max_evals: int = 25,
@@ -190,19 +190,3 @@ def experiment(
         "cotuned": cotuned,
         "per_node_budget_w": per_node_budget_w,
     }
-
-
-def run_use_case(
-    n_nodes: int = 8,
-    per_node_budget_w: Optional[float] = 280.0,
-    max_evals: int = 25,
-    seed: int = 1,
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc1`` campaign runner."""
-    return run_registered(
-        "uc1",
-        seed=seed,
-        n_nodes=n_nodes,
-        per_node_budget_w=per_node_budget_w,
-        max_evals=max_evals,
-    )

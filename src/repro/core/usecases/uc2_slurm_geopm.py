@@ -23,7 +23,7 @@ from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import WorkloadGenerator
 from repro.apps.mpi import MpiJobSimulator
 from repro.core.stack import PowerStack, PowerStackConfig
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.hardware.cluster import ClusterSpec
 from repro.resource_manager.policies import GeopmPolicyMode, SitePolicies
@@ -143,7 +143,7 @@ def policy_mode_comparison(
     objective_metric="balancer_speedup_over_governor",
     minimize=False,
 )
-def experiment(
+def run_use_case(
     n_nodes: int = 4,
     per_node_budget_w: Optional[float] = 280.0,
     seed: int = 2,
@@ -174,21 +174,3 @@ def experiment(
     if include_policy_modes:
         result["policy_modes"] = policy_mode_comparison(seed=seed)
     return result
-
-
-def run_use_case(
-    n_nodes: int = 4,
-    per_node_budget_w: Optional[float] = 280.0,
-    seed: int = 2,
-    n_iterations: int = 20,
-    include_policy_modes: bool = True,
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc2`` campaign runner."""
-    return run_registered(
-        "uc2",
-        seed=seed,
-        n_nodes=n_nodes,
-        per_node_budget_w=per_node_budget_w,
-        n_iterations=n_iterations,
-        include_policy_modes=include_policy_modes,
-    )

@@ -20,7 +20,7 @@ from repro.compiler.plopper import Plopper
 from repro.core.constraints import ConstraintSet, MetricConstraint
 from repro.core.space import ParameterSpace
 from repro.core.tuner import Autotuner, TuningResult
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.sim.rng import RandomStreams
 
@@ -74,7 +74,7 @@ def tune_kernel(
     objective_metric="capped.best_objective",
     minimize=True,
 )
-def experiment(
+def run_use_case(
     max_evals: int = 30,
     seed: int = 4,
     node_power_cap_w: float = 240.0,
@@ -113,19 +113,3 @@ def experiment(
         "cross_evaluation": cross,
         "node_power_cap_w": node_power_cap_w,
     }
-
-
-def run_use_case(
-    max_evals: int = 30,
-    seed: int = 4,
-    node_power_cap_w: float = 240.0,
-    search: str = "forest",
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc3`` campaign runner."""
-    return run_registered(
-        "uc3",
-        seed=seed,
-        max_evals=max_evals,
-        node_power_cap_w=node_power_cap_w,
-        search=search,
-    )

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 from repro.apps.espreso import EspresoFeti
 from repro.apps.mpi import MpiJobSimulator
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import fresh_nodes, make_cluster
 from repro.hardware.cluster import Cluster
 from repro.runtime.meric import MericRuntime, RegionConfig
@@ -77,7 +77,7 @@ def design_time_analysis(
     objective_metric="readex_dynamic.energy_j",
     minimize=True,
 )
-def experiment(
+def run_use_case(
     n_nodes: int = 2,
     seed: int = 5,
     objective: str = "energy_j",
@@ -145,19 +145,3 @@ def experiment(
             dynamic["runtime_s"] / default["runtime_s"] - 1.0 if default["runtime_s"] > 0 else 0.0
         ),
     }
-
-
-def run_use_case(
-    n_nodes: int = 2,
-    seed: int = 5,
-    objective: str = "energy_j",
-    production_iterations: Optional[int] = 30,
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc4`` campaign runner."""
-    return run_registered(
-        "uc4",
-        seed=seed,
-        n_nodes=n_nodes,
-        objective=objective,
-        production_iterations=production_iterations,
-    )

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.resource_manager.irm import CorridorStrategy, InvasiveResourceManager
 from repro.resource_manager.policies import SitePolicies
@@ -113,7 +113,7 @@ def run_strategy(
     objective_metric="violation_fractions.invasive",
     minimize=True,
 )
-def experiment(
+def run_use_case(
     n_nodes: int = 16,
     n_jobs: int = 6,
     iterations: int = 50,
@@ -153,26 +153,3 @@ def experiment(
             <= fractions[CorridorStrategy.NONE.value] + 1e-9
         )
     return results
-
-
-def run_use_case(
-    n_nodes: int = 16,
-    n_jobs: int = 6,
-    iterations: int = 50,
-    seed: int = 6,
-    strategies: Sequence[CorridorStrategy] = (
-        CorridorStrategy.NONE,
-        CorridorStrategy.POWER_CAPPING,
-        CorridorStrategy.DVFS,
-        CorridorStrategy.INVASIVE,
-    ),
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc5`` campaign runner."""
-    return run_registered(
-        "uc5",
-        seed=seed,
-        n_nodes=n_nodes,
-        n_jobs=n_jobs,
-        iterations=iterations,
-        strategies=strategies,
-    )

@@ -18,7 +18,7 @@ from typing import Any, Dict, List
 
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.mpi import MpiJobSimulator
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.runtime.countdown import CountdownMode, CountdownRuntime
 from repro.sim.rng import RandomStreams
@@ -86,7 +86,7 @@ def countdown_sweep(
     objective_metric="summary.mpi_heavy_wait_and_copy_saving",
     minimize=False,
 )
-def experiment(n_nodes: int = 4, seed: int = 7, n_iterations: int = 25) -> Dict[str, Any]:
+def run_use_case(n_nodes: int = 4, seed: int = 7, n_iterations: int = 25) -> Dict[str, Any]:
     """Compare COUNTDOWN modes on MPI-heavy vs compute-bound applications."""
     results: Dict[str, Any] = {}
     for label, app in (
@@ -118,8 +118,3 @@ def experiment(n_nodes: int = 4, seed: int = 7, n_iterations: int = 25) -> Dict[
         ),
     }
     return results
-
-
-def run_use_case(n_nodes: int = 4, seed: int = 7, n_iterations: int = 25) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc6`` campaign runner."""
-    return run_registered("uc6", seed=seed, n_nodes=n_nodes, n_iterations=n_iterations)

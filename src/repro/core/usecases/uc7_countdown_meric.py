@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.mpi import MpiJobSimulator, RuntimeHooks
-from repro.experiments.registry import register_use_case, run_registered
+from repro.experiments.registry import register_use_case
 from repro.experiments.shared import make_cluster
 from repro.runtime.coordination import RuntimeCoordinator
 from repro.runtime.countdown import CountdownMode, CountdownRuntime
@@ -80,7 +80,7 @@ def _run(
     objective_metric="energy_savings.coordinated",
     minimize=False,
 )
-def experiment(
+def run_use_case(
     n_nodes: int = 4,
     seed: int = 8,
     n_iterations: int = 25,
@@ -122,19 +122,3 @@ def experiment(
         "coordinated_beats_individual": savings["coordinated"]
         >= max(savings["countdown"], savings["meric"]) - 0.02,
     }
-
-
-def run_use_case(
-    n_nodes: int = 4,
-    seed: int = 8,
-    n_iterations: int = 25,
-    static_imbalance: float = 0.2,
-) -> Dict[str, Any]:
-    """Thin shim over the registered ``uc7`` campaign runner."""
-    return run_registered(
-        "uc7",
-        seed=seed,
-        n_nodes=n_nodes,
-        n_iterations=n_iterations,
-        static_imbalance=static_imbalance,
-    )

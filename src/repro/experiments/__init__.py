@@ -10,9 +10,9 @@ columnar :class:`~repro.telemetry.database.PerformanceDatabase` (tagged
 by use case, scenario and seed) and aggregates across seeds.
 
 The seven use-case modules register themselves here
-(:func:`register_use_case`); their public ``run_use_case`` functions are
-thin shims over the same registered runners, so a campaign of one
-scenario and one seed is bit-identical to the historical direct call.
+(:func:`register_use_case`); each registers its public ``run_use_case``
+function as its runner, so a campaign of one scenario and one seed is
+bit-identical to the direct call.
 
 Run campaigns from the command line with ``python -m repro.experiments``.
 """

@@ -1,8 +1,8 @@
 """Registry of runnable use cases.
 
-Each use-case module registers its module-level experiment function with
-:func:`register_use_case`; the registry is what the campaign runner, the
-CLI and the ``run_use_case`` shims dispatch through.  Registration
+Each use-case module registers its module-level ``run_use_case``
+function with :func:`register_use_case`; the registry is what the
+campaign runner and the CLI dispatch through by name.  Registration
 introspects the function signature for the parameter defaults, so the
 declarative layer and the implementation can never drift apart.
 
@@ -127,7 +127,7 @@ def list_use_cases() -> Tuple[UseCaseDef, ...]:
 
 
 def run_registered(name: str, seed: int = 1, **params: Any) -> Dict[str, Any]:
-    """Run a registered use case directly (what the ``run_use_case`` shims call)."""
+    """Run a registered use case by name, with validated overrides."""
     return get_use_case(name).run(seed=seed, **params)
 
 

@@ -8,7 +8,7 @@ power-corridor experiments (Figure 6, use case 5) sample over time.
 All per-node and per-package state is held in one struct-of-arrays
 :class:`~repro.hardware.state.ClusterState`, so the whole-cluster
 operations here (total power, total energy, idle power, free/busy
-partitioning, power-cap distribution, batched thermal stepping) are
+partitioning, power-cap distribution) are
 single numpy expressions rather than Python loops over ``self.nodes``.
 The :class:`~repro.hardware.node.Node` objects remain the mutation API —
 they read and write views into the same arrays, so the two layers can
@@ -210,26 +210,6 @@ class Cluster:
         if self.spec.node.n_gpus > 0:
             total += sum(gpu.energy_j for node in self.nodes for gpu in node.gpus)
         return total
-
-    # -- batched physics -------------------------------------------------------
-    def advance_thermal(
-        self, dt_s: float, pkg_power_w: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Advance every package's thermal model ``dt_s`` seconds at once.
-
-        When ``pkg_power_w`` (shape ``(n_nodes, n_sockets)``) is omitted,
-        busy nodes dissipate their current compute power split evenly
-        across sockets and idle nodes dissipate their idle package power —
-        the same assumption the scalar per-node sampling loop makes.
-        """
-        if pkg_power_w is None:
-            idle_pkg = self.state.idle_power_per_package()
-            busy_share = (
-                self.state.node_current_power_w - self.spec.node.platform_power_w
-            ) / self.spec.node.n_sockets
-            busy_pkg = np.maximum(busy_share, 0.0)[:, None]
-            pkg_power_w = np.where(self.state.node_free[:, None], idle_pkg, busy_pkg)
-        return self.state.advance_thermal(pkg_power_w, dt_s)
 
     # -- node selection helpers -------------------------------------------------
     def rank_nodes_by_efficiency(self, nodes: Optional[Iterable[Node]] = None) -> List[Node]:

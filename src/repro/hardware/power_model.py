@@ -20,7 +20,10 @@ power drawn there, and :func:`phase_timing` derives duration, IPC and
 FLOP/s at that frequency.  The walk takes what never changes once a
 package is built as bound constants: its SKU's :func:`sku_constants`
 and a few per-package scalars.  The ``*_array`` twins evaluate the
-power model for every package of a cluster at once.
+uncore and leakage terms for every package of a cluster at once, which
+is all the vectorised idle power
+(:meth:`~repro.hardware.state.ClusterState.idle_power_per_package`)
+needs: at idle no core is active.
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ __all__ = [
     "dram_power",
     "pstate_walk",
     "phase_timing",
-    "voltage_at_frequency_array",
-    "core_dynamic_power_array",
     "uncore_power_array",
     "static_power_array",
-    "package_power_array",
 ]
 
 
@@ -253,38 +253,11 @@ def phase_timing(
 
 # -- array (struct-of-arrays) variants ---------------------------------------
 #
-# Elementwise twins of the power formulas of :func:`pstate_walk`, used by
-# the :class:`~repro.hardware.state.ClusterState` kernel to evaluate the
-# power model for every package of a cluster in one numpy expression.  They
-# apply the exact same IEEE operations as the scalar pass, so per-element
-# results agree with the per-package loop to floating-point rounding.
-
-
-def voltage_at_frequency_array(
-    freq_ghz: np.ndarray,
-    freq_min_ghz: float,
-    freq_max_ghz: np.ndarray,
-    params: PowerModelParams,
-) -> np.ndarray:
-    """Operating voltage for per-package frequency/turbo-limit arrays."""
-    frac = (freq_ghz - freq_min_ghz) / (freq_max_ghz - freq_min_ghz)
-    frac = np.clip(frac, 0.0, 1.0)
-    return params.v_min + (params.v_max - params.v_min) * frac
-
-
-def core_dynamic_power_array(
-    freq_ghz: np.ndarray,
-    freq_min_ghz: float,
-    freq_max_ghz: np.ndarray,
-    active_cores: int,
-    activity_factor: float,
-    params: PowerModelParams,
-    efficiency_multiplier: np.ndarray,
-) -> np.ndarray:
-    """Dynamic power of the active cores for every package (W)."""
-    volt = voltage_at_frequency_array(freq_ghz, freq_min_ghz, freq_max_ghz, params)
-    per_core = params.core_capacitance * activity_factor * volt * volt * freq_ghz
-    return per_core * active_cores * efficiency_multiplier
+# Elementwise twins of the uncore and leakage terms of :func:`pstate_walk`,
+# used by the :class:`~repro.hardware.state.ClusterState` kernel for the
+# idle power of every package of a cluster in one numpy expression.  They
+# apply the same IEEE operations as the scalar pass, so for finite inputs
+# each element equals the per-package result bit for bit.
 
 
 def uncore_power_array(
@@ -305,53 +278,3 @@ def static_power_array(temperature_c: np.ndarray, params: PowerModelParams) -> n
     """Leakage power for per-package temperature arrays (W)."""
     delta = temperature_c - params.ref_temperature
     return params.static_power * np.maximum(0.2, 1.0 + params.leakage_temp_coeff * delta)
-
-
-def package_power_array(
-    demand: PhaseDemand,
-    freq_ghz: np.ndarray,
-    uncore_ghz: np.ndarray,
-    active_cores: int,
-    freq_min_ghz: float,
-    freq_max_ghz: np.ndarray,
-    uncore_min_ghz: float,
-    uncore_max_ghz: float,
-    params: PowerModelParams,
-    efficiency_multiplier: np.ndarray,
-    temperature_c: np.ndarray,
-    leakage_scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Total package + DRAM power for every package at once (W).
-
-    Matches a one-frequency :func:`pstate_walk` elementwise; when
-    ``leakage_scale`` is given the per-package leakage variation is folded
-    in exactly like :meth:`CpuPackage.power_at` does (base static power
-    plus ``static * (leakage_scale - 1)``).
-    """
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
-    )
-    activity = demand.activity_factor * busy_weight
-    p_core = core_dynamic_power_array(
-        freq_ghz,
-        freq_min_ghz,
-        freq_max_ghz,
-        active_cores,
-        activity,
-        params,
-        efficiency_multiplier,
-    )
-    p_uncore = uncore_power_array(
-        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
-    )
-    p_static = static_power_array(temperature_c, params)
-    p_dram = dram_power(demand.dram_intensity, params)
-    total = p_core + p_uncore + p_static + p_dram
-    if leakage_scale is not None:
-        total = total + p_static * (leakage_scale - 1.0)
-    return total
-
-

@@ -200,44 +200,27 @@ class ClusterState:
         return self.node_spec
 
     # -- vectorised power model --------------------------------------------
-    def power_per_package(
-        self,
-        demand: PhaseDemand,
-        active_cores: Optional[int] = None,
-        freq_ghz: Optional[np.ndarray] = None,
-        uncore_ghz: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Package + DRAM power of every package at once (W).
-
-        The vectorised twin of :meth:`CpuPackage.power_at`: the current
-        frequency/uncore targets, per-package turbo limits, variation
-        factors and die temperatures are read straight from the arrays.
-        """
-        spec = self._require_spec()
-        cpu = spec.cpu
-        cores = cpu.cores if active_cores is None else min(int(active_cores), cpu.cores)
-        freq = self.pkg_freq_target_ghz if freq_ghz is None else freq_ghz
-        uncore = self.pkg_uncore_ghz if uncore_ghz is None else uncore_ghz
-        return pm.package_power_array(
-            demand,
-            freq,
-            uncore,
-            cores,
-            cpu.freq_min_ghz,
-            self.pkg_max_freq_ghz,
-            cpu.uncore_min_ghz,
-            cpu.uncore_max_ghz,
-            cpu.params,
-            efficiency_multiplier=self.pkg_power_efficiency,
-            temperature_c=self.pkg_temperature_c,
-            leakage_scale=self.pkg_leakage_scale,
-        )
-
     def idle_power_per_package(self) -> np.ndarray:
-        """Idle power of every package (W), matching ``CpuPackage.idle_power_w``."""
-        spec = self._require_spec()
-        freq = np.full_like(self.pkg_freq_target_ghz, spec.cpu.freq_min_ghz)
-        return self.power_per_package(IDLE_DEMAND, active_cores=0, freq_ghz=freq)
+        """Idle power of every package (W), matching ``CpuPackage.idle_power_w``.
+
+        At idle no core is active, so the core term of the package power
+        is +0.0 and the sum starts at the uncore term: the same floats,
+        in the same order, as the scalar P-state walk at ``freq_min``
+        under :data:`IDLE_DEMAND`, per-package leakage variation
+        included (base static power plus ``static * (leakage_scale - 1)``).
+        """
+        cpu = self._require_spec().cpu
+        params = cpu.params
+        intensity = IDLE_DEMAND.dram_intensity
+        p_static = pm.static_power_array(self.pkg_temperature_c, params)
+        return (
+            pm.uncore_power_array(
+                self.pkg_uncore_ghz, cpu.uncore_min_ghz, cpu.uncore_max_ghz, intensity, params
+            )
+            + p_static
+            + pm.dram_power(intensity, params)
+            + p_static * (self.pkg_leakage_scale - 1.0)
+        )
 
     def idle_power_per_node(self) -> np.ndarray:
         """Idle power of every node (W), matching ``Node.idle_power_w``.

@@ -1511,7 +1511,7 @@ class StackService:
         """Install the registered fault-injection ``profile`` on the service's
         power/scheduler planes (operator roles); ``seed`` is the fault-plan
         seed (default 0), and ``enabled=false`` installs the plan disarmed."""
-        self._require_working_role(session, "inject faults")
+        self._require_operator(session, "inject faults")
         from repro.faults import injector as fault_injector
         from repro.faults import profiles as fault_profiles
 
@@ -1542,7 +1542,7 @@ class StackService:
 
     def _cmd_chaos_clear(self, session: Session) -> Dict[str, Any]:
         """Remove the active fault plan (operator roles)."""
-        self._require_working_role(session, "clear fault plans")
+        self._require_operator(session, "clear fault plans")
         from repro.faults import injector as fault_injector
 
         injector = fault_injector.clear()

@@ -7,10 +7,9 @@ This layer feeds the scheduler job streams at trace scale:
   job requests;
 * :mod:`repro.workloads.replay` — the trace-replay application and
   its one-timeout job simulator (no per-region physics);
-* :mod:`repro.workloads.synth` — deterministic synthetic traces at
-  both fidelities (full physics via
-  :class:`~repro.apps.generator.WorkloadGenerator`, replay for
-  mega-scale).
+* :mod:`repro.workloads.synth` — deterministic synthetic replay traces
+  for mega-scale scheduling (full-physics synthetic workloads come
+  from :class:`~repro.apps.generator.WorkloadGenerator`).
 """
 
 from repro.workloads.replay import TraceJobSimulator, TraceReplayApplication
@@ -24,7 +23,7 @@ from repro.workloads.swf import (
     swf_to_requests,
     write_swf,
 )
-from repro.workloads.synth import synthesize_replay_trace, synthesize_workload
+from repro.workloads.synth import synthesize_replay_trace
 
 __all__ = [
     "TraceJobSimulator",
@@ -38,5 +37,4 @@ __all__ = [
     "swf_to_requests",
     "requests_to_swf",
     "synthesize_replay_trace",
-    "synthesize_workload",
 ]

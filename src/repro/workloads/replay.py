@@ -25,7 +25,7 @@ import numpy as np
 from repro.apps.base import Application
 from repro.apps.mpi import JobResult
 from repro.hardware.node import Node
-from repro.sim.engine import Environment, Interrupt
+from repro.sim.engine import Environment
 from repro.hardware.workload import PhaseDemand
 
 __all__ = ["TraceReplayApplication", "TraceJobSimulator"]
@@ -83,13 +83,6 @@ class TraceReplayApplication(Application):
             )
         ]
 
-    def node_power_w(self, node: Node) -> float:
-        """Constant draw of one allocated node while the job runs."""
-        if self.power_per_node_w is not None:
-            return float(self.power_per_node_w)
-        idle = node.idle_power_w()
-        return idle + self.power_fraction * (node.max_power_w() - idle)
-
     # -- scheduler hook ----------------------------------------------------------
     def make_simulator(self, env: Environment, nodes: Sequence[Node], job, runtime):
         """Duck-typed hook consulted by the scheduler at launch time."""
@@ -105,13 +98,13 @@ class TraceReplayApplication(Application):
 class TraceJobSimulator:
     """Replays one trace job as a single DES timeout at constant power.
 
-    Implements the same surface the scheduler drives the full
-    :class:`~repro.apps.mpi.MpiJobSimulator` through: ``run()`` is a
-    process generator returning a :class:`~repro.apps.mpi.JobResult`,
-    and ``cancel()`` stops the job.  Unlike the physics simulator (which
-    cancels at the next iteration boundary), a replay job has no
-    interior structure, so ``cancel()`` interrupts the timeout and tears
-    down immediately; energy is accrued for the elapsed fraction.
+    The scheduler starts it with :meth:`start_detached` instead of the
+    generator process it runs a :class:`~repro.apps.mpi.MpiJobSimulator`
+    in: a replay job has no interior structure, so the whole job is one
+    timeout whose callback hands the scheduler a
+    :class:`~repro.apps.mpi.JobResult`.  Unlike the physics simulator
+    (which cancels at the next iteration boundary), ``cancel()`` tears
+    the job down at once; energy is accrued for the elapsed fraction.
     """
 
     def __init__(
@@ -129,7 +122,6 @@ class TraceJobSimulator:
         self.application = application
         self.job_id = job_id
         self.params = dict(params or {})
-        self._proc = None
         self._cancelled = False
         self._on_done = None
         self._delivered = False
@@ -137,16 +129,12 @@ class TraceJobSimulator:
         self._start_s = 0.0
         self._total_w = 0.0
 
-    # -- detached fast path (one DES event per job) ------------------------
     def start_detached(self, on_done) -> None:
         """Schedule completion as a single timeout; no generator process.
 
-        The scheduler consults this hook at launch: a replay job has no
-        interior structure, so the whole simulation is one DES timeout
-        whose callback hands ``on_done`` the :class:`JobResult`.  Cancel
-        and crash injection detach that timeout and deliver the partial
-        result through a zero-delay event — matching the position an
-        interrupted process would have unwound at.
+        The timeout's callback hands ``on_done`` the :class:`JobResult`.
+        Cancel and crash injection detach that timeout and deliver the
+        partial result through a zero-delay event.
         """
         self._on_done = on_done
         self._start_s = self.env.now
@@ -179,12 +167,11 @@ class TraceJobSimulator:
     def _apply_power(self) -> float:
         """Write the constant per-node draw; return the job's total watts.
 
-        Vectorised twin of per-node ``app.node_power_w(node)`` +
-        ``node.current_power_w = watts``: same idle vector and float64
-        arithmetic as the scalar method (both pinned bit-identical),
-        one gather + fancy-indexed write instead of per-node property
-        round trips.  The full busy-power vector is memoized on the
-        state, so per job this is O(job nodes), not O(cluster).
+        Each allocated node draws ``power_per_node_w`` when the trace
+        records it, else ``idle + power_fraction * (tdp - idle)``, read
+        from the state's memoized busy-power vector: one gather and one
+        fancy-indexed write, so per job this is O(job nodes), not
+        O(cluster).
         """
         app = self.application
         nodes = self.nodes
@@ -197,46 +184,14 @@ class TraceJobSimulator:
         state.node_current_power_w[idx] = watts
         return float(watts.sum())
 
-    def run(self):
-        # The scheduler drives this generator via env.process(); grab the
-        # wrapping Process on first execution so cancel() can interrupt
-        # the in-flight timeout instead of waiting for it to expire.
-        self._proc = self.env.active_process
-        app = self.application
-        nodes = self.nodes
-        start = self.env.now
-        total_w = self._apply_power()
-        completed = False
-        try:
-            if not self._cancelled and app.duration_s > 0:
-                yield self.env.timeout(app.duration_s)
-            completed = not self._cancelled
-        except Interrupt:
-            pass  # cancelled mid-flight: account the elapsed fraction
-        elapsed = self.env.now - start
-        return JobResult(
-            job_id=self.job_id,
-            app_name=app.name,
-            params=self.params,
-            hostnames=[node.hostname for node in nodes],
-            runtime_s=elapsed,
-            energy_j=total_w * elapsed,
-            iterations_done=1 if completed else 0,
-            mpi_wait_s=0.0,
-        )
-
     def cancel(self) -> None:
         """Stop the replay immediately (crash injection or user cancel)."""
         self._cancelled = True
-        if self._proc is not None:
-            if self._proc.is_alive:
-                self._proc.interrupt()
-            return
         if self._on_done is None or self._delivered:
             return
-        # Detached mode: unhook the pending completion and deliver the
-        # partial result via a zero-delay event — asynchronously, like
-        # the Interrupt a process-mode cancel would unwind through.
+        # Unhook the pending completion and deliver the partial result
+        # via a zero-delay event, so the scheduler tears down after the
+        # caller returns, not inside it.
         event = self._event
         if event is not None and event.callbacks is not None:
             try:

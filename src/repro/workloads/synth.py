@@ -1,15 +1,14 @@
-"""Synthetic trace generation at two fidelities.
+"""Synthetic replay traces for mega-scale scheduling studies.
 
-* :func:`synthesize_workload` wraps the existing
-  :class:`~repro.apps.generator.WorkloadGenerator`: full-physics
-  applications for studies where job-interior behaviour matters.
-* :func:`synthesize_replay_trace` emits
-  :class:`~repro.workloads.replay.TraceReplayApplication`-backed
-  requests — the mega-scale path (tens of thousands of nodes, hundreds
-  of thousands of jobs) where only scheduling dynamics matter and the
-  per-job cost must be one DES timeout.
+:func:`synthesize_replay_trace` emits
+:class:`~repro.workloads.replay.TraceReplayApplication`-backed requests
+— the path for tens of thousands of nodes and hundreds of thousands of
+jobs, where only scheduling dynamics matter and the per-job cost must
+be one DES timeout.  Full-physics synthetic workloads, where
+job-interior behaviour matters, come from
+:class:`~repro.apps.generator.WorkloadGenerator` directly.
 
-Both are deterministic functions of their seed; replay traces can be
+Traces are deterministic functions of their seed and can be
 round-tripped through SWF via
 :func:`~repro.workloads.swf.requests_to_swf`.
 """
@@ -19,29 +18,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.apps.generator import JobRequest, WorkloadGenerator
+from repro.apps.generator import JobRequest
 from repro.sim.rng import RandomStreams
 from repro.workloads.replay import TraceReplayApplication
 
-__all__ = ["synthesize_workload", "synthesize_replay_trace"]
-
-
-def synthesize_workload(
-    count: int,
-    seed: int = 0,
-    mean_interarrival_s: float = 120.0,
-    max_nodes_per_job: int = 8,
-    malleable_fraction: float = 0.3,
-    start_time_s: float = 0.0,
-) -> List[JobRequest]:
-    """Full-physics synthetic trace (WorkloadGenerator-backed)."""
-    generator = WorkloadGenerator(
-        streams=RandomStreams(seed),
-        mean_interarrival_s=mean_interarrival_s,
-        max_nodes_per_job=max_nodes_per_job,
-        malleable_fraction=malleable_fraction,
-    )
-    return generator.generate(count, start_time_s=start_time_s)
+__all__ = ["synthesize_replay_trace"]
 
 
 def synthesize_replay_trace(

@@ -30,7 +30,7 @@ from repro.core.tuner import (
     ThreadedExecutor,
     make_executor,
 )
-from repro.sim.engine import AllOf, Condition, Environment, Event, Process, Timeout
+from repro.sim.engine import Environment, Event, Process, Timeout
 from repro.telemetry.database import PerformanceDatabase
 
 ALL_SEARCHES = sorted(SEARCH_REGISTRY)
@@ -597,12 +597,10 @@ def test_sim_engine_classes_have_no_dict():
         yield timeout
 
     process = Process(env, waiter())
-    condition = AllOf(env, [event])
-    for obj in (env, event, timeout, process, condition):
+    for obj in (env, event, timeout, process):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         with pytest.raises(AttributeError):
             obj.arbitrary_new_attribute = 1
-    assert isinstance(condition, Condition)
 
 
 def test_sim_engine_still_runs_with_slots():

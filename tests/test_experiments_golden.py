@@ -1,5 +1,5 @@
-"""Golden regression: the ``run_use_case`` shims reproduce the
-pre-campaign-refactor results bit-for-bit.
+"""Golden regression: the use cases' ``run_use_case`` runners reproduce
+the pre-campaign-refactor results bit-for-bit.
 
 The JSON files under ``tests/golden/`` were captured from the
 implementations *before* the use cases were rebased onto the
@@ -42,7 +42,7 @@ def test_use_case_shim_matches_pre_refactor_golden(name):
     runner = getattr(usecases, f"run_{name}")
     fresh = json.loads(json.dumps(_REGEN.jsonify(runner(**params))))
     assert fresh == golden, (
-        f"{name} shim output drifted from the pre-refactor golden; "
+        f"{name} runner output drifted from the pre-refactor golden; "
         "see tests/golden/regen.py"
     )
 

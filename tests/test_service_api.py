@@ -1198,3 +1198,36 @@ def test_chaos_inject_requires_working_role():
     assert not denied.ok and faults.active() is None
     # Reads stay open to monitors.
     assert monitor.result("chaos.status") == {"active": False}
+
+
+@pytest.mark.parametrize("role", ["runtime", "operating_system"])
+def test_chaos_inject_and_clear_require_an_operator_role(role):
+    """A fault plan is process-wide, so it reaches every tenant's plane: a
+    working role that is not an operator can neither install one nor clear
+    an operator's."""
+    from repro.faults import injector as faults
+
+    service = make_service(n_nodes=2)
+
+    def wire(op, session=None, **args):
+        envelope = {"op": op, "args": args}
+        if session is not None:
+            envelope["session"] = session
+        return Response.from_json(service.handle_wire(json.dumps(envelope)))
+
+    tenant = wire("session.open", tenant="acme", role=role).result["session"]
+    denied = wire("chaos.inject", tenant, profile="all")
+    assert denied.error_code == ServiceErrorCode.NO_PERMISSION.value == "PWR_RET_NO_PERM"
+    assert faults.active() is None
+    operator = wire("session.open", tenant="ops", role="resource_manager").result["session"]
+    try:
+        assert wire("chaos.inject", operator, profile="bmc-chaos", seed=3).ok
+        installed = faults.active()
+        assert installed is not None
+        denied = wire("chaos.clear", tenant)
+        assert denied.error_code == "PWR_RET_NO_PERM"
+        assert faults.active() is installed
+        # Status stays open to every role.
+        assert wire("chaos.status", tenant).result["active"]
+    finally:
+        faults.clear()

@@ -22,7 +22,7 @@ application phase by phase:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class RuntimeHooks:
         return None
 
 
-@dataclass(frozen=True)
-class RegionRecord:
-    """Per-node outcome of one region execution."""
+class RegionRecord(NamedTuple):
+    """Per-node outcome of one region execution (a named tuple, like
+    :class:`~repro.hardware.node.NodePhaseResult`)."""
 
     hostname: str
     region: str
@@ -293,30 +293,22 @@ class MpiJobSimulator:
         comm_override = comm_base if demand.comm_fraction > 0 else None
         for node in self.nodes:
             local = self._node_demand(demand, node, rng)
-            result = node.execute_phase(
-                local, threads=threads, comm_seconds_override=comm_override
-            )
-            results.append((node, result))
+            results.append((node, node.execute_phase(local, threads, comm_override)))
 
         region_duration = max(r.duration_s for _, r in results)
         name = demand.name
+        telemetry = self.telemetry
         records: List[RegionRecord] = []
         for node, result in results:
+            hostname = node.hostname
             wait = region_duration - result.duration_s
             wait_power = self.hooks.wait_power_w(self, node, demand, wait)
             if wait_power is None:
                 wait_power = busy_wait_power_w(node)
-            records.append(
-                RegionRecord(
-                    hostname=node.hostname,
-                    region=name,
-                    iteration=iteration,
-                    result=result,
-                    wait_s=wait,
-                    wait_power_w=wait_power,
-                )
-            )
-            acc = self.telemetry.setdefault(node.hostname, TelemetryAccumulator())
+            records.append(RegionRecord(hostname, name, iteration, result, wait, wait_power))
+            acc = telemetry.get(hostname)
+            if acc is None:
+                acc = telemetry[hostname] = TelemetryAccumulator()
             acc.record_phase(
                 name,
                 result.duration_s,

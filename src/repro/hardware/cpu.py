@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -99,9 +99,12 @@ class CpuSpec:
         return [PState(index=i, frequency_ghz=float(f)) for i, f in enumerate(freqs)]
 
 
-@dataclass(frozen=True)
-class PhaseExecution:
-    """The outcome of running one phase on one package."""
+class PhaseExecution(NamedTuple):
+    """The outcome of running one phase on one package.
+
+    A named tuple, built positionally once per package phase: immutable,
+    picklable and cheap to build.
+    """
 
     demand: PhaseDemand
     duration_s: float
@@ -299,16 +302,30 @@ class CpuPackage:
         firmware walks down the P-states from the target until the
         running-average power fits under the cap (or the minimum P-state
         is reached); a target below every P-state runs at ``freq_min``.
+        One :func:`~repro.hardware.power_model.pstate_walk` call.
         """
         state, index = self._state, self._index
         target = float(state.pkg_freq_target_ghz[index])
         cap = float(state.pkg_power_cap_w[index])
-        freqs, _, floor, _ = self._table
-        start = self._first_at_or_below(target + 1e-9)
-        if start == len(freqs):
+        freqs, negated, floor, sku = self._table
+        ceiling = target + 1e-9
+        start = bisect_left(negated, -ceiling)
+        # A NaN ceiling bisects to the front, yet no P-state is at or below it.
+        if start == len(freqs) or not freqs[start] <= ceiling:
             freqs, start = floor, 0
-        freq, power = self._walk(
-            demand, freqs, start, cap, float(state.pkg_uncore_ghz[index]), active_cores
+        cores = self.spec.cores
+        freq, power = pm.pstate_walk(
+            demand,
+            freqs,
+            start,
+            cap,
+            float(state.pkg_uncore_ghz[index]),
+            cores if active_cores is None else min(active_cores, cores),
+            float(state.pkg_temperature_c[index]),
+            sku,
+            self._freq_span_ghz,
+            self._efficiency,
+            self._leakage_extra,
         )
         return freq, not power <= cap + 1e-9 or freq < target - 1e-9, power
 
@@ -358,16 +375,9 @@ class CpuPackage:
         ref_uncore = spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
 
         uncore = float(state.pkg_uncore_ghz[index])
-        freq, capped, power = self.effective_frequency(demand, active_cores=threads)
+        freq, capped, power = self.effective_frequency(demand, threads)
         duration, ipc, flops = pm.phase_timing(
-            demand,
-            freq,
-            uncore,
-            threads,
-            ref_freq,
-            ref_uncore,
-            spec.params,
-            comm_seconds_override=comm_seconds_override,
+            demand, freq, uncore, threads, ref_freq, ref_uncore, spec.params, comm_seconds_override
         )
         power = min(power, max(float(state.pkg_power_cap_w[index]), spec.min_power_cap_w))
         energy = power * duration
@@ -377,17 +387,7 @@ class CpuPackage:
         temperature = self.thermal.advance(power, duration)
 
         return PhaseExecution(
-            demand=demand,
-            duration_s=duration,
-            power_w=power,
-            energy_j=energy,
-            frequency_ghz=freq,
-            uncore_ghz=uncore,
-            threads=threads,
-            ipc=ipc,
-            flops=flops,
-            power_capped=capped,
-            temperature_c=temperature,
+            demand, duration, power, energy, freq, uncore, threads, ipc, flops, capped, temperature
         )
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ Conductor address nodes in the paper's use cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,9 +76,9 @@ class NodeSpec:
         )
 
 
-@dataclass(frozen=True)
-class NodePhaseResult:
-    """Aggregated outcome of running one phase across a node's sockets."""
+class NodePhaseResult(NamedTuple):
+    """Aggregated outcome of running one phase across a node's sockets
+    (a named tuple, like :class:`~repro.hardware.cpu.PhaseExecution`)."""
 
     duration_s: float
     power_w: float
@@ -343,11 +343,7 @@ class Node:
         compute_power = ipc = flops = 0
         capped = False
         for pkg, package_rapl, dram_rapl in metered:
-            execution = pkg.execute(
-                demand,
-                threads=per_pkg_threads,
-                comm_seconds_override=comm_seconds_override,
-            )
+            execution = pkg.execute(demand, per_pkg_threads, comm_seconds_override)
             executions.append(execution)
             # Feed the RAPL energy counters so software-visible telemetry
             # matches what was consumed.
@@ -362,19 +358,11 @@ class Node:
             flops += execution.flops
             capped = capped or execution.power_capped
         power = compute_power + self.spec.platform_power_w
-        energy = power * duration
         ipc = ipc / len(executions)
 
-        self.current_power_w = power
+        self._state.node_current_power_w[self._node_index] = power
         return NodePhaseResult(
-            duration_s=duration,
-            power_w=power,
-            energy_j=energy,
-            frequency_ghz=freq,
-            ipc=ipc,
-            flops=flops,
-            power_capped=capped,
-            per_package=tuple(executions),
+            duration, power, power * duration, freq, ipc, flops, capped, tuple(executions)
         )
 
     def __repr__(self) -> str:

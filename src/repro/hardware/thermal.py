@@ -116,17 +116,25 @@ class ThermalModel:
         return self.ambient_c + self.spec.resistance_k_per_w * power_w
 
     def advance(self, power_w: float, dt_s: float) -> float:
-        """Advance the model ``dt_s`` seconds at constant power; return temp."""
+        """Advance the model ``dt_s`` seconds at constant power; return temp.
+
+        One inline step toward :meth:`steady_state_c`: one cell read, one
+        write and one version bump.
+        """
         if dt_s < 0:
             raise ValueError("dt must be >= 0")
         if power_w < 0:
             raise ValueError("power must be >= 0")
-        target = self.steady_state_c(power_w)
-        tau = self.spec.time_constant_s
-        alpha = 1.0 - float(np.exp(-dt_s / tau))
-        self._temps[self._index] += (target - float(self._temps[self._index])) * alpha
-        self._bump_version()
-        return float(self._temps[self._index])
+        spec, temps, index = self.spec, self._temps, self._index
+        resistance = spec.resistance_k_per_w
+        target = (spec.ambient_c + float(self._offsets[index])) + resistance * power_w
+        # np.exp, not math.exp: libm may differ from numpy in the last bit.
+        alpha = 1.0 - float(np.exp(-dt_s / (resistance * spec.capacitance_j_per_k)))
+        temperature = float(temps[index])
+        temps[index] = temperature = temperature + (target - temperature) * alpha
+        if self._version_owner is not None:
+            self._version_owner.power_inputs_version += 1
+        return temperature
 
     def is_throttling(self) -> bool:
         """True when the die is above the throttle trip point."""

@@ -49,8 +49,8 @@ class PhaseDemand:
         frequency, reference uncore frequency, ``ref_threads`` threads).
     core_fraction / memory_fraction / comm_fraction:
         Fractions of ``ref_seconds`` that are core-bound, memory-bound
-        and communication-bound respectively.  The residual
-        ``1 - core - memory - comm`` is knob-insensitive.
+        and communication-bound respectively.  The knob-insensitive
+        residual ``max(0, 1 - core - memory - comm)`` is ``other_fraction``.
     flops_per_second_ref:
         Useful floating-point throughput at the reference point, used to
         derive FLOPS and FLOPS/W telemetry.
@@ -105,18 +105,15 @@ class PhaseDemand:
             raise ValueError("activity_factor must be in [0, 1.5]")
         if not 0.0 <= self.dram_intensity <= 1.0:
             raise ValueError("dram_intensity must be in [0, 1]")
-
-    @property
-    def other_fraction(self) -> float:
-        """Knob-insensitive residual fraction."""
+        # Computed once per demand; not a field, so ``==`` and ``repr`` skip it.
         other = 1.0 - self.core_fraction - self.memory_fraction - self.comm_fraction
-        return other if other > 0.0 else 0.0
+        object.__setattr__(self, "other_fraction", other if other > 0.0 else 0.0)
 
     def scaled(self, factor: float) -> "PhaseDemand":
         """Return a copy whose reference duration is multiplied by ``factor``.
 
-        The other fields (``tags`` the same object) are copied as they
-        are, so only the new duration is validated.
+        The other fields (``tags`` the same object) and ``other_fraction``
+        are copied as they are, so only the new duration is validated.
         """
         if factor < 0:
             raise ValueError("factor must be >= 0")

@@ -883,13 +883,22 @@ class PowerAwareScheduler:
     def _on_job_done(self, job: Job, event) -> None:
         """Callback on the simulator process event: job teardown.
 
-        A failed simulator process is left alone — the event stays
-        undefused, so the engine re-raises the error out of ``run()``
-        exactly as it did when a wrapper process rethrew it.
+        A simulator that raised an ``Exception`` fails its job with the
+        error as its ``failure_reason`` and releases it; the defused error
+        does not escape ``run()``.  An interrupt or exit still does.
         """
-        if not event.ok:
+        if event.ok:
+            self._complete_job(job, event._value)
             return
-        self._complete_job(job, event._value)
+        error = event._value
+        if not isinstance(error, Exception):
+            return
+        event._defused = True
+        job.launch_metadata["failure_reason"] = f"{type(error).__name__}: {error}"
+        if job.state is JobState.RUNNING:
+            job.mark_failed(self.env.now)
+            self._finished_count += 1
+        self._finish(job)
 
     # repro-lint: hot
     def _complete_job(self, job: Job, result) -> None:

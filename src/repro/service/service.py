@@ -903,6 +903,7 @@ class StackService:
             "start_time_s": job.start_time_s,
             "end_time_s": job.end_time_s,
             "reject_reason": job.launch_metadata.get("reject_reason"),
+            "failure_reason": job.launch_metadata.get("failure_reason"),
         }
 
     def _cmd_jobs_submit(

@@ -18,7 +18,10 @@ provably decision-identical:
 * the scalar power-model functions (:func:`voltage_at_frequency` through
   :func:`effective_flops`) — one small function per formula, which the
   package pass (``power_model.pstate_walk`` and ``phase_timing``) folds
-  into one scalar pass with the same operations in the same order.
+  into one scalar pass with the same operations in the same order;
+* :func:`thermal_advance` — the RC thermal step through the model's
+  ``steady_state_c``/``time_constant_s`` chain, which
+  ``ThermalModel.advance`` evaluates inline.
 
 Not collected by pytest (no ``test_`` prefix); ``benchmarks/conftest.py``
 puts this directory on ``sys.path`` so the benchmarks import it too.
@@ -52,6 +55,7 @@ __all__ = [
     "phase_duration",
     "effective_ipc",
     "effective_flops",
+    "thermal_advance",
 ]
 
 
@@ -365,3 +369,20 @@ def effective_flops(demand: PhaseDemand, duration_s: float) -> float:
     useful_fraction = demand.core_fraction + demand.memory_fraction + demand.other_fraction
     total_flops = demand.flops_per_second_ref * demand.ref_seconds * max(useful_fraction, 1e-9)
     return float(total_flops / duration_s)
+
+
+# -- the RC thermal step through the model's property chain ------------------
+
+
+def thermal_advance(model, power_w: float, dt_s: float) -> float:
+    """Advance a ``ThermalModel`` ``dt_s`` seconds at constant power; return temp."""
+    if dt_s < 0:
+        raise ValueError("dt must be >= 0")
+    if power_w < 0:
+        raise ValueError("power must be >= 0")
+    target = model.steady_state_c(power_w)
+    tau = model.spec.time_constant_s
+    alpha = 1.0 - float(np.exp(-dt_s / tau))
+    model._temps[model._index] += (target - float(model._temps[model._index])) * alpha
+    model._bump_version()
+    return float(model._temps[model._index])

@@ -1,6 +1,7 @@
 """Tests for the CPU package model (P-states, caps, execution)."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import effective_flops, effective_ipc, phase_duration
-from repro.apps.mpi import SPIN_DEMAND, busy_wait_power_w
+from repro.apps.mpi import SPIN_DEMAND, RegionRecord, busy_wait_power_w
 from repro.hardware import power_model as pm
-from repro.hardware.cpu import CpuPackage, CpuSpec
-from repro.hardware.node import Node, NodeSpec
+from repro.hardware.cpu import CpuPackage, CpuSpec, PhaseExecution
+from repro.hardware.node import Node, NodePhaseResult, NodeSpec
 from repro.hardware.power_model import PowerModelParams
 from repro.hardware.state import ClusterState
 from repro.hardware.variation import VariationDraw
@@ -358,6 +359,10 @@ def _set_up(pkg, state, cell, target, uncore, cap, temperature):
 
 
 def _fields(record):
+    """Field name to value: ``_asdict()`` of a result record (a named tuple),
+    ``dataclasses.fields`` of a dataclass such as ``PhaseDemand``."""
+    if isinstance(record, tuple):
+        return record._asdict()
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
@@ -449,6 +454,66 @@ def test_scaled_copies_like_dataclasses_replace(demand, factor):
     assert type(scaled) is PhaseDemand
     assert _fields(scaled) == _fields(expected)
     assert scaled.tags is demand.tags
+
+
+def _residual(demand):
+    return max(0.0, 1.0 - demand.core_fraction - demand.memory_fraction - demand.comm_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    demand=demands(),
+    factor=st.floats(0.0, 1e3),
+    share=st.floats(0.0, 1.0),
+    tags=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+)
+def test_other_fraction_is_the_residual_on_every_copy(demand, factor, share, tags):
+    """Stored once per demand, yet bit-equal to the residual of the fields
+    after construction, ``scaled``, ``with_tags`` and ``dataclasses.replace``."""
+    moved = dataclasses.replace(
+        demand,
+        core_fraction=demand.core_fraction * share,
+        memory_fraction=demand.memory_fraction * share,
+    )
+    for copy in (demand, demand.scaled(factor), demand.with_tags(**tags), moved):
+        assert copy.other_fraction.hex() == _residual(copy).hex()
+    assert "other_fraction" not in {f.name for f in dataclasses.fields(PhaseDemand)}
+    assert "other_fraction" not in repr(demand)
+
+
+#: The field order of the records when they were frozen dataclasses.
+RECORD_FIELDS = {
+    PhaseExecution: (
+        "demand", "duration_s", "power_w", "energy_j", "frequency_ghz", "uncore_ghz",
+        "threads", "ipc", "flops", "power_capped", "temperature_c",
+    ),
+    NodePhaseResult: (
+        "duration_s", "power_w", "energy_j", "frequency_ghz", "ipc", "flops",
+        "power_capped", "per_package",
+    ),
+    RegionRecord: ("hostname", "region", "iteration", "result", "wait_s", "wait_power_w"),
+}
+
+
+def test_result_records_keep_fields_properties_and_immutability():
+    node = Node(NodeSpec(n_sockets=2))
+    result = node.execute_phase(compute_demand(), threads=40)
+    execution = result.per_package[0]
+    record = RegionRecord("node0000", "compute", 3, result, 0.25, 150.0)
+    for rec in (execution, result, record):
+        assert type(rec)._fields == RECORD_FIELDS[type(rec)]
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[1], 0.0)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+    assert execution.energy_delay_product == execution.energy_j * execution.duration_s
+    for rec in (execution, result):
+        assert rec.flops_per_watt == rec.flops / rec.power_w
+        assert rec.ipc_per_watt == rec.ipc / rec.power_w
+        unpowered = rec._replace(power_w=0.0)
+        assert unpowered.flops_per_watt == unpowered.ipc_per_watt == 0.0
+    assert record.total_seconds == result.duration_s + 0.25
+    assert record.total_energy_j == result.energy_j + 0.25 * 150.0
 
 
 def test_packages_of_one_sku_share_their_walk_table():

@@ -1,12 +1,14 @@
 """Tests for RAPL, thermal model, variation model and the GPU device."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import thermal_advance
 from repro.hardware.gpu import GpuDevice, GpuSpec
 from repro.hardware.rapl import ENERGY_COUNTER_WRAP_J, PowerSample, RaplDomain, RaplInterface
 from repro.hardware.thermal import ThermalModel, ThermalSpec
@@ -133,6 +135,69 @@ def test_thermal_reset_and_ambient_offset():
     model.advance(300.0, 100.0)
     model.reset()
     assert model.temperature_c == pytest.approx(model.ambient_c)
+
+
+@st.composite
+def thermal_specs(draw):
+    """The default spec, or one with its own RC constants and trip points."""
+    if draw(st.booleans()):
+        return ThermalSpec()
+    ambient = draw(st.floats(-40.0, 60.0))
+    throttle = draw(st.floats(ambient + 1.0, 150.0))
+    return ThermalSpec(
+        resistance_k_per_w=draw(st.floats(1e-3, 5.0)),
+        capacitance_j_per_k=draw(st.floats(1e-2, 1e5)),
+        ambient_c=ambient,
+        throttle_temp_c=throttle,
+        critical_temp_c=draw(st.floats(throttle + 1.0, 300.0)),
+    )
+
+
+thermal_steps = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e300)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=thermal_specs(),
+    offset=st.floats(-30.0, 30.0),
+    start=st.floats(-250.0, 300.0),
+    steps=thermal_steps,
+)
+# Reassociating the target sum, ambient + (offset + R * power), moves both by an ulp.
+@example(spec=ThermalSpec(), offset=-4.56, start=23.1, steps=[(172.9, 30.0)])
+@example(spec=ThermalSpec(), offset=-2.62, start=45.9, steps=[(158.8, 1e300)])
+def test_thermal_step_matches_reference(spec, offset, start, steps):
+    """Each inline step returns and stores the property-chain step's value
+    bit for bit, and bumps the power-inputs version exactly once."""
+    models = []
+    for _ in range(2):
+        owner = SimpleNamespace(power_inputs_version=0)
+        model = ThermalModel(spec, ambient_offset_c=offset, version_owner=owner)
+        model.reset(start)
+        models.append((model, owner))
+    (model, owner), (reference, _) = models
+
+    for power, dt in steps:
+        before = owner.power_inputs_version
+        temperature = model.advance(power, dt)
+        expected = thermal_advance(reference, power, dt)
+        assert temperature == expected == model.temperature_c == reference.temperature_c
+        assert owner.power_inputs_version == before + 1
+
+    for bad_power, bad_dt in ((-power - 1e-3, dt), (power, -dt - 1e-3)):
+        with pytest.raises(ValueError):
+            model.advance(bad_power, bad_dt)
+        with pytest.raises(ValueError):
+            thermal_advance(reference, bad_power, bad_dt)
+    assert model.temperature_c == temperature
+    assert owner.power_inputs_version == before + 1
 
 
 def test_thermal_spec_validation():

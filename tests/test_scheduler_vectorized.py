@@ -26,6 +26,7 @@ from oracles import ScalarScheduler
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.lulesh import LuleshProxy
+from repro.apps.stream import StreamTriad
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.hardware.variation import VariationModel
 from repro.resource_manager.job import Job, JobState
@@ -266,6 +267,28 @@ def test_never_runnable_job_is_rejected_not_queued_forever():
     stats = scheduler.run_until_complete()
     assert stats.jobs_completed == 1
     assert scheduler.jobs["good"].state is JobState.COMPLETED
+
+
+def test_job_whose_simulator_raises_is_failed_and_released():
+    scheduler = build_scheduler(n_nodes=4)
+    # A valid spec whose phases overflow to an infinite duration on one node.
+    bad = scheduler.submit(request("bad", nodes=1, app=StreamTriad(array_mib=1e308)))
+    good = scheduler.submit(request("good", nodes=2))
+    assert bad.state is JobState.RUNNING and scheduler.committed_power_w > 0
+    stats = scheduler.run_until_complete()
+
+    assert bad.state is JobState.FAILED
+    assert bad.end_time_s == bad.start_time_s == 0.0
+    assert bad.launch_metadata["failure_reason"].startswith(
+        "ValueError: ref_seconds must be finite"
+    )
+    assert good.state is JobState.COMPLETED
+    assert stats.jobs_completed == 1
+    # The ledger balances: nothing committed, running or reserved, every node free.
+    assert scheduler.committed_power_w == stats.committed_power_w == 0.0
+    assert not scheduler.running
+    assert len(scheduler._availability) == 0
+    assert all(node.is_free for node in scheduler.cluster.nodes)
 
 
 def test_workload_generator_respects_rank_constraints_when_capping():

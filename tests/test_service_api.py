@@ -1079,6 +1079,38 @@ def test_jobs_submit_rejects_hostile_app_specs_over_the_wire(app):
     assert listed.ok and listed.result == []
 
 
+def test_job_failing_mid_run_is_failed_and_released_over_the_wire():
+    """A stream of 1e308 MiB is a valid spec, but its phases overflow to
+    an infinite duration: the job fails with the reason, frees its node
+    and its power commitment, and a long advance no longer samples it."""
+    service = make_service(n_nodes=4)
+
+    def wire(op, session=None, **args):
+        envelope = {"op": op, "args": args}
+        if session is not None:
+            envelope["session"] = session
+        return Response.from_json(service.handle_wire(json.dumps(envelope)))
+
+    session = wire("session.open", tenant="ci", role="resource_manager").result["session"]
+    submitted = wire("jobs.submit", session, app={"kind": "stream", "array_mib": 1e308})
+    assert submitted.ok and submitted.result["state"] == "running"
+    assert wire("jobs.stats", session).result["committed_power_w"] > 0
+
+    assert wire("jobs.advance", session, duration_s=10.0).ok
+    job = wire("jobs.query", session, job_id=submitted.result["job_id"]).result
+    assert job["state"] == "failed"
+    assert job["end_time_s"] == 0.0
+    assert job["failure_reason"].startswith("ValueError: ref_seconds must be finite")
+    assert job["reject_reason"] is None
+    assert wire("jobs.stats", session).result["committed_power_w"] == 0.0
+    assert all(node.is_free for node in service.cluster.nodes)
+    assert not service.scheduler.running
+
+    samples = len(service.scheduler.power_series)
+    assert wire("jobs.advance", session, duration_s=1e5).ok
+    assert len(service.scheduler.power_series) == samples
+
+
 def test_run_stream_outlives_hostile_lines():
     """The REPL loop answers every hostile line and keeps serving."""
     service = make_service(n_nodes=2)

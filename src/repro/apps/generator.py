@@ -10,6 +10,7 @@ deterministically from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -51,8 +52,11 @@ class JobRequest:
             raise ValueError("nodes_requested must be >= 1")
         if self.ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1")
-        if self.walltime_estimate_s <= 0:
-            raise ValueError("walltime_estimate_s must be positive")
+        # NaN (caught by ``not``) or inf would break the EASY release order.
+        if not 0 < self.walltime_estimate_s < math.inf:
+            raise ValueError("walltime_estimate_s must be positive and finite")
+        if not math.isfinite(self.arrival_time_s):
+            raise ValueError("arrival_time_s must be finite")
         if self.nodes_min is not None and self.nodes_min < 1:
             raise ValueError("nodes_min must be >= 1")
         if (

@@ -160,9 +160,7 @@ class Cluster:
                 raise RuntimeError(
                     f"{node.hostname} already allocated to {node.allocated_to!r}"
                 )
-        idx = np.fromiter(
-            (node.node_id for node in nodes), dtype=np.intp, count=len(nodes)
-        )
+        idx = np.array([node.node_id for node in nodes], dtype=np.intp)
         self.state.node_free[idx] = False
         self.state.free_version += 1
         for node in nodes:
@@ -179,9 +177,7 @@ class Cluster:
         if not nodes:
             return
         state = self.state
-        idx = np.fromiter(
-            (node.node_id for node in nodes), dtype=np.intp, count=len(nodes)
-        )
+        idx = np.array([node.node_id for node in nodes], dtype=np.intp)
         state.node_free[idx] = True
         state.node_current_power_w[idx] = state.idle_power_per_node()[idx]
         state.free_version += 1

@@ -17,6 +17,7 @@ to the tail).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.resource_manager.job import Job, JobState
@@ -77,18 +78,12 @@ class JobQueue:
         """
         if shadow_time_s < now_s:
             return []
-        candidates: List[Job] = []
-        examined = 0
-        it = iter(self._jobs.values())
-        next(it, None)  # skip the FCFS head
-        for job in it:
-            if max_candidates is not None and examined >= max_candidates:
-                break
-            examined += 1
-            estimate = job.request.walltime_estimate_s
-            if now_s + estimate <= shadow_time_s and fits(job):
-                candidates.append(job)
-        return candidates
+        stop = None if max_candidates is None else 1 + max_candidates
+        return [
+            job
+            for job in islice(self._jobs.values(), 1, stop)  # past the FCFS head
+            if now_s + job.request.walltime_estimate_s <= shadow_time_s and fits(job)
+        ]
 
     def jobs_by_user(self, user: str) -> List[Job]:
         return [j for j in self._jobs.values() if j.request.user == user]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class NodeAvailabilityProfile:
     Keeps ``(estimated_release_time, node_count)`` entries sorted by
     release time, maintained incrementally at every launch and release,
     so the head job's earliest-start ("shadow") computation is one
-    cumulative sum over the profile instead of a per-call sort of the
+    early-exit scan in release order instead of a per-call sort of the
     whole running set.
     """
 
@@ -77,9 +77,6 @@ class NodeAvailabilityProfile:
         self._keys: List[Tuple[float, str]] = []
         self._counts: List[int] = []
         self._entries: Dict[str, Tuple[float, int]] = {}
-        #: Cumulative-count cache, invalidated on mutation: between
-        #: launches/releases every shadow-time query reuses one cumsum.
-        self._cum: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -92,7 +89,6 @@ class NodeAvailabilityProfile:
         self._keys.insert(i, key)
         self._counts.insert(i, int(node_count))
         self._entries[job_id] = (release_time_s, int(node_count))
-        self._cum = None
 
     def remove(self, job_id: str) -> None:
         entry = self._entries.pop(job_id, None)
@@ -101,7 +97,6 @@ class NodeAvailabilityProfile:
         i = bisect.bisect_left(self._keys, (entry[0], job_id))
         del self._keys[i]
         del self._counts[i]
-        self._cum = None
 
     def update_count(self, job_id: str, node_count: int) -> None:
         """Adjust a job's node count in place (malleable grow/shrink)."""
@@ -112,27 +107,25 @@ class NodeAvailabilityProfile:
 
     def earliest_start(self, needed: int, free_count: int, now_s: float) -> float:
         """Earliest time ``needed`` nodes are expected to be available."""
-        if free_count >= needed:
+        deficit = needed - free_count
+        if deficit <= 0:
             return now_s
-        if not self._counts:
-            return now_s + PESSIMISTIC_SHADOW_S
-        if self._cum is None:
-            self._cum = np.cumsum(self._counts)
-        cumulative = self._cum
-        idx = int(np.searchsorted(cumulative, needed - free_count))
-        if idx >= len(self._keys):
-            return now_s + PESSIMISTIC_SHADOW_S
-        return max(self._keys[idx][0], now_s)
+        released = 0
+        for key, count in zip(self._keys, self._counts):
+            released += count
+            if released >= deficit:
+                return max(key[0], now_s)
+        return now_s + PESSIMISTIC_SHADOW_S
 
 
-@dataclass(frozen=True)
-class LaunchPlan:
+class LaunchPlan(NamedTuple):
     """Outcome of the shared feasibility kernel for one candidate job.
 
     Backfill candidacy (:meth:`PowerAwareScheduler._fits_now`) and the
     actual launch (:meth:`PowerAwareScheduler._try_start`) both consume
     the same plan, so they can never disagree on the candidate node set,
-    the budget inputs, or power feasibility.
+    the budget inputs, or power feasibility.  An immutable named tuple,
+    so a plan costs one tuple to build.
     """
 
     node_count: int
@@ -557,17 +550,18 @@ class PowerAwareScheduler:
         return ranked
 
     def _choose_node_count(self, job: Job, free_count: int) -> Optional[int]:
-        """Node count to start the job with (moldable jobs shrink to fit)."""
-        acceptable = job.request.acceptable_node_counts()
-        if not acceptable:
-            return None
-        fitting = [n for n in acceptable if n <= free_count]
-        if not fitting:
-            return None
-        preferred = job.request.nodes_requested
-        if preferred in fitting:
+        """Node count to start the job with (moldable jobs shrink to fit).
+
+        The preferred count if it fits and is acceptable, else the largest
+        fitting acceptable count (they ascend), else ``None``.
+        """
+        request = job.request
+        acceptable = request.acceptable_node_counts()
+        preferred = request.nodes_requested
+        if preferred <= free_count and preferred in acceptable:
             return preferred
-        return max(fitting)
+        fitting = bisect.bisect_right(acceptable, free_count)
+        return acceptable[fitting - 1] if fitting else None
 
     # repro-lint: hot
     def _plan_launch(self, job: Job) -> Optional[LaunchPlan]:
@@ -586,13 +580,11 @@ class PowerAwareScheduler:
         if len(ranked) < count:
             return None
         indices = tuple(ranked[:count].tolist())
+        # Every node shares this spec: its TDP is each node's max_power_w().
         spec = self.cluster.spec.node
         budget = self.policies.job_budget_w(
-            job_nodes=count,
-            total_nodes=len(self.cluster),
-            committed_power_w=self._committed_power_w,
-            node_tdp_w=self.cluster.nodes[indices[0]].max_power_w(),
-            node_min_w=spec.min_power_w,
+            count, len(self.cluster), self._committed_power_w,
+            spec.tdp_w, spec.min_power_w,
         )
         commitment = self._commitment_for_count(count, budget)
         if (
@@ -672,13 +664,15 @@ class PowerAwareScheduler:
             return
         shadow = self._shadow_time(head)
         self._record_reservation(head, shadow)
+        # Planning changes nothing the epoch keys on: read it once per sweep.
+        epoch = self._feasibility_epoch()
 
         def fits(job: Job) -> bool:
-            if use_marks and marks.get(job.job_id) == self._feasibility_epoch():
+            if use_marks and marks.get(job.job_id) == epoch:
                 return False
-            ok = self._fits_now(job)
+            ok = self._plan_launch(job) is not None
             if not ok and use_marks:
-                marks[job.job_id] = self._feasibility_epoch()
+                marks[job.job_id] = epoch
             return ok
 
         candidates = self.queue.backfill_candidates(
@@ -690,15 +684,10 @@ class PowerAwareScheduler:
             # previous backfill launch (stale-shadow EASY fix).
             if self.env.now + job.request.walltime_estimate_s > shadow:
                 continue
-            plan = self._plan_launch(job)
-            if plan is None:
+            if not self._try_start(job, backfill=True):
                 if use_marks:
                     marks[job.job_id] = self._feasibility_epoch()
                 continue
-            self._launch(
-                job, self.cluster.nodes_at(plan.node_indices), plan.budget_w,
-                backfilled=True, plan=plan,
-            )
             self.queue.remove(job)
             marks.pop(job.job_id, None)
             self.backfilled_jobs += 1
@@ -761,7 +750,7 @@ class PowerAwareScheduler:
         """Estimated earliest start of the head job (its reservation time).
 
         Reads the incrementally maintained :class:`NodeAvailabilityProfile`
-        (one cumulative sum).  Cancelled jobs stay in ``self.running``
+        (one early-exit scan).  Cancelled jobs stay in ``self.running``
         (and in the profile) until the simulator actually unwinds and
         their nodes are reclaimed, and quarantined nodes are entries too,
         so pending releases are never undercounted.
@@ -885,7 +874,9 @@ class PowerAwareScheduler:
 
         A simulator that raised an ``Exception`` fails its job with the
         error as its ``failure_reason`` and releases it; the defused error
-        does not escape ``run()``.  An interrupt or exit still does.
+        does not escape ``run()``.  An interrupt or exit still does.  A
+        failed job gets no ``on_job_end``, so its :class:`JobRuntime`
+        resets its nodes' caps and clocks here.
         """
         if event.ok:
             self._complete_job(job, event._value)
@@ -898,6 +889,9 @@ class PowerAwareScheduler:
         if job.state is JobState.RUNNING:
             job.mark_failed(self.env.now)
             self._finished_count += 1
+        runtime = self.runtime_handles.get(job.job_id)
+        if isinstance(runtime, JobRuntime):
+            runtime.reset_nodes()
         self._finish(job)
 
     # repro-lint: hot
@@ -999,8 +993,10 @@ class PowerAwareScheduler:
         self.cluster.release_nodes(
             [node for node in owned if node._allocated_to == job_id]
         )
-        self.running.pop(job.job_id, None)
-        self._availability.remove(job.job_id)
+        self.running.pop(job_id, None)
+        # Only running jobs read their simulator; dropping it breaks a cycle.
+        self._sims.pop(job_id, None)
+        self._availability.remove(job_id)
 
     def _finish(self, job: Job) -> None:
         self._release_allocation(job)

@@ -143,7 +143,10 @@ class JobRuntime(RuntimeHooks):
                 self.distribute_budget()
 
     def on_job_end(self, sim: MpiJobSimulator, result) -> None:
-        # Leave nodes in their default state for the next job.
+        self.reset_nodes()
+
+    def reset_nodes(self) -> None:
+        """Uncap the nodes at default clocks (also after a failed job)."""
         for node in self.nodes:
             node.set_power_cap(None)
             node.set_frequency(node.spec.cpu.freq_base_ghz)

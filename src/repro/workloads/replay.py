@@ -123,8 +123,9 @@ class TraceJobSimulator:
         self.job_id = job_id
         self.params = dict(params or {})
         self._cancelled = False
+        #: Set from start until the result is delivered, with ``_event``
+        #: the pending timeout whose callback is :meth:`_deliver`.
         self._on_done = None
-        self._delivered = False
         self._event = None
         self._start_s = 0.0
         self._total_w = 0.0
@@ -145,12 +146,13 @@ class TraceJobSimulator:
 
     # repro-lint: hot
     def _deliver(self, _event) -> None:
-        if self._delivered:
-            return
-        self._delivered = True
+        # Drop the callback and the event before handing the result over:
+        # a finished simulator holds no reference back to its scheduler.
+        on_done = self._on_done
+        self._on_done = self._event = None
         elapsed = self.env.now - self._start_s
         app = self.application
-        self._on_done(
+        on_done(
             JobResult(
                 job_id=self.job_id,
                 app_name=app.name,
@@ -170,13 +172,13 @@ class TraceJobSimulator:
         Each allocated node draws ``power_per_node_w`` when the trace
         records it, else ``idle + power_fraction * (tdp - idle)``, read
         from the state's memoized busy-power vector: one gather and one
-        fancy-indexed write, so per job this is O(job nodes), not
-        O(cluster).
+        fancy-indexed write through one index array, so per job this is
+        O(job nodes), not O(cluster).
         """
         app = self.application
         nodes = self.nodes
         state = nodes[0].cluster_state
-        idx = [n.node_id for n in nodes]
+        idx = np.array([n.node_id for n in nodes], dtype=np.intp)
         if app.power_per_node_w is not None:
             watts = np.full(len(nodes), float(app.power_per_node_w))
         else:
@@ -187,16 +189,11 @@ class TraceJobSimulator:
     def cancel(self) -> None:
         """Stop the replay immediately (crash injection or user cancel)."""
         self._cancelled = True
-        if self._on_done is None or self._delivered:
+        if self._on_done is None:  # not started, or already delivered
             return
         # Unhook the pending completion and deliver the partial result
         # via a zero-delay event, so the scheduler tears down after the
         # caller returns, not inside it.
-        event = self._event
-        if event is not None and event.callbacks is not None:
-            try:
-                event.callbacks.remove(self._deliver)
-            except ValueError:
-                pass
+        self._event.callbacks.remove(self._deliver)
         self._event = self.env.timeout(0.0)
         self._event.callbacks.append(self._deliver)

@@ -138,11 +138,11 @@ def _parse_line(fields: Sequence[str], line_number: int) -> SwfJob:
             value = int(raw) if name in _INT_FIELDS else float(raw)
         except ValueError:
             raise SwfParseError(f"field {name!r}: not a number: {raw!r}", line_number)
+        # Integer fields are always finite; a NaN requested time would
+        # become a NaN walltime estimate.
+        if name not in _INT_FIELDS and not math.isfinite(value):
+            raise SwfParseError(f"field {name!r}: non-finite: {raw!r}", line_number)
         kwargs[name] = value
-    if not math.isfinite(kwargs["submit_time_s"]) or not math.isfinite(
-        kwargs["run_time_s"]
-    ):
-        raise SwfParseError("non-finite submit/run time", line_number)
     return SwfJob(**kwargs)
 
 

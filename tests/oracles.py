@@ -13,6 +13,9 @@ provably decision-identical:
 * :class:`ScalarScheduler` — node selection, feasibility and the EASY
   reservation on per-``Node`` lists and a per-call sort of the running
   set;
+* :func:`choose_node_count_by_list` — the launch node count from a list
+  of the fitting acceptable counts, which the scheduler picks without
+  building one;
 * :func:`sequential_autotune` — one ``ask``/evaluate/``tell`` per
   configuration;
 * the scalar power-model functions (:func:`voltage_at_frequency` through
@@ -45,6 +48,7 @@ from repro.telemetry.database import EvaluationRecord
 __all__ = [
     "IntervalDriverScheduler",
     "ScalarScheduler",
+    "choose_node_count_by_list",
     "sequential_autotune",
     "voltage_at_frequency",
     "core_dynamic_power",
@@ -125,6 +129,20 @@ class ScalarScheduler(PowerAwareScheduler):
             if available >= needed:
                 return max(when, self.env.now)
         return self.env.now + PESSIMISTIC_SHADOW_S  # pessimistic: nothing frees up soon
+
+
+def choose_node_count_by_list(
+    acceptable: List[int], preferred: int, free_count: int
+) -> Optional[int]:
+    """Preferred count if it fits and is acceptable, else the largest fit."""
+    if not acceptable:
+        return None
+    fitting = [n for n in acceptable if n <= free_count]
+    if not fitting:
+        return None
+    if preferred in fitting:
+        return preferred
+    return max(fitting)
 
 
 def sequential_autotune(

@@ -1,5 +1,7 @@
 """Tests for the application models and the MPI job simulator."""
 
+import math
+
 import pytest
 
 from repro.apps.base import Application, SyntheticApplication, make_phase
@@ -310,6 +312,27 @@ def test_job_request_validation():
         JobRequest("j", StreamTriad(), nodes_requested=0)
     with pytest.raises(ValueError):
         JobRequest("j", StreamTriad(), nodes_requested=2, nodes_min=4, nodes_max=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("walltime_estimate_s", math.nan),
+        ("walltime_estimate_s", math.inf),
+        ("walltime_estimate_s", -math.inf),
+        ("arrival_time_s", math.nan),
+        ("arrival_time_s", math.inf),
+        ("arrival_time_s", -math.inf),
+    ],
+)
+def test_job_request_rejects_non_finite_times(field, value):
+    """A NaN estimate would break the EASY reservation's release order."""
+    with pytest.raises(ValueError, match=field):
+        JobRequest("j", StreamTriad(), **{field: value})
+
+
+def test_job_request_accepts_a_huge_finite_estimate():
+    assert JobRequest("j", StreamTriad(), walltime_estimate_s=1e308).walltime_estimate_s == 1e308
 
 
 def test_job_request_acceptable_node_counts_respects_constraint():

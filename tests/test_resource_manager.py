@@ -85,6 +85,15 @@ def test_queue_fcfs_and_backfill_candidates():
     candidates = queue.backfill_candidates(now_s=0.0, shadow_time_s=250.0, fits=lambda j: True)
     # j1 (200s) fits before the 250s shadow time; j2 (300s) and j3 (400s) do not.
     assert candidates == [jobs[1]]
+    # A window bound stops the sweep: ``fits`` sees no job past it.
+    seen = []
+
+    def fits(job):
+        seen.append(job)
+        return True
+
+    window = queue.backfill_candidates(0.0, 1000.0, fits=fits, max_candidates=2)
+    assert window == seen == jobs[1:3]
     queue.remove(jobs[0])
     assert queue.head() is jobs[1]
 

@@ -16,16 +16,23 @@ Covers the PR-3 scheduler work:
 * cancelled jobs never surface in ``scheduler.completed``;
 * the scalar reference (``oracles.ScalarScheduler``) and the vectorized
   scheduler produce bit-identical schedules and SchedulerStats on
-  identical traces.
+  identical traces;
+* a drained scheduler keeps no simulator, so dropping it leaves no
+  per-job reference cycle for the garbage collector.
 """
+
+import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ScalarScheduler
+from oracles import ScalarScheduler, choose_node_count_by_list
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.lulesh import LuleshProxy
+from repro.apps.mpi import RuntimeHooks
 from repro.apps.stream import StreamTriad
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.hardware.variation import VariationModel
@@ -37,12 +44,15 @@ from repro.resource_manager.overprovisioning import (
 )
 from repro.resource_manager.policies import SitePolicies
 from repro.resource_manager.slurm import (
+    LaunchPlan,
     NodeAvailabilityProfile,
     PowerAwareScheduler,
     SchedulerConfig,
 )
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
+from repro.workloads.replay import TraceReplayApplication
+from repro.workloads.synth import synthesize_replay_trace
 
 
 def app_with_runtime(name, seconds_per_iter, iterations):
@@ -179,6 +189,119 @@ def test_fits_now_and_launch_share_ranked_candidate_set():
     assert scheduler._try_start(job)
     launched = sorted(n.node_id for n in scheduler.jobs["probe"].assigned_nodes)
     assert launched == sorted(ranked)
+
+
+def test_launch_plan_keeps_fields_and_immutability():
+    scheduler = build_scheduler(n_nodes=4)
+    plan = scheduler._plan_launch(Job(request=request("probe", nodes=2)))
+    assert isinstance(plan, LaunchPlan)
+    assert LaunchPlan._fields == ("node_count", "node_indices", "budget_w", "commitment_w")
+    assert plan == (2, plan.node_indices, plan.budget_w, plan.commitment_w)
+    assert len(plan.node_indices) == 2
+    with pytest.raises(AttributeError):
+        plan.budget_w = 0.0
+    # Every node shares the cluster's spec, so the spec TDP is the budget's
+    # node TDP whichever node the plan ranks first.
+    cluster = scheduler.cluster
+    assert plan.budget_w == scheduler.policies.job_budget_w(
+        job_nodes=2,
+        total_nodes=4,
+        committed_power_w=0.0,
+        node_tdp_w=cluster.nodes[plan.node_indices[0]].max_power_w(),
+        node_min_w=cluster.spec.node.min_power_w,
+    )
+
+
+class _RankSetApp(TraceReplayApplication):
+    """A replay application that accepts exactly the given rank counts."""
+
+    def __init__(self, allowed):
+        super().__init__(duration_s=60.0)
+        self.allowed = frozenset(allowed)
+
+    def rank_constraint(self, ranks):
+        return ranks in self.allowed
+
+
+@given(
+    allowed=st.sets(st.integers(1, 24), max_size=12),
+    bounds=st.none() | st.tuples(st.integers(1, 24), st.integers(0, 12)),
+    preferred=st.integers(1, 24),
+    free_count=st.integers(0, 30),
+)
+@settings(max_examples=200, deadline=None)
+def test_choose_node_count_matches_list_rule(allowed, bounds, preferred, free_count):
+    """The allocation-free choice equals the old rule over a fitting list."""
+    nodes_min, nodes_max = (None, None) if bounds is None else (bounds[0], sum(bounds))
+    job = Job(request=JobRequest(
+        "probe", _RankSetApp(allowed), nodes_requested=preferred,
+        nodes_min=nodes_min, nodes_max=nodes_max,
+    ))
+    acceptable = job.request.acceptable_node_counts()
+    assert acceptable == sorted(set(acceptable))
+    assert build_scheduler(n_nodes=1)._choose_node_count(
+        job, free_count
+    ) == choose_node_count_by_list(acceptable, preferred, free_count)
+
+
+# -- teardown --------------------------------------------------------------------------
+
+
+def drain_replay(n_jobs, n_nodes=64, seed=931):
+    """A contended replay drain shaped like the ``sched_contended`` benchmark."""
+    trace = synthesize_replay_trace(
+        n_jobs, seed=seed, mean_interarrival_s=12.4 * 512 / n_nodes,
+        mean_runtime_s=600.0, max_nodes_per_job=64, arrival_quantum_s=30.0,
+    )
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes), seed=seed)
+    policies = SitePolicies(system_power_budget_w=0.85 * cluster.total_tdp_w())
+    config = SchedulerConfig(
+        monitor_interval_s=3600.0, backfill_depth=100,
+        runtime_factory=lambda job, budget, scheduler: RuntimeHooks(),
+    )
+    scheduler = PowerAwareScheduler(Environment(), cluster, policies, config,
+                                    RandomStreams(seed))
+    scheduler.submit_trace(trace)
+    stats = scheduler.run_until_complete()
+    assert stats.jobs_completed == n_jobs
+    return scheduler
+
+
+def test_drained_scheduler_holds_no_simulators():
+    assert drain_replay(50)._sims == {}
+    assert run_trace(PowerAwareScheduler)[2]._sims == {}
+
+
+def test_dropped_drained_scheduler_leaves_no_per_job_cycles():
+    """Objects in cycles after dropping a drained scheduler do not grow
+    with the number of jobs it ran (finished jobs are freed by refcount)."""
+
+    def cyclic_garbage(n_jobs):
+        gc.collect()
+        gc.disable()
+        try:
+            scheduler = drain_replay(n_jobs)
+            gc.collect()  # only what dropping the scheduler leaves
+            del scheduler
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert cyclic_garbage(50) == cyclic_garbage(300)
+
+
+def test_failed_job_with_plain_hooks_keeps_site_caps():
+    """Only a ``JobRuntime`` resets its nodes; plain hooks never do, so a
+    site cap survives a failed job as it survives a completed one."""
+    scheduler = build_scheduler(
+        n_nodes=1, runtime_factory=lambda job, budget, scheduler: RuntimeHooks()
+    )
+    node = scheduler.cluster.nodes[0]
+    cap = node.set_power_cap(300.0)
+    bad = scheduler.submit(request("bad", nodes=1, app=StreamTriad(array_mib=1e308)))
+    scheduler.run_until_complete()
+    assert bad.state is JobState.FAILED
+    assert node.node_power_cap_w == cap
 
 
 # -- cancel accounting ---------------------------------------------------------------

@@ -1105,6 +1105,13 @@ def test_job_failing_mid_run_is_failed_and_released_over_the_wire():
     assert wire("jobs.stats", session).result["committed_power_w"] == 0.0
     assert all(node.is_free for node in service.cluster.nodes)
     assert not service.scheduler.running
+    # The failed job's runtime reset its node: uncapped, with the package
+    # caps of the nodes no job ran on.
+    assert all(node.node_power_cap_w is None for node in service.cluster.nodes)
+    package_caps = {
+        tuple(pkg.power_cap_w for pkg in node.packages) for node in service.cluster.nodes
+    }
+    assert len(package_caps) == 1
 
     samples = len(service.scheduler.power_series)
     assert wire("jobs.advance", session, duration_s=1e5).ok

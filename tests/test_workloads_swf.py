@@ -1,6 +1,8 @@
 """Workload-trace layer: SWF parsing/round-trip, workload specs, and
 arrival-order stability (hypothesis) for the trace-ingestion path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,17 @@ def test_parse_swf_malformed_line_raises_with_line_number():
         parse_swf([GOOD_LINE.replace("120", "fast")])
     with pytest.raises(SwfParseError, match="non-finite"):
         parse_swf([GOOD_LINE.replace("120", "nan")])
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_swf_non_finite_requested_time_raises_or_is_skipped(raw):
+    hostile = GOOD_LINE.replace(" 300 ", f" {raw} ")
+    with pytest.raises(SwfParseError, match="line 2.*requested_time_s.*non-finite"):
+        parse_swf([GOOD_LINE, hostile])
+    trace = parse_swf([GOOD_LINE, hostile, GOOD_LINE], on_error="skip")
+    assert len(trace.jobs) == 2
+    assert [line for line, _ in trace.skipped] == [2]
+    assert all(math.isfinite(r.walltime_estimate_s) for r in swf_to_requests(trace))
 
 
 def test_parse_swf_skip_mode_records_dropped_lines():

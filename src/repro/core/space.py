@@ -162,14 +162,13 @@ class ParameterSpace:
     # -- configurations ---------------------------------------------------------------------
     def validate(self, config: Mapping[str, Any]) -> Dict[str, Any]:
         """Validate (and canonicalise) a full configuration."""
-        unknown = set(config) - set(self._parameters)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)}")
-        missing = set(self._parameters) - set(config)
-        if missing:
-            raise KeyError(f"missing parameters: {sorted(missing)}")
-        validated = {name: self._parameters[name].validate(config[name]) for name in self.names()}
-        return validated
+        parameters = self._parameters
+        if config.keys() != parameters.keys():  # one length test, one membership pass
+            unknown = set(config) - set(parameters)
+            if unknown:
+                raise KeyError(f"unknown parameters: {sorted(unknown)}")
+            raise KeyError(f"missing parameters: {sorted(set(parameters) - set(config))}")
+        return {name: param.validate(config[name]) for name, param in parameters.items()}
 
     def is_allowed(self, config: Mapping[str, Any]) -> bool:
         """Whether a configuration passes the dependency constraints."""

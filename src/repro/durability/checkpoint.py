@@ -10,9 +10,13 @@ Directory layout of one durability root::
 
 Invariants, in write order:
 
-1. **Write-ahead.**  ``ShardedPerformanceDatabase.add`` journals the
-   record (with its *global* sequence number and routing key) before any
-   in-memory mutation.  A crash leaves at worst a torn tail entry.
+1. **Write-ahead, per run.**  ``ShardedPerformanceDatabase.add`` routes
+   a run of consecutive records with one routing key to one shard,
+   appends one entry per record (with its *global* sequence number and
+   routing key) and commits the segment once before any record of the
+   run mutates memory.  A crash leaves at worst a torn tail entry; a
+   torn entry inside a run leaves the records before it applied and the
+   rest not, so memory never holds less than the journal.
 2. **Atomic checkpoint.**  ``checkpoint()`` snapshots into a temp
    directory, renames it into place, atomically updates the
    ``CHECKPOINT`` pointer, *then* truncates the segments and prunes old
@@ -89,7 +93,8 @@ class DatabaseJournal:
 
     Implements the protocol ``ShardedPerformanceDatabase`` expects of an
     attached journal: ``enabled``, ``n_shards``,
-    ``append_record(shard, seq, record, key)`` and ``checkpoint(db)``.
+    ``append_record(shard, seq, record, key)``, ``commit(shard)`` and
+    ``checkpoint(db)``.
     """
 
     def __init__(
@@ -133,17 +138,22 @@ class DatabaseJournal:
     def append_record(
         self, shard: int, seq: int, record: Dict[str, Any], key: str
     ) -> None:
-        """Journal one record ahead of its in-memory add.
+        """Write one record's entry ahead of its in-memory add.
 
         ``seq`` is the record's *global* sequence number; replay uses it
         to stitch the per-shard segments back into one total order and to
-        drop entries already absorbed by a checkpoint.
+        drop entries already absorbed by a checkpoint.  The entry reaches
+        disk on the next :meth:`commit` of its shard.
         """
         payload = _ENTRY_ENCODER.encode(
             {"seq": int(seq), "shard": int(shard), "key": str(key), "record": record}
         ).encode("utf-8")
         self._segments[shard].append(payload)
         self.appended += 1
+
+    def commit(self, shard: int) -> None:
+        """Commit the entries written to one shard's segment (group commit)."""
+        self._segments[shard].commit()
 
     def sync(self) -> None:
         """fsync every segment (a batch-policy barrier)."""

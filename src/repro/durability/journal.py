@@ -16,10 +16,13 @@ short payload, or a payload whose checksum no longer matches — and
 the completed entries cleanly.  Corruption is never an exception on the
 read path; it is simply where the journal ends.
 
-Writes go through :class:`JournalSegment`, which applies the configured
-fsync policy and consults the process-global fault injector
-(``repro.faults``) so chaos plans can tear writes (simulating a crash
-mid-append, raised as :class:`JournalTornWriteError`) or stall the disk.
+Writes go through :class:`JournalSegment`, which consults the
+process-global fault injector (``repro.faults``) so chaos plans can tear
+writes (simulating a crash mid-append, raised as
+:class:`JournalTornWriteError`) or stall the disk.  ``append`` writes
+entries and ``commit`` makes them visible to readers (and durable, under
+the ``"always"`` fsync policy), so a caller commits a run of entries at
+once.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import struct
 import time
 import zlib
 from typing import BinaryIO, Iterator, List, Optional
+
+from repro.faults import injector as faults
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -45,10 +50,11 @@ _HEADER = struct.Struct(">II")
 #: not a record (keeps a flipped length byte from allocating gigabytes).
 MAX_ENTRY_BYTES = 64 * 1024 * 1024
 
-#: ``always`` — fsync after every append (strongest; one syscall per
-#: record).  ``batch`` — flush to the OS after every append, fsync only
-#: on :meth:`JournalSegment.sync` / close / checkpoint (a kill loses at
-#: most the OS buffer, a torn tail recovery already handles).
+#: ``always`` — fsync on every :meth:`JournalSegment.commit` (strongest;
+#: one syscall per committed run of entries).  ``batch`` — flush to the OS
+#: on every commit, fsync only on :meth:`JournalSegment.sync` / close /
+#: checkpoint (a kill loses at most the OS buffer, a torn tail recovery
+#: already handles).
 FSYNC_POLICIES = ("always", "batch")
 
 
@@ -125,9 +131,12 @@ class JournalSegment:
         return self._fh is None
 
     def _chaos(self, data: bytes) -> None:
-        """Consult the fault injector: maybe stall, maybe tear this write."""
-        from repro.faults import injector as faults
+        """Consult the fault injector: maybe stall, maybe tear this write.
 
+        A torn write flushes everything appended before it, so the entries
+        ahead of the tear are on disk when :class:`JournalTornWriteError`
+        reaches the caller.
+        """
         inj = faults.active()
         if inj is None or not inj.enabled:
             return
@@ -146,12 +155,21 @@ class JournalSegment:
 
     # repro-lint: hot
     def append(self, payload: bytes) -> None:
-        """Append one entry (write-ahead: callers journal before applying)."""
+        """Write one framed entry; it is not flushed until :meth:`commit`.
+
+        Write-ahead: a caller appends every entry of a run and commits
+        before it applies any of them in memory.
+        """
         if self._fh is None:
             raise ValueError(f"journal segment {self.path!r} is closed")
         data = encode_entry(payload)
         self._chaos(data)
         self._fh.write(data)
+
+    def commit(self) -> None:
+        """Flush the appended entries to the OS (fsync them under ``"always"``)."""
+        if self._fh is None:
+            raise ValueError(f"journal segment {self.path!r} is closed")
         self._fh.flush()
         if self.fsync == "always":
             os.fsync(self._fh.fileno())

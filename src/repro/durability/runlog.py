@@ -94,6 +94,7 @@ class CampaignJournal:
         self._segment.append(
             json.dumps(entry, separators=(",", ":")).encode("utf-8")
         )
+        self._segment.commit()
 
     def record_run(self, key: str, outcome: Dict[str, Any]) -> None:
         """Persist one completed run's processed outcome."""

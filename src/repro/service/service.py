@@ -1161,48 +1161,60 @@ class StackService:
         """Report evaluated configurations (charged against the quota);
         results land in the sharded performance database."""
         state = self._tuner(session, tuner_id)
-        parsed: List[Tuple[Dict[str, Any], float, Dict[str, float], bool]] = []
+        is_number = _WIRE_KINDS[float][1]
+        # One tags dict for the whole tell: its records share it.
+        tags = {"tenant": session.tenant, "session": session.session_id, "tuner": state.tuner_id}
+        records: List[EvaluationRecord] = []
         for entry in results:
             if not isinstance(entry, Mapping) or "config" not in entry or "objective" not in entry:
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST,
                     "each result must be an object with 'config' and 'objective'",
                 )
-            try:
-                config = state.space.validate(dict(entry["config"]))
-            except (KeyError, ValueError) as error:
-                raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
-            objective = float(entry["objective"])
-            if not _finite(objective):
+            if not isinstance(entry["config"], Mapping):
                 raise ServiceError(
-                    ServiceErrorCode.BAD_VALUE, "each result's 'objective' must be finite"
+                    ServiceErrorCode.BAD_REQUEST, "each result's 'config' must be an object"
+                )
+            try:
+                config = state.space.validate(entry["config"])
+            except (KeyError, ValueError, TypeError) as error:  # TypeError: unhashable value
+                raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
+            objective = entry["objective"]
+            if not is_number(objective) or not _finite(objective):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_VALUE,
+                    "each result's 'objective' must be a finite number",
                 )
             metrics = _metrics(entry.get("metrics", {}))
-            feasible = bool(entry.get("feasible", True))
-            parsed.append((config, objective, metrics, feasible))
-        session.charge(len(parsed))
-        for config, objective, metrics, feasible in parsed:
-            if not feasible:
-                search_value = PENALTY_OBJECTIVE
-            else:
-                search_value = objective if state.minimize else -objective
-            state.search.tell(config, search_value)
-            state.told += 1
-            state.fold(
-                self.database.add_evaluation(
+            feasible = entry.get("feasible", True)
+            if not isinstance(feasible, bool):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_VALUE, "each result's 'feasible' must be a boolean"
+                )
+            records.append(
+                EvaluationRecord(
                     config=config,
                     metrics=metrics,
-                    objective=objective,
+                    objective=float(objective),
                     feasible=feasible,
-                    tenant=session.tenant,
-                    session=session.session_id,
-                    tuner=state.tuner_id,
+                    tags=tags,
                 )
             )
+        session.charge(len(records))
+        if records:
+            self.database.add(*records)
+        for record in records:
+            if not record.feasible:
+                search_value = PENALTY_OBJECTIVE
+            else:
+                search_value = record.objective if state.minimize else -record.objective
+            state.search.tell(record.config, search_value)
+            state.told += 1
+            state.fold(record)
         best = state.best
         return {
             "tuner_id": tuner_id,
-            "recorded": len(parsed),
+            "recorded": len(records),
             "told_total": state.told,
             "quota_remaining": (
                 None if session.quota is None else session.quota - session.used_evaluations

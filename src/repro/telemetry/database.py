@@ -20,7 +20,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "SnapshotCorruptError",
     "atomic_write_text",
     "objective_stats",
+    "shared_tag_runs",
 ]
 
 
@@ -134,6 +135,21 @@ class EvaluationRecord:
         )
 
 
+def shared_tag_runs(
+    records: Sequence[EvaluationRecord],
+) -> Iterator[Tuple[int, int, Dict[str, str]]]:
+    """``(start, stop, tags)`` of each maximal run of consecutive records
+    sharing one tags dict (the records of one ``tuning.tell``)."""
+    start, count = 0, len(records)
+    while start < count:
+        tags = records[start].tags
+        stop = start + 1
+        while stop < count and records[stop].tags is tags:
+            stop += 1
+        yield start, stop, tags
+        start = stop
+
+
 class _ColumnStore:
     """Growable struct-of-arrays for the scalar columns of the database."""
 
@@ -186,21 +202,30 @@ class PerformanceDatabase:
         self._min_feasible: Optional[EvaluationRecord] = None
         self._max_feasible: Optional[EvaluationRecord] = None
 
-    def add(self, record: EvaluationRecord) -> None:
-        index = len(self._records)
-        self._records.append(record)
-        self._columns.append(record.objective, record.elapsed_s, record.feasible)
-        for key, value in record.tags.items():
-            self._tag_index.setdefault((key, str(value)), []).append(index)
-        if self._min_all is None or record.objective < self._min_all.objective:
-            self._min_all = record
-        if self._max_all is None or record.objective > self._max_all.objective:
-            self._max_all = record
-        if record.feasible:
-            if self._min_feasible is None or record.objective < self._min_feasible.objective:
-                self._min_feasible = record
-            if self._max_feasible is None or record.objective > self._max_feasible.objective:
-                self._max_feasible = record
+    def add(self, *records: EvaluationRecord) -> None:
+        """Append records in order.
+
+        Columns and running bests advance record by record.  A run of
+        records sharing one tags dict extends each of its tag postings
+        once, and every posting of a record holds the same index ``int``.
+        """
+        first = len(self._records)
+        self._records.extend(records)
+        for record in records:
+            self._columns.append(record.objective, record.elapsed_s, record.feasible)
+            if self._min_all is None or record.objective < self._min_all.objective:
+                self._min_all = record
+            if self._max_all is None or record.objective > self._max_all.objective:
+                self._max_all = record
+            if record.feasible:
+                if self._min_feasible is None or record.objective < self._min_feasible.objective:
+                    self._min_feasible = record
+                if self._max_feasible is None or record.objective > self._max_feasible.objective:
+                    self._max_feasible = record
+        for start, stop, tags in shared_tag_runs(records):
+            indices = list(range(first + start, first + stop))
+            for key, value in tags.items():
+                self._tag_index.setdefault((key, str(value)), []).extend(indices)
 
     def add_evaluation(
         self,
@@ -235,8 +260,7 @@ class PerformanceDatabase:
         indistinguishable from a rebuild over the same record sequence.
         """
         db = cls(name)
-        for record in records:
-            db.add(record)
+        db.add(*records)
         return db
 
     def __len__(self) -> int:
@@ -390,11 +414,10 @@ class PerformanceDatabase:
         unchanged (merging a database into itself duplicates its records
         once).  Returns ``self`` for chaining.
         """
-        # Snapshot the list: ``db.merge(db)`` must not iterate what it
-        # appends, and every record must land through add() so the tag
-        # index and running bests stay rebuild-identical.
-        for record in list(other._records):
-            self.add(record)
+        # Unpacking snapshots the list (``db.merge(db)`` must not iterate
+        # what it appends), and every record lands through add() so the
+        # tag index and running bests stay rebuild-identical.
+        self.add(*other._records)
         return self
 
     def tag_values(self, key: str) -> List[str]:

@@ -34,6 +34,7 @@ from repro.telemetry.database import (
     SnapshotCorruptError,
     atomic_write_text,
     objective_stats,
+    shared_tag_runs,
 )
 
 __all__ = ["ShardedPerformanceDatabase"]
@@ -85,18 +86,19 @@ class ShardedPerformanceDatabase:
         self._global: List[np.ndarray] = [
             np.empty(_GLOBAL_CAPACITY, dtype=int) for _ in range(n_shards)
         ]
-        #: Global index -> (shard index, local index).
-        self._locator: List[Tuple[int, int]] = []
+        #: Every record in global insertion order (a global index is a
+        #: list index): one list slot per record.
+        self._records: List[EvaluationRecord] = []
         #: Optional write-ahead journal (``repro.durability``): when
-        #: attached and enabled, every add() tees the record into the
-        #: journal *before* mutating in-memory state.  ``None`` costs one
-        #: attribute read per add — the journal-disabled overhead budget.
+        #: attached and enabled, add() journals and commits each run of
+        #: records *before* mutating in-memory state.  ``None`` costs one
+        #: attribute read per run — the journal-disabled overhead budget.
         self._journal: Optional[Any] = None
         #: Running best per ``best_for`` query shape, bucketed by the
         #: shape's first sorted filter pair (``None`` for the unfiltered
         #: shape): first pair -> {shape: (objective, global index) or
         #: None}.  Maintained incrementally by add(), which visits only
-        #: the buckets its record's tags name — a repeated fan-in
+        #: the buckets its records' tags name — a repeated fan-in
         #: ``best_for`` is a dict hit instead of an all-shard scan — and
         #: bit-identical to the scan by construction: a new record only
         #: displaces the cached winner when strictly better, which is
@@ -122,43 +124,88 @@ class ShardedPerformanceDatabase:
 
     # -- writes ------------------------------------------------------------
     # repro-lint: hot
-    def add(self, record: EvaluationRecord, shard_key: Optional[str] = None) -> int:
-        """Route one record to its shard; returns the shard index.
+    def add(self, *records: EvaluationRecord, shard_key: Optional[str] = None) -> int:
+        """Route records to their shards; returns the last record's shard
+        index (``-1`` when no record is given).
 
-        With a journal attached the record is journaled *first* (write-
-        ahead): a crash mid-append leaves a torn tail on disk and no
-        partial in-memory state, so recovery always yields a consistent
-        completed-record prefix.
+        Consecutive records with one routing key form a run, routed once.
+        With a journal attached a run is journaled *first* (write-ahead):
+        one entry per record, then one commit of its segment, and only
+        then is the run applied to its shard, the global order and the
+        ``best_for`` cache.  A crash mid-append leaves a torn tail on disk
+        and the run's records before it in memory, so recovery always
+        yields a consistent completed-record prefix.
         """
-        key = self.routing_key(record.tags) if shard_key is None else str(shard_key)
-        shard = self.shard_index(key)
-        journal = self._journal
-        if journal is not None and journal.enabled:
-            journal.append_record(shard, len(self._locator), record.to_dict(), key)
-        local = len(self.shards[shard])
-        self.shards[shard].add(record)
-        column = self._global[shard]
-        if local >= column.shape[0]:
-            column = self._global[shard] = np.resize(column, max(_GLOBAL_CAPACITY, 2 * local))
-        column[local] = len(self._locator)
-        self._locator.append((shard, local))
-        if self._best_cache:
-            self._update_best_cache(record, len(self._locator) - 1)
+        shard = -1
+        start, count = 0, len(records)
+        while start < count:
+            tags = records[start].tags
+            key = self.routing_key(tags) if shard_key is None else str(shard_key)
+            stop = start + 1
+            while stop < count and (
+                shard_key is not None
+                or records[stop].tags is tags
+                or self.routing_key(records[stop].tags) == key
+            ):
+                stop += 1
+            shard = self.shard_index(key)
+            self._add_run(shard, key, records[start:stop])
+            start = stop
         return shard
 
-    def _update_best_cache(self, record: EvaluationRecord, global_index: int) -> None:
-        """Fold one new record into the cached ``best_for`` answers it matches.
+    def _add_run(self, shard: int, key: str, run: Sequence[EvaluationRecord]) -> None:
+        """Journal and commit one routed run, then apply it in memory."""
+        journal = self._journal
+        if journal is not None and journal.enabled:
+            first = len(self._records)
+            written = 0
+            try:
+                for record in run:
+                    journal.append_record(shard, first + written, record.to_dict(), key)
+                    written += 1
+                journal.commit(shard)
+            except BaseException:
+                # A failed (torn) entry ends the run where one-record adds
+                # would have stopped: the entries before it are committed
+                # and applied, so memory never holds less than the journal
+                # and no sequence number is handed out twice.
+                if 0 < written < len(run):
+                    journal.commit(shard)
+                    self._apply(shard, run[:written])
+                raise
+        self._apply(shard, run)
 
-        Only the unfiltered bucket and the buckets keyed by the record's
-        own tag pairs are visited; a shape there already matches on its
+    def _apply(self, shard: int, run: Sequence[EvaluationRecord]) -> None:
+        """Add a routed run to its shard, the global order and the cache."""
+        first = len(self._records)
+        database = self.shards[shard]
+        local = len(database)
+        database.add(*run)
+        end = local + len(run)
+        column = self._global[shard]
+        if end > column.shape[0]:
+            column = self._global[shard] = np.resize(column, max(_GLOBAL_CAPACITY, 2 * end))
+        column[local:end] = np.arange(first, first + len(run))
+        self._records.extend(run)
+        if self._best_cache:
+            for start, stop, tags in shared_tag_runs(run):
+                self._update_best_cache(tags, run[start:stop], first + start)
+
+    def _update_best_cache(
+        self, tags: Mapping[str, Any], records: Sequence[EvaluationRecord], first_index: int
+    ) -> None:
+        """Fold new records sharing one tags dict into the cached
+        ``best_for`` answers they match.
+
+        Only the unfiltered bucket and the buckets keyed by the tag pairs
+        are visited, once per run; a shape there already matches on its
         first filter pair and checks the rest.  Mirrors the tag-index
         match semantics of :meth:`PerformanceDatabase.where_indices`: a
         record matches a filter pair when the tag key is present and its
-        stringified value equals the stringified filter value.  Ties keep
-        the cached record (it has the lower global index by construction).
+        stringified value equals the stringified filter value.  A matching
+        shape folds the records in global order and only a strictly better
+        one displaces the cached record, so ties keep the lower global index.
         """
-        tags = record.tags
-        objective = record.objective
         cache = self._best_cache
         buckets = [cache.get(None)]
         for key, value in tags.items():
@@ -176,12 +223,15 @@ class ShardedPerformanceDatabase:
                         break
                 if not matched:
                     continue
-                if (
-                    current is None
-                    or (minimize and objective < current[0])
-                    or (not minimize and objective > current[0])
-                ):
-                    bucket[shape] = (objective, global_index)
+                for global_index, record in enumerate(records, first_index):
+                    objective = record.objective
+                    if (
+                        current is None
+                        or (minimize and objective < current[0])
+                        or (not minimize and objective > current[0])
+                    ):
+                        current = (objective, global_index)
+                bucket[shape] = current
 
     # -- durability --------------------------------------------------------
     @property
@@ -261,9 +311,10 @@ class ShardedPerformanceDatabase:
         ``extra_tags`` (e.g. tenant/session) are stamped onto each record
         before routing, so a whole campaign lands on its tenant's shard.
         """
-        for record in list(other):
-            if extra_tags:
-                record = EvaluationRecord(
+        records = list(other)
+        if extra_tags:
+            records = [
+                EvaluationRecord(
                     config=dict(record.config),
                     metrics=dict(record.metrics),
                     objective=record.objective,
@@ -271,7 +322,9 @@ class ShardedPerformanceDatabase:
                     feasible=record.feasible,
                     tags={**record.tags, **extra_tags},
                 )
-            self.add(record)
+                for record in records
+            ]
+        self.add(*records)
         return self
 
     # -- global-order reconstruction ---------------------------------------
@@ -280,13 +333,12 @@ class ShardedPerformanceDatabase:
         return self._global[shard][: len(self.shards[shard])]
 
     def _record_at(self, global_index: int) -> EvaluationRecord:
-        shard, local = self._locator[int(global_index)]
-        return self.shards[shard]._records[local]
+        return self._records[global_index]
 
     def _gather(self, column: str) -> np.ndarray:
         """One scalar column in global insertion order (scatter per shard)."""
         first = getattr(self.shards[0], column)()
-        out = np.empty(len(self._locator), dtype=first.dtype)
+        out = np.empty(len(self._records), dtype=first.dtype)
         for shard_index, shard in enumerate(self.shards):
             values = getattr(shard, column)()
             if values.size:
@@ -307,18 +359,17 @@ class ShardedPerformanceDatabase:
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._locator)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[EvaluationRecord]:
-        for shard, local in self._locator:
-            yield self.shards[shard]._records[local]
+        return iter(self._records)
 
     def records(self, feasible_only: bool = False) -> List[EvaluationRecord]:
         """All records in global insertion order."""
         if feasible_only:
             feasible = self.feasible_array()
             return [self._record_at(i) for i in np.flatnonzero(feasible)]
-        return list(self)
+        return list(self._records)
 
     def shard_sizes(self) -> List[int]:
         return [len(shard) for shard in self.shards]
@@ -331,7 +382,7 @@ class ShardedPerformanceDatabase:
     def best(
         self, minimize: bool = True, feasible_only: bool = True
     ) -> Optional[EvaluationRecord]:
-        if not self._locator:
+        if not self._records:
             return None
         objectives = self.objectives_array()
         if feasible_only:
@@ -458,13 +509,16 @@ class ShardedPerformanceDatabase:
         shard files that were not fully written.
         """
         os.makedirs(directory, exist_ok=True)
+        order: List[Any] = [None] * len(self._records)
         for index, shard in enumerate(self.shards):
             shard.save(os.path.join(directory, f"shard-{index}.json"))
+            for local, position in enumerate(self._global_index(index).tolist()):
+                order[position] = [index, local]
         manifest = {
             "name": self.name,
             "n_shards": len(self.shards),
             "shard_key_tags": list(self.shard_key_tags),
-            "order": [[shard, local] for shard, local in self._locator],
+            "order": order,
         }
         atomic_write_text(os.path.join(directory, _MANIFEST), json.dumps(manifest))
 
@@ -499,7 +553,6 @@ class ShardedPerformanceDatabase:
                 os.path.join(directory, f"shard-{index}.json"),
                 name=f"{db.name}/shard-{index}",
             )
-        db._locator = order
         owners = np.asarray([shard for shard, _ in order], dtype=int)
         sizes = np.bincount(owners, minlength=db.n_shards).tolist()
         if sizes != db.shard_sizes():
@@ -509,4 +562,9 @@ class ShardedPerformanceDatabase:
                 f"{sizes} vs {db.shard_sizes()}",
             )
         db._global = [np.flatnonzero(owners == index) for index in range(db.n_shards)]
+        records: List[Any] = [None] * len(order)
+        for index, shard in enumerate(db.shards):
+            for position, record in zip(db._global[index].tolist(), shard):
+                records[position] = record
+        db._records = records
         return db

@@ -332,6 +332,117 @@ def test_storage_chaos_torn_writes_recoverable(tmp_path):
     assert final == reference[: len(final)]
 
 
+def _runs_of_five(n: int) -> list:
+    """``n`` records in runs of five, each run sharing one tags dict (a tell)."""
+    records = []
+    for start in range(0, n, 5):
+        tenant = f"t{start // 5 % 3}"
+        tags = {"tenant": tenant, "session": f"{tenant}-s0", "seed": "1"}
+        records.extend(
+            EvaluationRecord(config={"x": i}, metrics={"runtime_s": i * 1.5},
+                             objective=i * 1.5, feasible=i % 3 != 0, tags=tags)
+            for i in range(start, start + 5)
+        )
+    return records
+
+
+def test_storage_chaos_torn_writes_inside_runs_recoverable(tmp_path):
+    """Runs of five under torn-write chaos: a tear inside a run leaves the
+    run's records before it applied and the rest not, so memory equals
+    what recovery reads back, and every crash point recovers a prefix."""
+    from repro.faults import FaultPlan, JournalTornWriteFault
+
+    plan = FaultPlan(
+        faults=(JournalTornWriteFault(probability=0.15, torn_fraction=0.5),),
+        seed=7,
+        name="torn-test",
+    )
+    records = _runs_of_five(40)
+    ref_db = ShardedPerformanceDatabase(n_shards=2, name="dur")
+    ref_journal = attach(ref_db, str(tmp_path / "ref"))
+    for start in range(0, len(records), 5):
+        ref_db.add(*records[start:start + 5])
+    ref_journal.close()
+    reference = _dicts(ref_db)
+
+    root = str(tmp_path / "chaos")
+    install(plan)
+    torn = mid_run = 0
+    try:
+        db = ShardedPerformanceDatabase(n_shards=2, name="dur")
+        journal = attach(db, root)
+        i = 0
+        while i < len(records):
+            run = records[i:i + 5 - i % 5]  # the rest of the current run
+            try:
+                db.add(*run)
+                i += len(run)
+            except JournalTornWriteError:
+                torn += 1
+                mid_run += len(db) > i
+                assert _dicts(db) == reference[: len(db)]
+                journal.close()
+                assert_durability_invariants(root, reference=reference)
+                recovered = recover(root)
+                assert _dicts(recovered) == _dicts(db)  # memory == journal
+                db, journal = recovered, recovered.journal
+                i = len(db)
+        journal.close()
+    finally:
+        clear()
+    assert torn > 0 and mid_run > 0  # the profile tore inside runs too
+    final = _dicts(recover(root, reattach=False))
+    assert final == reference[: len(final)]
+
+
+def test_add_returns_with_every_entry_readable(tmp_path):
+    """Group commit: once add(*records) returns, a reader of the open
+    journal's segments sees every entry of the call."""
+    root = str(tmp_path / "root")
+    db = ShardedPerformanceDatabase(n_shards=3, name="dur")
+    journal = attach(db, root)
+    records = _runs_of_five(10) + [_record(i) for i in range(10, 14)]
+    db.add(*records[:5])
+    db.add(*records[5:])
+    entries = sorted(
+        (json.loads(payload) for shard in range(3)
+         for payload in read_entries(os.path.join(root, "wal", f"shard-{shard}.wal"))),
+        key=lambda entry: entry["seq"],
+    )
+    assert [entry["seq"] for entry in entries] == list(range(len(records)))
+    assert [entry["record"] for entry in entries] == _dicts(db)
+    journal.close()
+
+
+def test_always_policy_fsyncs_once_per_segment_per_add(tmp_path, monkeypatch):
+    """fsync="always" fsyncs each segment an add touches once, however
+    many records its run holds."""
+    db = ShardedPerformanceDatabase(n_shards=2, name="dur")
+    journal = attach(db, str(tmp_path / "root"), fsync="always")
+    first = {"tenant": "a", "session": "a-s0"}
+    other = next(
+        tags for tags in ({"tenant": f"b{i}", "session": "s"} for i in range(64))
+        if db.shard_index(db.routing_key(tags)) != db.shard_index(db.routing_key(first))
+    )
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)
+
+    def run(tags, n):
+        return [EvaluationRecord(config={"x": i}, metrics={}, objective=float(i), tags=tags)
+                for i in range(n)]
+
+    db.add(*run(first, 16))
+    assert len(synced) == 1
+    db.add(*run(first, 1))
+    assert len(synced) == 2
+    synced.clear()
+    db.add(*run(first, 3), *run(other, 4))  # two runs, two segments
+    assert len(synced) == 2 and len(set(synced)) == 2
+    monkeypatch.undo()
+    journal.close()
+    assert len(recover(str(tmp_path / "root"), reattach=False)) == 24
+
+
 def test_disk_stall_and_torn_write_decision_points():
     from repro.faults import DiskStallFault, FaultInjector, FaultPlan, JournalTornWriteFault
 
@@ -461,6 +572,17 @@ def test_campaign_journal_alien_entries_ignored(tmp_path):
     resumed = _campaign().run(journal_dir=jdir, resume=True)
     assert len(resumed.runs) == 4
     assert all(r.spec.use_case in ("uc6", "uc7") for r in resumed.runs)
+
+
+def test_campaign_journal_run_readable_before_close(tmp_path):
+    """A recorded run is on disk at once: a kill after record_run keeps it."""
+    journal = CampaignJournal(str(tmp_path / "journal"))
+    journal.begin("smoke", total_runs=2)
+    journal.record_run("uc6|s|seed=1", {"objective": 1.5, "error": None})
+    entries = [json.loads(payload) for payload in read_entries(journal.path)]
+    assert [entry["kind"] for entry in entries] == ["header", "run"]
+    assert entries[1]["key"] == "uc6|s|seed=1" and entries[1]["objective"] == 1.5
+    journal.close()
 
 
 def test_campaign_resume_with_thread_executor(tmp_path):

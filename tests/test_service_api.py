@@ -1079,6 +1079,70 @@ def test_jobs_submit_rejects_hostile_app_specs_over_the_wire(app):
     assert listed.ok and listed.result == []
 
 
+@pytest.mark.parametrize(
+    "result, code",
+    [
+        # Stored as feasible: bool("false") is True.
+        ('{"config":{"x":1},"objective":1.0,"feasible":"false"}', "PWR_RET_BAD_VALUE"),
+        # Accepted through float().
+        ('{"config":{"x":1},"objective":"1.5"}', "PWR_RET_BAD_VALUE"),
+        ('{"config":{"x":1},"objective":true}', "PWR_RET_BAD_VALUE"),
+        # These answered SVC_RET_INTERNAL (TypeError, OverflowError).
+        ('{"config":{"x":1},"objective":null}', "PWR_RET_BAD_VALUE"),
+        ('{"config":{"x":1},"objective":[1]}', "PWR_RET_BAD_VALUE"),
+        ('{"config":{"x":1},"objective":%s}' % ("9" * 401), "PWR_RET_BAD_VALUE"),
+        ('{"config":5,"objective":1.0}', "SVC_RET_BAD_REQUEST"),
+        ('{"config":null,"objective":1.0}', "SVC_RET_BAD_REQUEST"),
+        # A list of pairs passed dict() as a config.
+        ('{"config":[["x",1]],"objective":1.0}', "SVC_RET_BAD_REQUEST"),
+        # An unhashable value answered SVC_RET_INTERNAL (TypeError).
+        ('{"config":{"x":[{}]},"objective":1.0}', "PWR_RET_BAD_VALUE"),
+    ],
+    ids=[
+        "feasible-string",
+        "objective-string",
+        "objective-bool",
+        "objective-null",
+        "objective-list",
+        "objective-401-digits",
+        "config-number",
+        "config-null",
+        "config-pairs",
+        "config-unhashable-value",
+    ],
+)
+def test_tuning_tell_rejects_hostile_results_over_the_wire(result, code):
+    """A hostile result rejects the whole tell before anything is charged,
+    told or written: the valid result ahead of it is not recorded either."""
+    service = make_service(n_nodes=2)
+
+    def wire(text):
+        return Response.from_json(service.handle_wire(text))
+
+    session = wire(
+        '{"op":"session.open","args":{"tenant":"acme","role":"runtime","quota":10}}'
+    ).result["session"]
+    tuner = wire(
+        '{"op":"tuning.open","session":"%s","args":{"parameters":{"x":[1,2]},"search":"grid"}}'
+        % session
+    ).result["tuner_id"]
+    response = wire(
+        '{"op":"tuning.tell","session":"%s","args":{"tuner_id":"%s","results":'
+        '[{"config":{"x":2},"objective":0.5},%s]}}' % (session, tuner, result)
+    )
+    assert not response.ok
+    assert response.error_code == code
+    info = wire('{"op":"session.info","session":"%s"}' % session).result
+    assert info["used_evaluations"] == 0
+    best = wire('{"op":"tuning.best","session":"%s","args":{"tuner_id":"%s"}}'
+                % (session, tuner)).result
+    assert best["best"] is None
+    assert len(service.database) == 0
+    closed = wire('{"op":"tuning.close","session":"%s","args":{"tuner_id":"%s"}}'
+                  % (session, tuner)).result
+    assert closed["told_total"] == 0
+
+
 def test_job_failing_mid_run_is_failed_and_released_over_the_wire():
     """A stream of 1e308 MiB is a valid spec, but its phases overflow to
     an infinite duration: the job fails with the reason, frees its node

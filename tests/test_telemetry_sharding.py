@@ -7,6 +7,7 @@ The acceptance contract of the control-plane capture layer: a 4-shard
 order — including stable tie-breaking.
 """
 
+import os
 import tempfile
 from unittest import mock
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durability import attach
 from repro.sim.rng import stable_name_key
 from repro.telemetry import PerformanceDatabase, ShardedPerformanceDatabase
 from repro.telemetry.database import EvaluationRecord
@@ -376,3 +378,115 @@ def test_best_for_cache_bounded():
         sharded.best_for(probe=str(i))
     assert len(sharded._best_cache) <= sharding_module._BEST_CACHE_MAX
     assert sharded.best_for(tenant="a") == record  # still correct after reset
+
+
+# -- run-wise adds (one tuning.tell = one add call) --------------------------
+#: One add call: how its records hold their tags, an optional explicit
+#: routing key, and (tenant, session, objective, feasible) per record.
+_RUN = st.tuples(
+    st.sampled_from(["shared", "equal", "differing"]),
+    st.one_of(st.none(), st.sampled_from(["pin-a", "pin-b", "pin-c"])),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.integers(0, 1),
+            st.one_of(st.sampled_from([1.0, 2.0]), st.floats(-2.0, 2.0)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+#: ``best_for`` shapes cached before any add, so every add must fold into them.
+_CACHED_SHAPES = [
+    (minimize, filters)
+    for minimize in (True, False)
+    for filters in ({}, {"tenant": "t0"}, {"tenant": "t1", "session": "t1-s1"},
+                    {"session": "t2-s0"}, {"tuner": "u"})
+]
+
+
+def _run_records(kind, rows, offset):
+    """A run's records: one shared tags dict, equal but distinct dicts,
+    or each record's own tags."""
+    tenant, session = rows[0][:2]
+    shared = {"tenant": f"t{tenant}", "session": f"t{tenant}-s{session}", "tuner": "u"}
+    records = []
+    for i, (tenant, session, objective, feasible) in enumerate(rows):
+        if kind == "shared":
+            tags = shared
+        elif kind == "equal":
+            tags = dict(shared)
+        else:
+            tags = {"tenant": f"t{tenant}", "session": f"t{tenant}-s{session}"}
+        records.append(EvaluationRecord(config={"i": offset + i}, metrics={"m": objective},
+                                        objective=objective, feasible=feasible, tags=tags))
+    return records
+
+
+def _files(directory):
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=st.lists(_RUN, max_size=10), n_shards=st.integers(1, 4))
+def test_run_wise_add_equals_one_record_adds(runs, n_shards):
+    """``add(*run)`` leaves exactly the state of one-record adds on a twin
+    database, both journaled: records, shard columns, tag index, cached
+    ``best_for`` answers (the very records, ties included), the queries,
+    the saved snapshot and the WAL segment bytes."""
+    with tempfile.TemporaryDirectory() as root:
+        batched = ShardedPerformanceDatabase(n_shards=n_shards)
+        single = ShardedPerformanceDatabase(n_shards=n_shards)
+        journals = [attach(batched, os.path.join(root, "batched")),
+                    attach(single, os.path.join(root, "single"))]
+        assert batched.add() == -1 and len(batched) == 0
+        for minimize, filters in _CACHED_SHAPES:
+            assert batched.best_for(minimize, **filters) is None
+            assert single.best_for(minimize, **filters) is None
+        offset = 0
+        for kind, shard_key, rows in runs:
+            records = _run_records(kind, rows, offset)
+            offset += len(records)
+            route = {} if shard_key is None else {"shard_key": shard_key}
+            shard = batched.add(*records, **route)
+            assert shard == [single.add(record, **route) for record in records][-1]
+        for journal in journals:
+            journal.close()
+        assert _files(os.path.join(root, "batched", "wal")) == _files(
+            os.path.join(root, "single", "wal"))
+
+        assert _dicts(batched) == _dicts(single)
+        for index, (left, right) in enumerate(zip(batched.shards, single.shards)):
+            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
+            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
+            np.testing.assert_array_equal(left.elapsed_array(), right.elapsed_array())
+            np.testing.assert_array_equal(batched._global_index(index),
+                                          single._global_index(index))
+            assert left._tag_index == right._tag_index
+            assert left.best() is right.best()
+        merged = single.merged()
+        for minimize, filters in _CACHED_SHAPES:
+            best = batched.best_for(minimize, **filters)
+            assert best is single.best_for(minimize, **filters)
+            assert best is merged.best_for(minimize, **filters)
+            got, expected = (db.top_k(5, minimize, **filters) for db in (batched, single))
+            assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+        for feasible in (None, True, False):
+            for filters in ({}, {"tenant": "t1"}, {"tuner": "u"}):
+                assert _dicts(batched.where(feasible, **filters)) == _dicts(
+                    single.where(feasible, **filters))
+        for feasible_only in (False, True):
+            assert batched.aggregate(feasible_only) == single.aggregate(feasible_only)
+
+        batched.save(os.path.join(root, "snap-batched"))
+        single.save(os.path.join(root, "snap-single"))
+        assert _files(os.path.join(root, "snap-batched")) == _files(
+            os.path.join(root, "snap-single"))
+        reloaded = ShardedPerformanceDatabase.load(os.path.join(root, "snap-batched"))
+        assert _dicts(reloaded) == _dicts(single)
+        for index in range(n_shards):
+            np.testing.assert_array_equal(reloaded._global_index(index),
+                                          single._global_index(index))

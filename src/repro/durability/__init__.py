@@ -9,7 +9,8 @@ survive *process death*.  Three layers:
   and discarded, never raised),
 * :mod:`repro.durability.checkpoint` — :class:`DatabaseJournal` tees
   every ``ShardedPerformanceDatabase.add`` into one segment per shard
-  (write-ahead), ``checkpoint()`` compacts into atomic bounded snapshot
+  (write-ahead, one entry per committed run of records, all-or-nothing),
+  ``checkpoint()`` compacts into atomic bounded snapshot
   generations, and :func:`recover` replays snapshot + journal to a
   bit-identical database,
 * :mod:`repro.durability.runlog` — :class:`CampaignJournal`, the

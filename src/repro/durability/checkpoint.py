@@ -10,13 +10,16 @@ Directory layout of one durability root::
 
 Invariants, in write order:
 
-1. **Write-ahead, per run.**  ``ShardedPerformanceDatabase.add`` routes
-   a run of consecutive records with one routing key to one shard,
-   appends one entry per record (with its *global* sequence number and
-   routing key) and commits the segment once before any record of the
-   run mutates memory.  A crash leaves at worst a torn tail entry; a
-   torn entry inside a run leaves the records before it applied and the
-   rest not, so memory never holds less than the journal.
+1. **Write-ahead, one entry per run.**  ``ShardedPerformanceDatabase.add``
+   routes a run of consecutive records with one routing key to one
+   shard, stages its records and commits them as *one* entry (the first
+   record's *global* sequence number, the shard, the routing key, the
+   run's tags once when its records share one tags dict, and one body
+   per record) before any record of the run mutates memory.  A run is
+   all-or-nothing: a torn or failed commit applies none of its records
+   and the torn entry is unreadable, so memory never holds more or less
+   than the journal.  The segment truncates the torn bytes away before
+   its next append, so later entries stay readable.
 2. **Atomic checkpoint.**  ``checkpoint()`` snapshots into a temp
    directory, renames it into place, atomically updates the
    ``CHECKPOINT`` pointer, *then* truncates the segments and prunes old
@@ -26,11 +29,15 @@ Invariants, in write order:
    are absorbed duplicates and dropped by sequence number).
 3. **Recovery never raises on torn state.**  :func:`recover` loads the
    newest *valid* generation (falling back to older ones on
-   :class:`SnapshotCorruptError`), replays the longest contiguous
-   completed-entry run from the segments, rewrites the segments to drop
-   everything it discarded, and re-attaches the journal — so the
-   returned database is bit-identical to some completed-record prefix of
-   the crashed process and new appends can never collide with ghosts.
+   :class:`SnapshotCorruptError`), replays the longest contiguous chain
+   of whole entries from the segments (each entry one run, its records
+   around one shared tags dict when the entry carries one), rewrites the
+   segments with the surviving entries' bytes to drop everything it
+   discarded, and re-attaches the journal — so the returned database is
+   bit-identical to some completed-run prefix of the crashed process and
+   new appends can never collide with ghosts.  An entry holding one
+   ``"record"`` (the format before entries held runs) replays as a
+   one-record run.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.durability.journal import (
     FSYNC_POLICIES,
@@ -64,6 +73,42 @@ _GEN_PREFIX = "gen-"
 #: The journal's entry encoder: compact separators, built once (a
 #: ``json.dumps`` call with any option builds a new encoder each time).
 _ENTRY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: Metric values ``EvaluationRecord.to_dict`` stores as plain floats.
+_NUMBERS = (bool, int, float, np.number, np.bool_)
+
+
+def _body(record: EvaluationRecord) -> Dict[str, Any]:
+    """A record's entry body: the values ``to_dict`` gives, less the tags,
+    without its copies (the metrics dict is rebuilt only when a value is
+    not a plain float)."""
+    metrics = record.metrics
+    for value in metrics.values():
+        if type(value) is not float:
+            metrics = {k: float(v) if isinstance(v, _NUMBERS) else v for k, v in metrics.items()}
+            break
+    return {
+        "config": record.config,
+        "metrics": metrics,
+        "objective": float(record.objective),
+        "elapsed_s": float(record.elapsed_s),
+        "feasible": bool(record.feasible),
+    }
+
+
+def _entry_records(entry: Mapping[str, Any]) -> List[EvaluationRecord]:
+    """The run of records one decoded entry holds.
+
+    Records of an entry carrying ``tags`` share one tags dict, as the
+    records of a live ``tuning.tell`` do; an entry holding one
+    ``"record"`` (the format before entries held runs) is a one-record run.
+    """
+    if "record" in entry:
+        return [EvaluationRecord.from_dict(entry["record"])]
+    tags = entry.get("tags")
+    if tags is not None:
+        tags = dict(tags)
+    return [EvaluationRecord.from_dict(body, tags=tags) for body in entry["records"]]
 
 
 def _segment_path(root: str, shard: int) -> str:
@@ -93,8 +138,10 @@ class DatabaseJournal:
 
     Implements the protocol ``ShardedPerformanceDatabase`` expects of an
     attached journal: ``enabled``, ``n_shards``,
-    ``append_record(shard, seq, record, key)``, ``commit(shard)`` and
-    ``checkpoint(db)``.
+    ``append_record(shard, seq, record, key)`` (stage one record of a
+    run), ``commit(shard)`` (write the staged run as one entry) and
+    ``checkpoint(db)``.  The database stages a run and commits it before
+    staging the next, so at most one run is staged at a time.
     """
 
     def __init__(
@@ -123,11 +170,15 @@ class DatabaseJournal:
             )
             for shard in range(n_shards)
         ]
-        self.appended = 0  # entries written through this handle
+        self.appended = 0  # records committed through this handle
         #: False once closed; the database then skips the tee entirely.
         #: A plain attribute, not a property — ``add`` reads it on every
-        #: record and a descriptor call there costs ~10% of a hot add.
+        #: run and a descriptor call there costs ~10% of a hot add.
         self.enabled = bool(self._segments)
+        #: The staged run: its records, and the shard, first sequence
+        #: number and routing key of its first record.
+        self._run: List[EvaluationRecord] = []
+        self._run_shard, self._run_seq, self._run_key = -1, -1, ""
 
     # -- journal protocol (consumed by ShardedPerformanceDatabase) ---------
     @property
@@ -136,24 +187,58 @@ class DatabaseJournal:
 
     # repro-lint: hot
     def append_record(
-        self, shard: int, seq: int, record: Dict[str, Any], key: str
+        self, shard: int, seq: int, record: EvaluationRecord, key: str
     ) -> None:
-        """Write one record's entry ahead of its in-memory add.
+        """Stage one record of a run ahead of its in-memory add.
 
         ``seq`` is the record's *global* sequence number; replay uses it
         to stitch the per-shard segments back into one total order and to
-        drop entries already absorbed by a checkpoint.  The entry reaches
-        disk on the next :meth:`commit` of its shard.
+        drop entries already absorbed by a checkpoint.  A run's records
+        have consecutive sequence numbers, one shard and one key; a record
+        that does not continue the staged run starts a new one, so a run
+        whose staging was cut short never reaches disk.  The run is
+        written by the next :meth:`commit` of its shard.
         """
-        payload = _ENTRY_ENCODER.encode(
-            {"seq": int(seq), "shard": int(shard), "key": str(key), "record": record}
-        ).encode("utf-8")
-        self._segments[shard].append(payload)
-        self.appended += 1
+        run = self._run
+        if run and (
+            seq != self._run_seq + len(run) or shard != self._run_shard or key != self._run_key
+        ):
+            run.clear()
+        if not run:
+            self._run_shard, self._run_seq, self._run_key = shard, seq, key
+        run.append(record)
 
     def commit(self, shard: int) -> None:
-        """Commit the entries written to one shard's segment (group commit)."""
-        self._segments[shard].commit()
+        """Write the staged run of ``shard`` as one entry and commit it.
+
+        The run is encoded once (its tags once when every record shares
+        one tags dict), framed, checked by the fault injector, written
+        and flushed (fsynced under ``"always"``) as one entry.  The stage
+        is emptied first, so a commit that raises — a torn write, an
+        unencodable value — leaves nothing staged and writes no readable
+        entry.
+        """
+        run = self._run
+        if not run or self._run_shard != shard:
+            return
+        self._run = []
+        tags = run[0].tags
+        entry: Dict[str, Any] = {
+            "seq": int(self._run_seq),
+            "shard": int(shard),
+            "key": str(self._run_key),
+        }
+        bodies = [_body(record) for record in run]
+        if all(record.tags is tags for record in run):
+            entry["tags"] = tags
+        else:
+            for body, record in zip(bodies, run):
+                body["tags"] = record.tags
+        entry["records"] = bodies
+        segment = self._segments[shard]
+        segment.append(_ENTRY_ENCODER.encode(entry).encode("utf-8"))
+        segment.commit()
+        self.appended += len(run)
 
     def sync(self) -> None:
         """fsync every segment (a batch-policy barrier)."""
@@ -169,7 +254,8 @@ class DatabaseJournal:
         """Snapshot ``db`` atomically, truncate the WAL, prune generations.
 
         Returns a summary dict (generation number, records captured,
-        journal entries absorbed, snapshot path).
+        ``absorbed_entries``: the journaled records the snapshot absorbed,
+        counted per record although an entry holds a run, snapshot path).
         """
         if not self.enabled:
             raise ValueError("journal is closed")
@@ -205,6 +291,7 @@ class DatabaseJournal:
 
     def close(self) -> None:
         self.enabled = False
+        self._run = []
         for segment in self._segments:
             segment.close()
 
@@ -319,11 +406,11 @@ def recover(
     """Rebuild the database from snapshot + journal; re-attach by default.
 
     The result is bit-identical to the crashed writer at some
-    completed-record prefix: the newest valid checkpoint plus the
-    longest contiguous run of intact journal entries after it.  Torn or
-    corrupt tails, absorbed duplicates, and sequence gaps are silently
-    dropped — and physically rewritten out of the segments, so
-    post-recovery appends continue from a clean tail.
+    completed-run prefix: the newest valid checkpoint plus the longest
+    contiguous chain of intact journal entries after it, each entry
+    added as one run.  Torn or corrupt tails, absorbed duplicates, and
+    sequence gaps are silently dropped — and physically rewritten out of
+    the segments, so post-recovery appends continue from a clean tail.
     """
     directory = os.path.abspath(directory)
     config = _read_config(directory)  # FileNotFoundError if not a journal root
@@ -335,45 +422,37 @@ def recover(
             f"expects {config['n_shards']}",
         )
 
-    # Decode every intact entry across the per-shard segments.
-    by_seq: Dict[int, Tuple[int, str, Dict[str, Any]]] = {}
+    # Decode every intact entry across the per-shard segments: entry
+    # ``seq`` holds the run of records ``[seq, seq + len(run))``.
+    by_seq: Dict[int, Tuple[int, str, bytes, List[EvaluationRecord]]] = {}
     for shard in range(config["n_shards"]):
         for payload in read_entries(_segment_path(directory, shard)):
             try:
                 entry = json.loads(payload.decode("utf-8"))
                 seq = int(entry["seq"])
                 key = str(entry["key"])
-                record = entry["record"]
+                in_place = int(entry.get("shard", shard)) == shard
+                run = _entry_records(entry)
             except (ValueError, KeyError, TypeError):
                 continue  # checksummed but structurally alien: drop
-            if int(entry.get("shard", shard)) != shard:
-                continue  # entry landed in the wrong segment: drop
-            by_seq[seq] = (shard, key, record)
+            if run and in_place:  # else empty, or in the wrong segment: drop
+                by_seq[seq] = (shard, key, payload, run)
 
-    # Replay the longest contiguous run starting at the snapshot length;
-    # entries below it were absorbed by the checkpoint, gaps end the run.
-    replayed: List[Tuple[int, str, Dict[str, Any]]] = []
+    # Replay the longest contiguous chain of whole entries starting at the
+    # snapshot length; entries below it were absorbed by the checkpoint,
+    # gaps end the chain.
+    surviving: List[List[bytes]] = [[] for _ in range(config["n_shards"])]
+    replayed = 0
     seq = len(db)
     while seq in by_seq:
-        shard, key, record = by_seq[seq]
-        db.add(EvaluationRecord.from_dict(record), shard_key=key)
-        replayed.append((shard, key, record))
-        seq += 1
+        shard, key, payload, run = by_seq[seq]
+        db.add(*run, shard_key=key)
+        surviving[shard].append(payload)
+        replayed += len(run)
+        seq += len(run)
 
-    # Rewrite segments with exactly the surviving entries so discarded
-    # sequence numbers can never be shadowed by pre-crash ghosts.
-    surviving: List[List[bytes]] = [[] for _ in range(config["n_shards"])]
-    for offset, (shard, key, record) in enumerate(replayed):
-        surviving[shard].append(
-            _ENTRY_ENCODER.encode(
-                {
-                    "seq": len(db) - len(replayed) + offset,
-                    "shard": shard,
-                    "key": key,
-                    "record": record,
-                }
-            ).encode("utf-8")
-        )
+    # Rewrite segments with exactly the surviving entries' bytes so
+    # discarded sequence numbers can never be shadowed by pre-crash ghosts.
     os.makedirs(os.path.join(directory, _WAL_DIR), exist_ok=True)
     for shard in range(config["n_shards"]):
         rewrite_segment(_segment_path(directory, shard), surviving[shard])
@@ -385,6 +464,6 @@ def recover(
             fsync=fsync,
             keep_generations=keep_generations,
         )
-        journal.appended = len(replayed)  # entries the next checkpoint absorbs
+        journal.appended = replayed  # records the next checkpoint absorbs
         db.attach_journal(journal)
     return db

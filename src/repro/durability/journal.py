@@ -17,12 +17,19 @@ the completed entries cleanly.  Corruption is never an exception on the
 read path; it is simply where the journal ends.
 
 Writes go through :class:`JournalSegment`, which consults the
-process-global fault injector (``repro.faults``) so chaos plans can tear
-writes (simulating a crash mid-append, raised as
-:class:`JournalTornWriteError`) or stall the disk.  ``append`` writes
-entries and ``commit`` makes them visible to readers (and durable, under
-the ``"always"`` fsync policy), so a caller commits a run of entries at
-once.
+process-global fault injector (``repro.faults``) once per entry so chaos
+plans can tear writes (simulating a crash mid-append, raised as
+:class:`JournalTornWriteError`) or stall the disk.  ``append`` writes an
+entry and ``commit`` makes it visible to readers (and durable, under the
+``"always"`` fsync policy).  The database journal writes one entry per
+committed run of records, so one ``append`` and one ``commit`` carry a
+whole ``tuning.tell``.
+
+A torn entry stays on disk, so a reader (or a recovery right after the
+tear) sees a torn tail.  A writer that keeps going after the error does
+not write behind it: the segment's next ``append`` first truncates the
+file back to where the torn entry began, so every later entry stays
+readable.
 """
 
 from __future__ import annotations
@@ -51,10 +58,10 @@ _HEADER = struct.Struct(">II")
 MAX_ENTRY_BYTES = 64 * 1024 * 1024
 
 #: ``always`` — fsync on every :meth:`JournalSegment.commit` (strongest;
-#: one syscall per committed run of entries).  ``batch`` — flush to the OS
-#: on every commit, fsync only on :meth:`JournalSegment.sync` / close /
-#: checkpoint (a kill loses at most the OS buffer, a torn tail recovery
-#: already handles).
+#: one syscall per committed entry, which holds a run of records).
+#: ``batch`` — flush to the OS on every commit, fsync only on
+#: :meth:`JournalSegment.sync` / close / checkpoint (a kill loses at most
+#: the OS buffer, a torn tail recovery already handles).
 FSYNC_POLICIES = ("always", "batch")
 
 
@@ -114,6 +121,8 @@ class JournalSegment:
 
     ``name`` identifies the segment to the fault injector's per-entity
     RNG streams, so torn-write/stall decisions replay bit-for-bit.
+    After a torn append, ``_torn_at`` holds the file size before the torn
+    entry until the next :meth:`append` truncates back to it.
     """
 
     def __init__(self, path: str, fsync: str = "batch", name: Optional[str] = None):
@@ -125,6 +134,7 @@ class JournalSegment:
         self.fsync = fsync
         self.name = name if name is not None else os.path.basename(path)
         self._fh: Optional[BinaryIO] = open(path, "ab")
+        self._torn_at: Optional[int] = None
 
     @property
     def closed(self) -> bool:
@@ -135,7 +145,7 @@ class JournalSegment:
 
         A torn write flushes everything appended before it, so the entries
         ahead of the tear are on disk when :class:`JournalTornWriteError`
-        reaches the caller.
+        reaches the caller, and marks where the torn entry began.
         """
         inj = faults.active()
         if inj is None or not inj.enabled:
@@ -146,6 +156,8 @@ class JournalSegment:
         torn_fraction = inj.journal_torn_write(self.name)
         if torn_fraction is not None:
             cut = max(1, min(len(data) - 1, int(len(data) * torn_fraction)))
+            self._fh.flush()
+            self._torn_at = os.fstat(self._fh.fileno()).st_size
             self._fh.write(data[:cut])
             self._fh.flush()
             raise JournalTornWriteError(
@@ -157,11 +169,18 @@ class JournalSegment:
     def append(self, payload: bytes) -> None:
         """Write one framed entry; it is not flushed until :meth:`commit`.
 
-        Write-ahead: a caller appends every entry of a run and commits
-        before it applies any of them in memory.
+        Write-ahead: a caller appends and commits an entry before it
+        applies its records in memory.  After a torn append, the file is
+        first truncated back to where the torn entry began and the handle
+        moved there (a handle :meth:`truncate` reopened is not in append
+        mode).
         """
         if self._fh is None:
             raise ValueError(f"journal segment {self.path!r} is closed")
+        if self._torn_at is not None:
+            os.ftruncate(self._fh.fileno(), self._torn_at)
+            self._fh.seek(self._torn_at)
+            self._torn_at = None
         data = encode_entry(payload)
         self._chaos(data)
         self._fh.write(data)
@@ -186,11 +205,14 @@ class JournalSegment:
             raise ValueError(f"journal segment {self.path!r} is closed")
         self._fh.close()
         self._fh = open(self.path, "wb")
+        self._torn_at = None
         self._fh.flush()
         if self.fsync == "always":
             os.fsync(self._fh.fileno())
 
     def close(self) -> None:
+        """Flush, fsync and close; a torn entry stays on disk as the tail."""
+        self._torn_at = None
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())

@@ -331,14 +331,18 @@ class Session:
     #: The scope restriction session.open applied, kept for snapshots.
     scope_hostnames: Optional[List[str]] = None
 
-    def charge(self, evaluations: int) -> None:
-        """Spend quota; structured error when the budget would overrun."""
+    def check_quota(self, evaluations: int) -> None:
+        """Structured error when spending ``evaluations`` would overrun."""
         if self.quota is not None and self.used_evaluations + evaluations > self.quota:
             raise ServiceError(
                 ServiceErrorCode.QUOTA_EXCEEDED,
                 f"session {self.session_id!r} quota exhausted: "
                 f"{self.used_evaluations}/{self.quota} used, {evaluations} requested",
             )
+
+    def charge(self, evaluations: int) -> None:
+        """Spend quota; structured error when the budget would overrun."""
+        self.check_quota(evaluations)
         self.used_evaluations += evaluations
 
     def info(self) -> Dict[str, Any]:
@@ -1083,7 +1087,12 @@ class StackService:
                     ServiceErrorCode.BAD_REQUEST,
                     f"parameter {name!r} must map to a non-empty list of values",
                 )
-        return ParameterSpace.from_dict(parameters, name="service")
+        try:
+            return ParameterSpace.from_dict(parameters, name="service")
+        except TypeError as error:  # an unhashable value in a categorical index
+            raise ServiceError(
+                ServiceErrorCode.BAD_REQUEST, f"parameter values must be hashable: {error}"
+            ) from error
 
     def _cmd_tuning_open(
         self,
@@ -1200,9 +1209,13 @@ class StackService:
                     tags=tags,
                 )
             )
-        session.charge(len(records))
+        # All-or-nothing: an over-quota tell is rejected before anything
+        # is written, and a failed (torn) write raises before the quota,
+        # the search, ``told`` or the best see any of the tell.
+        session.check_quota(len(records))
         if records:
             self.database.add(*records)
+        session.used_evaluations += len(records)
         for record in records:
             if not record.feasible:
                 search_value = PENALTY_OBJECTIVE

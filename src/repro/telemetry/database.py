@@ -121,7 +121,12 @@ class EvaluationRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvaluationRecord":
+    def from_dict(
+        cls, data: Mapping[str, Any], tags: Optional[Dict[str, str]] = None
+    ) -> "EvaluationRecord":
+        """The record ``data`` describes; ``tags``, when given, is the
+        record's tags dict as is (records sharing one), else a copy of
+        ``data["tags"]``."""
         return cls(
             config=dict(data["config"]),
             metrics={
@@ -131,7 +136,7 @@ class EvaluationRecord:
             objective=float(data["objective"]),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
             feasible=bool(data.get("feasible", True)),
-            tags=dict(data.get("tags", {})),
+            tags=dict(data.get("tags", {})) if tags is None else tags,
         )
 
 

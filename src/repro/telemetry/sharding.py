@@ -90,9 +90,10 @@ class ShardedPerformanceDatabase:
         #: list index): one list slot per record.
         self._records: List[EvaluationRecord] = []
         #: Optional write-ahead journal (``repro.durability``): when
-        #: attached and enabled, add() journals and commits each run of
-        #: records *before* mutating in-memory state.  ``None`` costs one
-        #: attribute read per run — the journal-disabled overhead budget.
+        #: attached and enabled, add() journals each run of records as one
+        #: committed entry *before* mutating in-memory state.  ``None``
+        #: costs one attribute read per run — the journal-disabled
+        #: overhead budget.
         self._journal: Optional[Any] = None
         #: Running best per ``best_for`` query shape, bucketed by the
         #: shape's first sorted filter pair (``None`` for the unfiltered
@@ -130,11 +131,11 @@ class ShardedPerformanceDatabase:
 
         Consecutive records with one routing key form a run, routed once.
         With a journal attached a run is journaled *first* (write-ahead):
-        one entry per record, then one commit of its segment, and only
-        then is the run applied to its shard, the global order and the
-        ``best_for`` cache.  A crash mid-append leaves a torn tail on disk
-        and the run's records before it in memory, so recovery always
-        yields a consistent completed-record prefix.
+        its records are staged and committed as one entry, and only then
+        is the run applied to its shard, the global order and the
+        ``best_for`` cache.  A run is all-or-nothing: a torn or failed
+        commit raises with none of its records applied, so recovery
+        always yields a consistent completed-run prefix equal to memory.
         """
         shard = -1
         start, count = 0, len(records)
@@ -154,25 +155,19 @@ class ShardedPerformanceDatabase:
         return shard
 
     def _add_run(self, shard: int, key: str, run: Sequence[EvaluationRecord]) -> None:
-        """Journal and commit one routed run, then apply it in memory."""
+        """Journal one routed run as one entry, then apply it in memory.
+
+        Any exception — from staging, encoding, the fault injector or the
+        write — propagates before anything is applied, so memory and the
+        journal hold the same runs; the next run reuses the sequence
+        numbers, which is safe because a failed entry is unreadable and
+        the segment truncates a torn one before its next append.
+        """
         journal = self._journal
         if journal is not None and journal.enabled:
-            first = len(self._records)
-            written = 0
-            try:
-                for record in run:
-                    journal.append_record(shard, first + written, record.to_dict(), key)
-                    written += 1
-                journal.commit(shard)
-            except BaseException:
-                # A failed (torn) entry ends the run where one-record adds
-                # would have stopped: the entries before it are committed
-                # and applied, so memory never holds less than the journal
-                # and no sequence number is handed out twice.
-                if 0 < written < len(run):
-                    journal.commit(shard)
-                    self._apply(shard, run[:written])
-                raise
+            for seq, record in enumerate(run, len(self._records)):
+                journal.append_record(shard, seq, record, key)
+            journal.commit(shard)
         self._apply(shard, run)
 
     def _apply(self, shard: int, run: Sequence[EvaluationRecord]) -> None:
@@ -275,7 +270,7 @@ class ShardedPerformanceDatabase:
         """Rebuild a bit-identical database from a durability directory.
 
         Replays the newest valid checkpoint snapshot plus the journal's
-        contiguous completed-record suffix; torn or corrupt tail entries
+        contiguous completed-run suffix; torn or corrupt tail entries
         are discarded, never raised.  The returned database has the
         journal re-attached, so writes keep appending where the crashed
         process stopped.

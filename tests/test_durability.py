@@ -347,9 +347,9 @@ def _runs_of_five(n: int) -> list:
 
 
 def test_storage_chaos_torn_writes_inside_runs_recoverable(tmp_path):
-    """Runs of five under torn-write chaos: a tear inside a run leaves the
-    run's records before it applied and the rest not, so memory equals
-    what recovery reads back, and every crash point recovers a prefix."""
+    """Runs of five under torn-write chaos: a torn run applies none of its
+    records, so memory equals what recovery reads back, and every crash
+    point recovers a prefix."""
     from repro.faults import FaultPlan, JournalTornWriteFault
 
     plan = FaultPlan(
@@ -367,7 +367,7 @@ def test_storage_chaos_torn_writes_inside_runs_recoverable(tmp_path):
 
     root = str(tmp_path / "chaos")
     install(plan)
-    torn = mid_run = 0
+    torn = 0
     try:
         db = ShardedPerformanceDatabase(n_shards=2, name="dur")
         journal = attach(db, root)
@@ -379,7 +379,7 @@ def test_storage_chaos_torn_writes_inside_runs_recoverable(tmp_path):
                 i += len(run)
             except JournalTornWriteError:
                 torn += 1
-                mid_run += len(db) > i
+                assert len(db) == i  # a torn run applies none of its records
                 assert _dicts(db) == reference[: len(db)]
                 journal.close()
                 assert_durability_invariants(root, reference=reference)
@@ -390,7 +390,7 @@ def test_storage_chaos_torn_writes_inside_runs_recoverable(tmp_path):
         journal.close()
     finally:
         clear()
-    assert torn > 0 and mid_run > 0  # the profile tore inside runs too
+    assert torn > 0  # the profile actually bit
     final = _dicts(recover(root, reattach=False))
     assert final == reference[: len(final)]
 
@@ -409,8 +409,13 @@ def test_add_returns_with_every_entry_readable(tmp_path):
          for payload in read_entries(os.path.join(root, "wal", f"shard-{shard}.wal"))),
         key=lambda entry: entry["seq"],
     )
-    assert [entry["seq"] for entry in entries] == list(range(len(records)))
-    assert [entry["record"] for entry in entries] == _dicts(db)
+    seqs, bodies = [], []  # expanded to one sequence number per record
+    for entry in entries:
+        for offset, body in enumerate(entry["records"]):
+            seqs.append(entry["seq"] + offset)
+            bodies.append({"tags": entry.get("tags"), **body})
+    assert seqs == list(range(len(records)))
+    assert bodies == _dicts(db)
     journal.close()
 
 
@@ -441,6 +446,99 @@ def test_always_policy_fsyncs_once_per_segment_per_add(tmp_path, monkeypatch):
     monkeypatch.undo()
     journal.close()
     assert len(recover(str(tmp_path / "root"), reattach=False)) == 24
+
+
+def test_torn_append_keeps_later_appends_recoverable(tmp_path):
+    """A writer that keeps going after torn appends: every acknowledged
+    record is in memory and recovered (the next append truncates the torn
+    bytes instead of writing behind them)."""
+    from repro.faults import FaultPlan, JournalTornWriteFault
+
+    root = str(tmp_path / "root")
+    db = ShardedPerformanceDatabase(n_shards=1, name="dur")
+    journal = attach(db, root)
+    install(FaultPlan(faults=(JournalTornWriteFault(probability=0.2, torn_fraction=0.5),),
+                      seed=3, name="torn-probe"))
+    acknowledged, torn = [], 0
+    try:
+        for i in range(50):
+            record = _record(i)
+            try:
+                db.add(record)
+            except JournalTornWriteError:
+                torn += 1
+                continue
+            acknowledged.append(record.to_dict())
+    finally:
+        clear()
+    journal.close()
+    assert torn > 0  # the plan bit
+    assert _dicts(db) == acknowledged
+    assert _dicts(recover(root, reattach=False)) == acknowledged
+
+
+def test_recovered_entry_records_share_one_tags_dict(tmp_path):
+    """One run is one entry; its recovered records share one tags dict, as
+    the live records of a tell do, and equal them under ``to_dict``."""
+    root = str(tmp_path / "root")
+    db = ShardedPerformanceDatabase(n_shards=2, name="dur")
+    journal = attach(db, root)
+    records = _runs_of_five(10)
+    db.add(*records[:5])
+    db.add(*records[5:])
+    journal.close()
+    entries = [read_entries(os.path.join(root, "wal", f"shard-{shard}.wal")) for shard in range(2)]
+    assert sum(map(len, entries)) == 2
+    recovered = recover(root, reattach=False)
+    assert _dicts(recovered) == _dicts(db)
+    for run in (list(recovered)[:5], list(recovered)[5:]):
+        assert all(record.tags is run[0].tags for record in run)
+    assert list(recovered)[0].tags is not list(recovered)[5].tags
+
+
+def test_recover_replays_per_record_entries_of_an_older_root(tmp_path):
+    """A root written one entry per record (``"record"``, the format before
+    entries held runs) replays each entry as a one-record run, and new
+    run entries appended after recovery continue it."""
+    root, db, journal = _populated_root(tmp_path, n=12, checkpoint_at=4)
+    journal.close()
+    for shard in range(db.n_shards):
+        path = os.path.join(root, "wal", f"shard-{shard}.wal")
+        with open(path, "wb") as fh:
+            for seq in range(4, 12):
+                record = db._record_at(seq)
+                key = db.routing_key(record.tags)
+                if db.shard_index(key) == shard:
+                    fh.write(encode_entry(json.dumps(
+                        {"seq": seq, "shard": shard, "key": key, "record": record.to_dict()}
+                    ).encode()))
+    recovered = recover(root)
+    assert _dicts(recovered) == _dicts(db)
+    recovered.add(*_runs_of_five(20)[15:])
+    recovered.journal.close()
+    again = recover(root, reattach=False)
+    assert len(again) == 17
+    assert _dicts(again) == _dicts(recovered)
+
+
+def test_recover_drops_checksummed_alien_entries(tmp_path):
+    """Entries whose checksum holds but whose fields do not (a non-integer
+    shard, no records, a non-list run, a non-object) are dropped, never
+    raised; a gap they leave ends the replayed chain."""
+    root, db, journal = _populated_root(tmp_path, n=6, n_shards=1)
+    journal.close()
+    path = os.path.join(root, "wal", "shard-0.wal")
+    good = read_entries(path)
+    alien = [{"seq": 6, "shard": "x", "key": "k", "record": _record(6).to_dict()},
+             {"seq": 6, "key": "k", "records": []},
+             {"seq": 6, "key": "k", "records": 5}, {"seq": 6, "key": "k"}, ["seq", 6], "seq"]
+    with open(path, "ab") as fh:
+        for entry in alien:
+            fh.write(encode_entry(json.dumps(entry).encode()))
+        fh.write(encode_entry(json.dumps(
+            {"seq": 7, "shard": 0, "key": "k", "records": [_record(7).to_dict()]}).encode()))
+    assert _dicts(recover(root, reattach=False)) == _dicts(db)
+    assert read_entries(path) == good
 
 
 def test_disk_stall_and_torn_write_decision_points():

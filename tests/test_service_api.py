@@ -847,6 +847,17 @@ def test_tuning_errors():
         ).error["code"]
         == ServiceErrorCode.BAD_REQUEST.value
     )
+    # Unhashable values answered SVC_RET_INTERNAL (TypeError).
+    for unhashable in ([{}], [[1], [{}]]):
+        response = session.call("tuning.open", parameters={"x": unhashable}, search="random")
+        assert response.error["code"] == ServiceErrorCode.BAD_REQUEST.value
+    wire = client.service.handle_wire(
+        '{"op":"tuning.open","session":"%s","args":{"parameters":{"x":[[1],[{}]]}}}'
+        % session.session_id
+    )
+    assert Response.from_json(wire).error_code == ServiceErrorCode.BAD_REQUEST.value
+    info = session.result("session.info")
+    assert info["open_tuners"] == [] and info["used_evaluations"] == 0
     assert (
         session.call(
             "tuning.open", parameters={"x": [1]}, search="not-a-search"

@@ -276,3 +276,113 @@ def test_durability_commands_in_catalogue():
         "session.snapshot",
         "session.restore",
     } <= ops
+
+
+# -- tuning.tell through a journaled store --------------------------------
+def _wire_client(service):
+    def wire(op, session=None, **args):
+        envelope = {"op": op, "args": args}
+        if session is not None:
+            envelope["session"] = session
+        return json.loads(service.handle_wire(json.dumps(envelope)))
+
+    return wire
+
+
+def _journaled_tuner(tmp_path, n_shards=1, quota=None):
+    """A journaled service, its operator session, and one runtime tuner."""
+    service = make_service(n_nodes=2, n_shards=n_shards)
+    wire = _wire_client(service)
+    root = str(tmp_path / "journal")
+    operator = wire("session.open", tenant="ops", role="resource_manager")["result"]["session"]
+    assert wire("db.checkpoint", operator, directory=root)["ok"]
+    runtime = wire("session.open", tenant="rt", role="runtime", quota=quota)["result"]["session"]
+    tuner = wire("tuning.open", runtime, parameters={"x": list(range(64))},
+                 search="random")["result"]["tuner_id"]
+    return service, wire, root, operator, runtime, tuner
+
+
+def _results(first, n):
+    return [{"config": {"x": (first + i) % 64}, "objective": float(first + i)} for i in range(n)]
+
+
+def test_sixteen_result_tell_appends_one_entry(tmp_path):
+    from repro.durability import read_entries, recover
+
+    service, wire, root, _, runtime, tuner = _journaled_tuner(tmp_path, n_shards=4)
+    assert wire("tuning.tell", runtime, tuner_id=tuner, results=_results(0, 16))["ok"]
+    entries = [entry for shard in range(4)
+               for entry in read_entries(os.path.join(root, "wal", f"shard-{shard}.wal"))]
+    assert len(entries) == 1
+    entry = json.loads(entries[0])
+    assert entry["seq"] == 0 and len(entry["records"]) == 16
+    assert entry["tags"] == {"tenant": "rt", "session": runtime, "tuner": tuner}
+    assert service.database.journal.appended == 16
+    service.close()
+    recovered = list(recover(root, reattach=False))
+    assert [r.to_dict() for r in recovered] == [r.to_dict() for r in service.database]
+    assert all(record.tags is recovered[0].tags for record in recovered)
+
+
+def test_tells_under_storage_chaos_lose_no_acknowledged_record(tmp_path):
+    """40 tells of 4 under ``chaos.inject storage-chaos``: the records of
+    every acknowledged tell, and only those, are in memory and recovered,
+    and the quota spent equals what the tuner was told."""
+    from repro.durability import recover
+
+    service, wire, root, operator, runtime, tuner = _journaled_tuner(tmp_path)
+    assert wire("chaos.inject", operator, profile="storage-chaos", seed=3)["ok"]
+    acknowledged = []
+    for tell in range(40):
+        results = _results(4 * tell, 4)
+        response = wire("tuning.tell", runtime, tuner_id=tuner, results=results)
+        if response["ok"]:
+            acknowledged.extend((r["config"], r["objective"]) for r in results)
+        else:
+            assert response["error"]["code"] == "SVC_RET_INTERNAL", response
+    assert wire("chaos.clear", operator)["ok"]
+    used = wire("session.info", runtime)["result"]["used_evaluations"]
+    told = wire("tuning.close", runtime, tuner_id=tuner)["result"]["told_total"]
+    in_memory = [(r.config, r.objective) for r in service.database]
+    service.close()
+    recovered = [(r.config, r.objective) for r in recover(root, reattach=False)]
+    assert in_memory == acknowledged
+    assert recovered == acknowledged
+    assert used == told == len(acknowledged)
+
+
+def test_torn_tell_changes_no_quota_store_or_tuner_state(tmp_path):
+    """A tell whose journal write tears answers an error and leaves the
+    quota, ``told_total``, the best, the store and the journal as they
+    were; the next tell goes through."""
+    from repro.durability import recover
+    from repro.faults import FaultPlan, JournalTornWriteFault, clear, install
+
+    service, wire, root, _, runtime, tuner = _journaled_tuner(tmp_path, quota=20)
+    first = wire("tuning.tell", runtime, tuner_id=tuner, results=_results(10, 4))
+    assert first["ok"]
+
+    def state():
+        return (
+            wire("session.info", runtime)["result"]["used_evaluations"],
+            wire("tuning.best", runtime, tuner_id=tuner)["result"]["best"],
+            [r.to_dict() for r in service.database],
+            service.database.journal.appended,
+        )
+
+    before = state()
+    install(FaultPlan(faults=(JournalTornWriteFault(probability=1.0, torn_fraction=0.5),),
+                      seed=1, name="tear-every-write"))
+    try:
+        torn = wire("tuning.tell", runtime, tuner_id=tuner, results=_results(0, 4))
+    finally:
+        clear()
+    assert not torn["ok"] and torn["error"]["code"] == "SVC_RET_INTERNAL"
+    assert "torn journal write" in torn["error"]["message"]
+    assert state() == before == (4, first["result"]["best"], before[2], 4)
+    after = wire("tuning.tell", runtime, tuner_id=tuner, results=_results(0, 4))
+    assert after["ok"] and after["result"]["told_total"] == 8
+    assert after["result"]["quota_remaining"] == 12
+    service.close()
+    assert [r.to_dict() for r in recover(root, reattach=False)] == [
+        r.to_dict() for r in service.database]

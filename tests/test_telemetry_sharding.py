@@ -7,6 +7,7 @@ The acceptance contract of the control-plane capture layer: a 4-shard
 order — including stable tie-breaking.
 """
 
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability import attach
+from repro.durability import attach, recover
 from repro.sim.rng import stable_name_key
 from repro.telemetry import PerformanceDatabase, ShardedPerformanceDatabase
 from repro.telemetry.database import EvaluationRecord
@@ -436,7 +437,7 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
     """``add(*run)`` leaves exactly the state of one-record adds on a twin
     database, both journaled: records, shard columns, tag index, cached
     ``best_for`` answers (the very records, ties included), the queries,
-    the saved snapshot and the WAL segment bytes."""
+    the saved snapshot, and what ``recover()`` reads back from each root."""
     with tempfile.TemporaryDirectory() as root:
         batched = ShardedPerformanceDatabase(n_shards=n_shards)
         single = ShardedPerformanceDatabase(n_shards=n_shards)
@@ -455,8 +456,23 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
             assert shard == [single.add(record, **route) for record in records][-1]
         for journal in journals:
             journal.close()
-        assert _files(os.path.join(root, "batched", "wal")) == _files(
-            os.path.join(root, "single", "wal"))
+        recovered = [recover(os.path.join(root, name), reattach=False)
+                     for name in ("batched", "single")]
+        assert _dicts(recovered[0]) == _dicts(recovered[1]) == _dicts(single)
+        for left, right in zip(recovered[0].shards, recovered[1].shards):
+            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
+            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
+            np.testing.assert_array_equal(left.elapsed_array(), right.elapsed_array())
+        for minimize, filters in _CACHED_SHAPES:
+            got, expected = (db.best_for(minimize, **filters) for db in recovered)
+            assert (got is None) == (expected is None)
+            assert got is None or got.to_dict() == expected.to_dict()
+            assert _dicts(recovered[0].top_k(5, minimize, **filters)) == _dicts(
+                recovered[1].top_k(5, minimize, **filters))
+        for name, db in zip(("batched", "single"), recovered):
+            db.save(os.path.join(root, f"snap-recovered-{name}"))
+        assert _files(os.path.join(root, "snap-recovered-batched")) == _files(
+            os.path.join(root, "snap-recovered-single"))
 
         assert _dicts(batched) == _dicts(single)
         for index, (left, right) in enumerate(zip(batched.shards, single.shards)):
@@ -490,3 +506,57 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
         for index in range(n_shards):
             np.testing.assert_array_equal(reloaded._global_index(index),
                                           single._global_index(index))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(st.tuples(_RUN, st.sampled_from(["run", "mixed", "one-record"])), max_size=10),
+    n_shards=st.integers(1, 4),
+)
+def test_recover_equals_the_live_database(runs, n_shards):
+    """Each committed run is one journal entry: ``recover()`` rebuilds the
+    live database (records, shard columns, global order, ``best_for``,
+    ``top_k``, snapshot bytes) from runs whose records share one tags
+    dict, hold equal but distinct dicts, differ, or mix shared and own
+    tags, added as one run or one record at a time; the records of a
+    recovered run share tags exactly where the live ones do."""
+    with tempfile.TemporaryDirectory() as root:
+        live = ShardedPerformanceDatabase(n_shards=n_shards)
+        journal = attach(live, os.path.join(root, "journal"))
+        offset, calls = 0, []
+        for (kind, shard_key, rows), mode in runs:
+            records = _run_records(kind, rows, offset)
+            calls.append((offset, offset + len(records), mode))
+            offset += len(records)
+            if mode == "mixed":  # every other record holds its own equal tags
+                records = [record if i % 2 else dataclasses.replace(record, tags=dict(record.tags))
+                           for i, record in enumerate(records)]
+            route = {} if shard_key is None else {"shard_key": shard_key}
+            if mode == "one-record":
+                for record in records:
+                    live.add(record, **route)
+            else:
+                live.add(*records, **route)
+        journal.close()
+        recovered = recover(os.path.join(root, "journal"), reattach=False)
+        assert _dicts(recovered) == _dicts(live)
+        shared = [
+            [listed[i].tags is listed[i + 1].tags
+             for start, stop, mode in calls if mode != "one-record" for i in range(start, stop - 1)]
+            for listed in (list(live), list(recovered))
+        ]
+        assert shared[0] == shared[1]  # within each add call
+        for index, (left, right) in enumerate(zip(recovered.shards, live.shards)):
+            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
+            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
+            np.testing.assert_array_equal(recovered._global_index(index), live._global_index(index))
+        for minimize, filters in _CACHED_SHAPES:
+            got, expected = (db.best_for(minimize, **filters) for db in (recovered, live))
+            assert (got is None) == (expected is None)
+            assert got is None or got.to_dict() == expected.to_dict()
+            assert _dicts(recovered.top_k(5, minimize, **filters)) == _dicts(
+                live.top_k(5, minimize, **filters))
+        recovered.save(os.path.join(root, "snap-recovered"))
+        live.save(os.path.join(root, "snap-live"))
+        assert _files(os.path.join(root, "snap-recovered")) == _files(
+            os.path.join(root, "snap-live"))

@@ -28,6 +28,7 @@ __all__ = [
     "config_key",
     "expected_improvement",
     "make_search",
+    "search_class",
     "SEARCH_REGISTRY",
 ]
 
@@ -245,9 +246,15 @@ def register_search(cls):
     return cls
 
 
-def make_search(name: str, space: ParameterSpace, seed: int = 0, **kwargs: Any) -> SearchAlgorithm:
-    """Instantiate a search algorithm by name (``"random"``, ``"forest"``, ...)."""
+def search_class(name: str) -> type:
+    """The registered search algorithm class for ``name``; ``ValueError``
+    when no search is registered under it."""
     key = name.strip().lower()
     if key not in SEARCH_REGISTRY:
         raise ValueError(f"unknown search algorithm {name!r}; available: {sorted(SEARCH_REGISTRY)}")
-    return SEARCH_REGISTRY[key](space, seed=seed, **kwargs)
+    return SEARCH_REGISTRY[key]
+
+
+def make_search(name: str, space: ParameterSpace, seed: int = 0, **kwargs: Any) -> SearchAlgorithm:
+    """Instantiate a search algorithm by name (``"random"``, ``"forest"``, ...)."""
+    return search_class(name)(space, seed=seed, **kwargs)

@@ -46,7 +46,7 @@ from repro.apps.kernels import TileableKernel
 from repro.apps.lulesh import LuleshProxy
 from repro.apps.stream import DgemmKernel, StreamTriad
 from repro.core.objectives import PENALTY_OBJECTIVE
-from repro.core.search.base import SearchAlgorithm, make_search
+from repro.core.search.base import SearchAlgorithm, make_search, search_class
 from repro.core.space import ParameterSpace
 from repro.core.tuner import Autotuner
 from repro.experiments.campaign import Campaign
@@ -191,6 +191,15 @@ def _metrics(value: Any) -> Dict[str, float]:
                 f"each result's 'metrics' values must be finite numbers ({key!r})",
             )
     return dict(value)
+
+
+def _check_search(search: str) -> None:
+    """SVC_RET_BAD_REQUEST for an unknown search name, checked before a
+    request spends a tuner or run id and the seed stream named by it."""
+    try:
+        search_class(search)
+    except ValueError as error:
+        raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
 
 
 def _wire_kind(annotation: Any) -> Tuple[str, Callable[[Any], bool]]:
@@ -1110,6 +1119,7 @@ class StackService:
         if batch_size < 1:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "batch_size must be >= 1")
         space = self._make_space(parameters)
+        _check_search(search)
         session._tuner_counter += 1
         ordinal = session._tuner_counter
         if seed is None:
@@ -1269,6 +1279,12 @@ class StackService:
                 f"unknown evaluator {evaluator!r}; registered: {sorted(EVALUATOR_REGISTRY)}",
             )
         space = self._make_space(parameters)
+        # Everything that can still reject the run is checked before it
+        # spends a run id and the seed stream named by it.
+        if batch_size < 1:
+            raise ServiceError(ServiceErrorCode.BAD_REQUEST, "batch_size must be >= 1")
+        _check_search(search)
+        session.check_quota(int(max_evals))
         self._run_counter += 1
         run_id = f"run-{self._run_counter:04d}"
         if seed is None:
@@ -1409,13 +1425,11 @@ class StackService:
         self, session: Session, feasible_only: bool = False
     ) -> Dict[str, Any]:
         """Objective summary statistics over visible records."""
-        filters = self._scope_tags(session, None)
-        if filters:
-            pool = self.database.where(
-                feasible=True if feasible_only else None, **filters
-            )
-            return objective_stats(np.asarray([r.objective for r in pool]))
-        return self.database.aggregate(feasible_only=bool(feasible_only))
+        database = self.database
+        indices = database.where_indices(
+            feasible=True if feasible_only else None, **self._scope_tags(session, None)
+        )
+        return objective_stats(database.objectives_array()[indices])
 
     def _cmd_db_where(
         self,
@@ -1440,7 +1454,7 @@ class StackService:
             # Tenant view: own record count only — no cross-tenant names,
             # no global sizes (the same isolation _scope_tags enforces).
             return {
-                "n_records": len(self.database.where(tenant=session.tenant)),
+                "n_records": len(self.database.where_indices(tenant=session.tenant)),
                 "n_shards": self.database.n_shards,
                 "tenants": [session.tenant],
             }
@@ -1462,6 +1476,9 @@ class StackService:
         generations, ``keep_generations`` of them kept); attaches the
         journal on first use, where ``directory`` is required (operator roles)."""
         self._require_operator(session, "checkpoint the database")
+        if keep_generations is not None and keep_generations < 1:
+            raise ServiceError(ServiceErrorCode.BAD_VALUE, "keep_generations must be >= 1")
+        kwargs = {} if keep_generations is None else {"keep_generations": int(keep_generations)}
         from repro import durability
 
         journal = self.database.journal
@@ -1472,11 +1489,7 @@ class StackService:
                     "no journal attached yet; 'directory' is required on the "
                     "first db.checkpoint",
                 )
-            durability.attach(
-                self.database,
-                directory,
-                keep_generations=int(keep_generations) if keep_generations else 2,
-            )
+            durability.attach(self.database, directory, **kwargs)
             journal = self.database.journal
         elif directory is not None and os.path.abspath(directory) != journal.directory:
             raise ServiceError(
@@ -1484,13 +1497,6 @@ class StackService:
                 f"journal is attached at {journal.directory!r}; detach before "
                 f"checkpointing into {directory!r}",
             )
-        kwargs = {}
-        if keep_generations is not None:
-            if keep_generations < 1:
-                raise ServiceError(
-                    ServiceErrorCode.BAD_VALUE, "keep_generations must be >= 1"
-                )
-            kwargs["keep_generations"] = int(keep_generations)
         info = self.database.checkpoint(**kwargs)
         return {
             "directory": journal.directory,

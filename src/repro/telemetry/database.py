@@ -30,6 +30,8 @@ __all__ = [
     "SnapshotCorruptError",
     "atomic_write_text",
     "objective_stats",
+    "read_records",
+    "records_json",
     "shared_tag_runs",
 ]
 
@@ -77,8 +79,10 @@ def objective_stats(objectives: np.ndarray) -> Dict[str, float]:
     """Summary statistics of an objective column.
 
     The single implementation behind :meth:`PerformanceDatabase.aggregate`
-    and the sharded store's fan-in aggregate, so the two can never drift:
-    on the same values in the same order they are bit-identical.
+    and the service's tenant-scoped ``db.aggregate`` (the objective column
+    gathered through :meth:`PerformanceDatabase.where_indices`), so the
+    two can never drift: on the same values in the same order they are
+    bit-identical.
     """
     if objectives.size == 0:
         return {"count": 0.0}
@@ -138,6 +142,30 @@ class EvaluationRecord:
             feasible=bool(data.get("feasible", True)),
             tags=dict(data.get("tags", {})) if tags is None else tags,
         )
+
+
+def records_json(records: Iterable[EvaluationRecord]) -> str:
+    """The snapshot text of ``records``, in order: the one encoder of a
+    record list (:meth:`PerformanceDatabase.save` and each shard file of
+    a sharded snapshot)."""
+    return json.dumps([r.to_dict() for r in records], indent=2)
+
+
+def read_records(path: str) -> List[EvaluationRecord]:
+    """The records of a snapshot file, in order.
+
+    A truncated or otherwise invalid file is a *typed* failure,
+    :class:`SnapshotCorruptError` — the caller (and the service facade)
+    can tell storage corruption apart from every other ``ValueError``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return [EvaluationRecord.from_dict(item) for item in json.loads(text)]
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        raise SnapshotCorruptError(
+            path, f"{type(error).__name__}: {error}"
+        ) from error
 
 
 def shared_tag_runs(
@@ -307,12 +335,15 @@ class PerformanceDatabase:
                 return record
         return self._min_all if minimize else self._max_all
 
-    def top_k(self, k: int, minimize: bool = True) -> List[EvaluationRecord]:
-        """The ``k`` best records, stable on ties (insertion order)."""
-        objectives = self._columns.objective
-        key = objectives if minimize else -objectives
-        order = np.argsort(key, kind="stable")[: max(0, k)]
-        return [self._records[i] for i in order]
+    def top_k(
+        self, k: int, minimize: bool = True, **tag_filters: str
+    ) -> List[EvaluationRecord]:
+        """The ``k`` best records matching ``tag_filters``, stable on ties
+        (insertion order)."""
+        indices = self._tag_indices(tag_filters) if tag_filters else None
+        key = self._columns.objective if indices is None else self._columns.objective[indices]
+        order = np.argsort(key if minimize else -key, kind="stable")[: max(0, k)]
+        return [self._records[i] for i in (order if indices is None else indices[order])]
 
     def filter(self, predicate: Callable[[EvaluationRecord], bool]) -> "PerformanceDatabase":
         """A new database holding the records matching ``predicate``.
@@ -333,12 +364,12 @@ class PerformanceDatabase:
     ) -> np.ndarray:
         """Ascending record indices matching the :meth:`where` filters.
 
-        The index-level entry point :class:`ShardedPerformanceDatabase`
-        uses to fan a query across shards and stitch the matches back
-        into global insertion order.  With tag filters the tag-index
-        matches are the only rows checked against feasibility and the
-        objective range, so the cost follows the matches, not the
-        database; without them one mask covers every row.
+        The index-level entry point for reads that need a column, not
+        records (the service's tenant ``db.aggregate`` and ``db.stats``).
+        With tag filters the tag-index matches are the only rows checked
+        against feasibility and the objective range, so the cost follows
+        the matches, not the database; without them one mask covers
+        every row.
         """
         columns = self._columns
         if tag_filters:
@@ -479,7 +510,7 @@ class PerformanceDatabase:
 
     # -- persistence ----------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self._records], indent=2)
+        return records_json(self._records)
 
     @classmethod
     def from_json(cls, text: str, name: str = "default") -> "PerformanceDatabase":
@@ -494,19 +525,6 @@ class PerformanceDatabase:
 
     @classmethod
     def load(cls, path: str, name: str = "default") -> "PerformanceDatabase":
-        """Load a snapshot; corruption raises :class:`SnapshotCorruptError`.
-
-        A truncated or otherwise invalid shard file is a *typed* failure
-        — the caller (and the service facade) can tell storage corruption
-        apart from every other ``ValueError``.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            return cls.from_json(text, name)
-        except SnapshotCorruptError:
-            raise
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise SnapshotCorruptError(
-                path, f"{type(error).__name__}: {error}"
-            ) from error
+        """Load a snapshot; corruption raises :class:`SnapshotCorruptError`
+        (see :func:`read_records`)."""
+        return cls.from_records(read_records(path), name)

@@ -1,19 +1,15 @@
 """Sharded performance database for multi-tenant tuning services.
 
-One :class:`~repro.telemetry.database.PerformanceDatabase` per shard,
-with writes routed by a tenant/session key and queries fanned out and
-stitched back together.  The contract is strict: every query answered
-here is *bit-identical* to the same query against one merged
-``PerformanceDatabase`` holding the same records in insertion order.
-That is what lets the control-plane service (``repro.service``) shard
-its capture transparently — a caller cannot tell how many shards sit
-behind the facade.
-
-The key ingredient is the global insertion order.  Each shard's records
-carry their global sequence numbers (``_global``), so a fan-in query can
-reconstruct the globally-ordered objective/feasibility columns (scatter
-per shard, no sort), and tie-breaking in ``top_k`` / ``best_for`` uses
-exactly the stable order a single database would.
+One in-memory store: :class:`ShardedPerformanceDatabase` is a
+:class:`~repro.telemetry.database.PerformanceDatabase` holding every
+record once, in global insertion order, plus one column naming each
+record's shard.  Writes are routed by a tenant/session key; the shard a
+record lands on decides only where it is persisted — its write-ahead
+journal segment (``repro.durability``) and its file in a :meth:`save`
+snapshot.  Every query is ``PerformanceDatabase``'s own, so a sharded
+database answers *bit-identically* to one merged ``PerformanceDatabase``
+holding the same records by construction, and the control-plane service
+(``repro.service``) can shard its capture transparently.
 
 Routing uses :func:`repro.sim.rng.stable_name_key` (SHA-256), so a key
 maps to the same shard in every process and on every platform.
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +29,8 @@ from repro.telemetry.database import (
     PerformanceDatabase,
     SnapshotCorruptError,
     atomic_write_text,
-    objective_stats,
+    read_records,
+    records_json,
     shared_tag_runs,
 )
 
@@ -50,20 +47,20 @@ _ABSENT = object()
 #: adversarial churn (memory, and the shapes one ``add`` can visit).
 _BEST_CACHE_MAX = 4096
 
-#: Smallest capacity of a shard's global-sequence column; it doubles when full.
-_GLOBAL_CAPACITY = 64
+#: Smallest capacity of the per-record shard column; it doubles when full.
+_SHARD_CAPACITY = 64
 
 #: A ``best_for`` query shape: (minimize, sorted stringified tag filters).
 _Shape = Tuple[bool, Tuple[Tuple[str, str], ...]]
 
 
-class ShardedPerformanceDatabase:
-    """N ``PerformanceDatabase`` shards behind a single-database facade.
+class ShardedPerformanceDatabase(PerformanceDatabase):
+    """A ``PerformanceDatabase`` whose records are routed to N shards.
 
     Writes are routed by ``shard_key`` (or, when absent, by the record's
-    ``shard_key_tags`` tag values — tenant/session by default); queries
-    fan out across the shards and back in, bit-identical to one merged
-    database.
+    ``shard_key_tags`` tag values — tenant/session by default); a
+    record's shard picks its journal segment and snapshot file, and every
+    query is the one flat database's.
     """
 
     def __init__(
@@ -74,21 +71,13 @@ class ShardedPerformanceDatabase:
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.name = name
+        super().__init__(name)
+        self.n_shards = n_shards
         self.shard_key_tags = tuple(shard_key_tags)
-        self.shards: List[PerformanceDatabase] = [
-            PerformanceDatabase(f"{name}/shard-{i}") for i in range(n_shards)
-        ]
-        #: Per-shard global sequence numbers, parallel to the shard's
-        #: records: growable arrays whose first ``len(shard)`` entries are
-        #: live (capacity doubles when full), so an add is amortised O(1)
-        #: and a read is a view.
-        self._global: List[np.ndarray] = [
-            np.empty(_GLOBAL_CAPACITY, dtype=int) for _ in range(n_shards)
-        ]
-        #: Every record in global insertion order (a global index is a
-        #: list index): one list slot per record.
-        self._records: List[EvaluationRecord] = []
+        #: Each record's shard, in global order: a growable column whose
+        #: first ``len(self)`` entries are live (capacity doubles when
+        #: full), so an add is amortised O(1).
+        self._shards = np.empty(_SHARD_CAPACITY, dtype=int)
         #: Optional write-ahead journal (``repro.durability``): when
         #: attached and enabled, add() journals each run of records as one
         #: committed entry *before* mutating in-memory state.  ``None``
@@ -97,31 +86,26 @@ class ShardedPerformanceDatabase:
         self._journal: Optional[Any] = None
         #: Running best per ``best_for`` query shape, bucketed by the
         #: shape's first sorted filter pair (``None`` for the unfiltered
-        #: shape): first pair -> {shape: (objective, global index) or
-        #: None}.  Maintained incrementally by add(), which visits only
-        #: the buckets its records' tags name — a repeated fan-in
-        #: ``best_for`` is a dict hit instead of an all-shard scan — and
-        #: bit-identical to the scan by construction: a new record only
-        #: displaces the cached winner when strictly better, which is
-        #: exactly the global-order tie-breaking the scan applies
-        #: (earlier record wins ties).
+        #: shape): first pair -> {shape: best record or None}.  Maintained
+        #: incrementally by add(), which visits only the buckets its
+        #: records' tags name — a repeated ``best_for`` is a dict hit
+        #: instead of a scan — and equal to the scan by construction: a
+        #: new record only displaces the cached winner when strictly
+        #: better, which is exactly the insertion-order tie-breaking the
+        #: scan applies (earlier record wins ties).
         self._best_cache: Dict[
-            Optional[Tuple[str, str]], Dict[_Shape, Optional[Tuple[float, int]]]
+            Optional[Tuple[str, str]], Dict[_Shape, Optional[EvaluationRecord]]
         ] = {}
         self._best_cache_shapes = 0
 
     # -- routing -----------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
     def routing_key(self, tags: Mapping[str, Any]) -> str:
         """The routing key derived from a record's tags."""
         return "/".join(str(tags.get(key, "")) for key in self.shard_key_tags)
 
     def shard_index(self, shard_key: str) -> int:
         """Deterministic, process-stable shard for a routing key."""
-        return stable_name_key(str(shard_key)) % len(self.shards)
+        return stable_name_key(str(shard_key)) % self.n_shards
 
     # -- writes ------------------------------------------------------------
     # repro-lint: hot
@@ -132,10 +116,10 @@ class ShardedPerformanceDatabase:
         Consecutive records with one routing key form a run, routed once.
         With a journal attached a run is journaled *first* (write-ahead):
         its records are staged and committed as one entry, and only then
-        is the run applied to its shard, the global order and the
-        ``best_for`` cache.  A run is all-or-nothing: a torn or failed
-        commit raises with none of its records applied, so recovery
-        always yields a consistent completed-run prefix equal to memory.
+        is the run applied to the store and the ``best_for`` cache.  A
+        run is all-or-nothing: a torn or failed commit raises with none
+        of its records applied, so recovery always yields a consistent
+        completed-run prefix equal to memory.
         """
         shard = -1
         start, count = 0, len(records)
@@ -171,23 +155,20 @@ class ShardedPerformanceDatabase:
         self._apply(shard, run)
 
     def _apply(self, shard: int, run: Sequence[EvaluationRecord]) -> None:
-        """Add a routed run to its shard, the global order and the cache."""
+        """Add a routed run to the store, the shard column and the cache."""
         first = len(self._records)
-        database = self.shards[shard]
-        local = len(database)
-        database.add(*run)
-        end = local + len(run)
-        column = self._global[shard]
+        PerformanceDatabase.add(self, *run)
+        end = first + len(run)
+        column = self._shards
         if end > column.shape[0]:
-            column = self._global[shard] = np.resize(column, max(_GLOBAL_CAPACITY, 2 * end))
-        column[local:end] = np.arange(first, first + len(run))
-        self._records.extend(run)
+            column = self._shards = np.resize(column, max(_SHARD_CAPACITY, 2 * end))
+        column[first:end] = shard
         if self._best_cache:
             for start, stop, tags in shared_tag_runs(run):
-                self._update_best_cache(tags, run[start:stop], first + start)
+                self._update_best_cache(tags, run[start:stop])
 
     def _update_best_cache(
-        self, tags: Mapping[str, Any], records: Sequence[EvaluationRecord], first_index: int
+        self, tags: Mapping[str, Any], records: Sequence[EvaluationRecord]
     ) -> None:
         """Fold new records sharing one tags dict into the cached
         ``best_for`` answers they match.
@@ -198,8 +179,8 @@ class ShardedPerformanceDatabase:
         match semantics of :meth:`PerformanceDatabase.where_indices`: a
         record matches a filter pair when the tag key is present and its
         stringified value equals the stringified filter value.  A matching
-        shape folds the records in global order and only a strictly better
-        one displaces the cached record, so ties keep the lower global index.
+        shape folds the records in order and only a strictly better one
+        displaces the cached record, so ties keep the earlier record.
         """
         cache = self._best_cache
         buckets = [cache.get(None)]
@@ -218,14 +199,14 @@ class ShardedPerformanceDatabase:
                         break
                 if not matched:
                     continue
-                for global_index, record in enumerate(records, first_index):
+                for record in records:
                     objective = record.objective
                     if (
                         current is None
-                        or (minimize and objective < current[0])
-                        or (not minimize and objective > current[0])
+                        or (minimize and objective < current.objective)
+                        or (not minimize and objective > current.objective)
                     ):
-                        current = (objective, global_index)
+                        current = record
                 bucket[shape] = current
 
     # -- durability --------------------------------------------------------
@@ -322,82 +303,24 @@ class ShardedPerformanceDatabase:
         self.add(*records)
         return self
 
-    # -- global-order reconstruction ---------------------------------------
-    def _global_index(self, shard: int) -> np.ndarray:
-        """Global sequence numbers of one shard's records (a view)."""
-        return self._global[shard][: len(self.shards[shard])]
-
-    def _record_at(self, global_index: int) -> EvaluationRecord:
-        return self._records[global_index]
-
-    def _gather(self, column: str) -> np.ndarray:
-        """One scalar column in global insertion order (scatter per shard)."""
-        first = getattr(self.shards[0], column)()
-        out = np.empty(len(self._records), dtype=first.dtype)
-        for shard_index, shard in enumerate(self.shards):
-            values = getattr(shard, column)()
-            if values.size:
-                out[self._global_index(shard_index)] = values
-        return out
-
-    def objectives_array(self) -> np.ndarray:
-        """Objective column in global insertion order."""
-        return self._gather("objectives_array")
-
-    def feasible_array(self) -> np.ndarray:
-        """Feasibility column in global insertion order."""
-        return self._gather("feasible_array")
-
-    def elapsed_array(self) -> np.ndarray:
-        """Elapsed-seconds column in global insertion order."""
-        return self._gather("elapsed_array")
-
     # -- introspection -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[EvaluationRecord]:
-        return iter(self._records)
-
-    def records(self, feasible_only: bool = False) -> List[EvaluationRecord]:
-        """All records in global insertion order."""
-        if feasible_only:
-            feasible = self.feasible_array()
-            return [self._record_at(i) for i in np.flatnonzero(feasible)]
-        return list(self._records)
-
     def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self.shards]
+        return np.bincount(self._shards[: len(self._records)], minlength=self.n_shards).tolist()
 
     def merged(self, name: Optional[str] = None) -> PerformanceDatabase:
         """One flat database holding every record in global order."""
         return PerformanceDatabase.from_records(self, name or self.name)
 
-    # -- fan-in queries ----------------------------------------------------
-    def best(
-        self, minimize: bool = True, feasible_only: bool = True
-    ) -> Optional[EvaluationRecord]:
-        if not self._records:
-            return None
-        objectives = self.objectives_array()
-        if feasible_only:
-            pool = np.flatnonzero(self.feasible_array())
-            if pool.size:
-                values = objectives[pool]
-                return self._record_at(
-                    pool[np.argmin(values) if minimize else np.argmax(values)]
-                )
-        return self._record_at(np.argmin(objectives) if minimize else np.argmax(objectives))
-
+    # -- queries -----------------------------------------------------------
     def best_for(
         self, minimize: bool = True, **tag_filters: str
     ) -> Optional[EvaluationRecord]:
-        """Fan-out best-record query; ties resolve in global order.
+        """Best-record query; ties resolve in global order.
 
         Answers are memoized per (minimize, filters) shape and kept
         current incrementally by :meth:`add`, so the steady-state cost of
         the control plane's per-run "best so far" probe is a dict hit
-        instead of an all-shard scan (ROADMAP item 4).
+        instead of a scan.
         """
         filters = tuple(sorted((str(k), str(v)) for k, v in tag_filters.items()))
         shape = (bool(minimize), filters)
@@ -405,113 +328,37 @@ class ShardedPerformanceDatabase:
         bucket = self._best_cache.get(first)
         cached = _ABSENT if bucket is None else bucket.get(shape, _ABSENT)
         if cached is not _ABSENT:
-            return None if cached is None else self._record_at(cached[1])
-        best: Optional[Tuple[float, int]] = None
-        for shard_index, shard in enumerate(self.shards):
-            local = shard.where_indices(**tag_filters)
-            if local.size == 0:
-                continue
-            pool = shard.objectives_array()[local]
-            pos = int(np.argmin(pool)) if minimize else int(np.argmax(pool))
-            candidate = (float(pool[pos]), int(self._global_index(shard_index)[local[pos]]))
-            if best is None:
-                best = candidate
-            elif minimize:
-                if candidate[0] < best[0] or (candidate[0] == best[0] and candidate[1] < best[1]):
-                    best = candidate
-            else:
-                if candidate[0] > best[0] or (candidate[0] == best[0] and candidate[1] < best[1]):
-                    best = candidate
+            return cached
+        best = PerformanceDatabase.best_for(self, minimize, **tag_filters)
         if self._best_cache_shapes >= _BEST_CACHE_MAX:
             self._best_cache.clear()
             self._best_cache_shapes = 0
         self._best_cache.setdefault(first, {})[shape] = best
         self._best_cache_shapes += 1
-        return None if best is None else self._record_at(best[1])
-
-    def top_k(
-        self, k: int, minimize: bool = True, **tag_filters: str
-    ) -> List[EvaluationRecord]:
-        """The ``k`` best records matching ``tag_filters``, stable on ties.
-
-        Each shard selects its matches through its tag index, then one
-        ``lexsort`` on (objective key, global index) ranks them all: ties
-        keep global insertion order, as one merged database's stable sort
-        over the same matches would.
-        """
-        keys: List[np.ndarray] = []
-        positions: List[np.ndarray] = []
-        for shard_index, shard in enumerate(self.shards):
-            local = shard.where_indices(**tag_filters)
-            if local.size:
-                keys.append(shard.objectives_array()[local])
-                positions.append(self._global_index(shard_index)[local])
-        if not keys or k <= 0:
-            return []
-        key = np.concatenate(keys)
-        position = np.concatenate(positions)
-        order = np.lexsort((position, key if minimize else -key))[:k]
-        return [self._record_at(i) for i in position[order]]
-
-    def aggregate(self, feasible_only: bool = False) -> Dict[str, float]:
-        """Summary statistics over the globally-ordered objective column."""
-        objectives = self.objectives_array()
-        if feasible_only:
-            objectives = objectives[self.feasible_array()]
-        return objective_stats(objectives)
-
-    def where(
-        self,
-        feasible: Optional[bool] = None,
-        min_objective: Optional[float] = None,
-        max_objective: Optional[float] = None,
-        **tag_filters: str,
-    ) -> List[EvaluationRecord]:
-        """Fan-out record selection, results in global insertion order."""
-        matches: List[np.ndarray] = []
-        for shard_index, shard in enumerate(self.shards):
-            local = shard.where_indices(
-                feasible=feasible,
-                min_objective=min_objective,
-                max_objective=max_objective,
-                **tag_filters,
-            )
-            if local.size:
-                matches.append(self._global_index(shard_index)[local])
-        if not matches:
-            return []
-        order = np.sort(np.concatenate(matches))
-        return [self._record_at(i) for i in order]
-
-    def lookup(self, **tag_filters: str) -> List[EvaluationRecord]:
-        if not tag_filters:
-            return list(self)
-        return self.where(**tag_filters)
-
-    def tag_values(self, key: str) -> List[str]:
-        values: set = set()
-        for shard in self.shards:
-            values.update(shard.tag_values(key))
-        return sorted(values)
+        return best
 
     # -- persistence -------------------------------------------------------
     def save(self, directory: str) -> None:
         """Write one JSON file per shard plus a manifest with the order.
 
-        Every file lands via temp-file + ``os.replace`` and the manifest
-        is written *last*: an interrupted save leaves either the previous
+        Shard ``i``'s file holds its records in global order, and the
+        manifest's ``order[position]`` is ``[shard, local index]``.  Every
+        file lands via temp-file + ``os.replace`` and the manifest is
+        written *last*: an interrupted save leaves either the previous
         complete snapshot or the new one, and a manifest never references
         shard files that were not fully written.
         """
         os.makedirs(directory, exist_ok=True)
-        order: List[Any] = [None] * len(self._records)
-        for index, shard in enumerate(self.shards):
-            shard.save(os.path.join(directory, f"shard-{index}.json"))
-            for local, position in enumerate(self._global_index(index).tolist()):
-                order[position] = [index, local]
+        members: List[List[EvaluationRecord]] = [[] for _ in range(self.n_shards)]
+        order: List[List[int]] = []
+        for record, shard in zip(self._records, self._shards[: len(self._records)].tolist()):
+            order.append([shard, len(members[shard])])
+            members[shard].append(record)
+        for index, records in enumerate(members):
+            atomic_write_text(os.path.join(directory, f"shard-{index}.json"), records_json(records))
         manifest = {
             "name": self.name,
-            "n_shards": len(self.shards),
+            "n_shards": self.n_shards,
             "shard_key_tags": list(self.shard_key_tags),
             "order": order,
         }
@@ -519,7 +366,11 @@ class ShardedPerformanceDatabase:
 
     @classmethod
     def load(cls, directory: str) -> "ShardedPerformanceDatabase":
-        """Load a snapshot; corruption raises :class:`SnapshotCorruptError`."""
+        """Load a snapshot; corruption raises :class:`SnapshotCorruptError`.
+
+        Each shard file's records are read once and added once, in the
+        global order the manifest gives.
+        """
         manifest_path = os.path.join(directory, _MANIFEST)
         with open(manifest_path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -530,9 +381,7 @@ class ShardedPerformanceDatabase:
                 name=manifest["name"],
                 shard_key_tags=manifest["shard_key_tags"],
             )
-            order = [
-                (int(shard), int(local)) for shard, local in manifest["order"]
-            ]
+            order = [(int(shard), int(local)) for shard, local in manifest["order"]]
             if any(not 0 <= shard < db.n_shards for shard, _ in order):
                 raise SnapshotCorruptError(
                     manifest_path, "manifest order references unknown shards"
@@ -543,23 +392,19 @@ class ShardedPerformanceDatabase:
             raise SnapshotCorruptError(
                 manifest_path, f"{type(error).__name__}: {error}"
             ) from error
-        for index in range(db.n_shards):
-            db.shards[index] = PerformanceDatabase.load(
-                os.path.join(directory, f"shard-{index}.json"),
-                name=f"{db.name}/shard-{index}",
-            )
+        shards = [
+            read_records(os.path.join(directory, f"shard-{index}.json"))
+            for index in range(db.n_shards)
+        ]
         owners = np.asarray([shard for shard, _ in order], dtype=int)
         sizes = np.bincount(owners, minlength=db.n_shards).tolist()
-        if sizes != db.shard_sizes():
+        if sizes != [len(records) for records in shards]:
             raise SnapshotCorruptError(
                 manifest_path,
                 f"manifest order inconsistent with shard files: "
-                f"{sizes} vs {db.shard_sizes()}",
+                f"{sizes} vs {[len(records) for records in shards]}",
             )
-        db._global = [np.flatnonzero(owners == index) for index in range(db.n_shards)]
-        records: List[Any] = [None] * len(order)
-        for index, shard in enumerate(db.shards):
-            for position, record in zip(db._global[index].tolist(), shard):
-                records[position] = record
-        db._records = records
+        streams = [iter(records) for records in shards]
+        PerformanceDatabase.add(db, *(next(streams[shard]) for shard in owners.tolist()))
+        db._shards = owners
         return db

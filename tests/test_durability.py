@@ -506,7 +506,7 @@ def test_recover_replays_per_record_entries_of_an_older_root(tmp_path):
         path = os.path.join(root, "wal", f"shard-{shard}.wal")
         with open(path, "wb") as fh:
             for seq in range(4, 12):
-                record = db._record_at(seq)
+                record = list(db)[seq]
                 key = db.routing_key(record.tags)
                 if db.shard_index(key) == shard:
                     fh.write(encode_entry(json.dumps(

@@ -871,6 +871,8 @@ def test_tuning_errors():
         == ServiceErrorCode.BAD_REQUEST.value
     )
     tuner = session.result("tuning.open", parameters={"x": [1, 2]}, search="random")
+    # The rejected ``not-a-search`` open spent no tuner ordinal (nor its seed stream).
+    assert tuner["tuner_id"] == f"{session.session_id}/t1"
     bad_tell = session.call(
         "tuning.tell", tuner_id=tuner["tuner_id"], results=[{"objective": 1.0}]
     )
@@ -924,6 +926,33 @@ def test_db_queries_are_tenant_scoped_for_working_roles():
     assert monitor.result("db.best_for")["best"]["objective"] == 0.5
     assert len(monitor.result("db.top_k", k=10)["records"]) == 4
     assert monitor.result("db.stats")["tenants"] == ["acme", "globex"]
+
+
+def test_tenant_aggregate_and_stats_equal_the_merged_database():
+    """A tenant's ``db.aggregate`` (feasible only or not) and ``db.stats``
+    count equal ``objective_stats`` and ``len`` over the merged database's
+    ``where`` for that tenant, an empty tenant included."""
+    from repro.telemetry.database import objective_stats
+
+    service = make_service()
+    client = ServiceClient(service)
+    for index, tenant in enumerate(("acme", "globex", "initech")):
+        session = client.open_session(tenant, role="runtime")
+        tuner = session.result("tuning.open", parameters={"x": list(range(8))},
+                               search="random", seed=index)["tuner_id"]
+        for tell in range(3):
+            session.result("tuning.tell", tuner_id=tuner, results=[
+                {"config": {"x": i}, "objective": ((7 * tell + 5 * i + index) % 11) / 3.0,
+                 "feasible": (tell + i + index) % 4 != 0}
+                for i in range(8)])
+    merged = service.database.merged()
+    for tenant in ("acme", "globex", "initech", "nobody"):
+        session = client.open_session(tenant, role="runtime")
+        for feasible_only in (False, True):
+            pool = merged.where(feasible=True if feasible_only else None, tenant=tenant)
+            expected = objective_stats(np.asarray([r.objective for r in pool]))
+            assert session.result("db.aggregate", feasible_only=feasible_only) == expected
+        assert session.result("db.stats")["n_records"] == len(merged.where(tenant=tenant))
 
 
 def test_jobs_list_is_tenant_scoped_for_working_roles():
@@ -1267,6 +1296,32 @@ def test_tuning_run_rejected_config_charges_nothing():
     )
     assert rejected.error["code"] == ServiceErrorCode.BAD_REQUEST.value
     assert session.result("session.info")["used_evaluations"] == 0
+
+
+def test_rejected_tuning_run_spends_no_run_id_or_seed():
+    """A run rejected for its search, its batch size or its quota spends
+    no run id and no seed: another tenant's next run is the one a service
+    that never saw the rejected runs gives."""
+    def other_tenants_run(rejected):
+        client = ServiceClient(make_service(n_nodes=2))
+        a = client.open_session("a", role="runtime", quota=10)
+        b = client.open_session("b", role="runtime")
+        for args, code in rejected:
+            response = a.call("tuning.run", **{"parameters": {"x": [1, 2]},
+                                               "evaluator": "quadratic", "max_evals": 4, **args})
+            assert response.error["code"] == code.value
+        assert a.result("session.info")["used_evaluations"] == 0
+        run = b.result("tuning.run", parameters={"x": [1, 2]}, evaluator="quadratic",
+                       search="random", max_evals=4)
+        return run["run_id"], run["seed"]
+
+    clean = other_tenants_run([])
+    assert clean[0] == "run-0001"
+    assert other_tenants_run([({"search": "nope"}, ServiceErrorCode.BAD_REQUEST)]) == clean
+    assert other_tenants_run([
+        ({"search": "random", "batch_size": 0}, ServiceErrorCode.BAD_REQUEST),
+        ({"search": "random", "max_evals": 50}, ServiceErrorCode.QUOTA_EXCEEDED),
+    ]) == clean
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,27 @@ def test_checkpoint_argument_validation(tmp_path):
     assert bad_keep.error_code == ServiceErrorCode.BAD_VALUE.value
 
 
+@pytest.mark.parametrize("keep", [0, -1])
+def test_rejected_checkpoint_attaches_and_writes_nothing(tmp_path, keep):
+    """``keep_generations`` below 1 is rejected before a journal is
+    attached: no journal, and nothing written under the directory."""
+    service = make_service(n_nodes=2)
+    wire = _wire_client(service)
+    root = tmp_path / "root"
+    root.mkdir()
+    operator = wire("session.open", tenant="ops", role="administrator")["result"]["session"]
+    runtime = wire("session.open", tenant="rt", role="runtime")["result"]["session"]
+    tuner = wire("tuning.open", runtime, parameters={"x": [1, 2]}, search="random",
+                 seed=1)["result"]["tuner_id"]
+    told = wire("tuning.tell", runtime, tuner_id=tuner, results=[{"config": {"x": 1},
+                                                                "objective": 1.0}])
+    assert told["ok"] and len(service.database) == 1
+    rejected = wire("db.checkpoint", operator, directory=str(root), keep_generations=keep)
+    assert rejected["error"]["code"] == ServiceErrorCode.BAD_VALUE.value
+    assert service.database.journal is None
+    assert os.listdir(root) == []
+
+
 def test_recover_missing_root_is_no_object(tmp_path):
     client = ServiceClient(make_service())
     session = client.result("session.open", tenant="acme", role="administrator")[
@@ -386,3 +407,128 @@ def test_torn_tell_changes_no_quota_store_or_tuner_state(tmp_path):
     service.close()
     assert [r.to_dict() for r in recover(root, reattach=False)] == [
         r.to_dict() for r in service.database]
+
+
+# -- the bytes of one journaled episode ------------------------------------
+#: sha256 of what one journaled episode leaves: its response lines (the
+#: root path masked), every file of its durability root (WAL segments,
+#: checkpoint generations, ``CHECKPOINT`` and ``JOURNAL.json``) and a
+#: ``db.save`` snapshot taken at its end.  Client-chosen configs and
+#: objectives and explicit tuner seeds, no ``tuning.ask``: no search draw
+#: enters the bytes.
+_EPISODE_DIGESTS = {
+    "responses": "7df6b77098690d8e2d4ffd0746ae3fb0aa6a192b28f4b5cf560a3a71398d4e57",
+    "root": {
+        "CHECKPOINT": "76a809d3ce9636de10d1beb70694fd0d7c79cdd94ec16cfd011f42e1561a6c20",
+        "JOURNAL.json": "476bee950afb23ce77f5a4e2e47408cb8fde1280e5f9d912903c3aaef44a592d",
+        "checkpoints/gen-000001/manifest.json":
+            "7d240b43322a4ed15618edcc8e3a4c6c6395266e6f0dfa8af76941465d3c019b",
+        "checkpoints/gen-000001/shard-0.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "checkpoints/gen-000001/shard-1.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "checkpoints/gen-000001/shard-2.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "checkpoints/gen-000001/shard-3.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "checkpoints/gen-000002/manifest.json":
+            "1bf4fbbaaa473f06a875e51a48fddf64342a21495d7d3b51d9b86f7555d31980",
+        "checkpoints/gen-000002/shard-0.json":
+            "43ffaf4559e9e437aad83e693a55530aee1bcb4235ebe974efc30b0797db5d0d",
+        "checkpoints/gen-000002/shard-1.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "checkpoints/gen-000002/shard-2.json":
+            "780251554d4e0600f91392d329a557493fc8b1f286c01ad7489a4286739b8363",
+        "checkpoints/gen-000002/shard-3.json":
+            "20284370e995df5627a78eccb5f94373e0832f96d2a5a5f284fe53997eebde86",
+        "wal/shard-0.wal": "c91a3fb46bfba7948955f9896838604bf13c622efb626b9bfcc6b58dbe84d722",
+        "wal/shard-1.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "wal/shard-2.wal": "58ee4b5b5b0a22410a2cf0c95892af7b97032a5c57cf0365cfcf7598dcaa6bbe",
+        "wal/shard-3.wal": "3fb4113e44d9c9a6a2be8fe9428bce81c6f8f01989b4dd544b03e2454a9ce278",
+    },
+    "snapshot": {
+        "manifest.json": "e3b27a089d6aea68deb06df53c19fe00dfdf7f87fc6f1bb1c68a169bdeb63ee8",
+        "shard-0.json": "61a39ab62d3896f32251df2ff454ecddaf942ce92ce7b4880eb38f621ef9e825",
+        "shard-1.json": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "shard-2.json": "655a07505d649ccb88a58e8373c116288c9f4bf5573062be75cdb4ceaa8a2281",
+        "shard-3.json": "a3399aa1eee68ddab5d47734967b73c69aac2e944d9320941524546924ef7645",
+    },
+}
+
+
+def _sha256_tree(directory):
+    import hashlib
+
+    digests = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def _journaled_episode(tmp_path):
+    """Three tenants tell 30 batches of 16 into a journaled 4-shard store,
+    with tenant and administrator reads between the tells and one
+    ``db.checkpoint`` midway; returns the masked response lines."""
+    import hashlib
+
+    root = str(tmp_path / "root")
+    service = make_service(n_nodes=2, n_shards=4)
+    lines = []
+
+    def wire(op, session=None, **args):
+        envelope = {"op": op, "args": args}
+        if session is not None:
+            envelope["session"] = session
+        line = service.handle_wire(json.dumps(envelope))
+        lines.append(line.replace(root, "<root>"))
+        return json.loads(line)
+
+    admin = wire("session.open", tenant="site", role="administrator")["result"]["session"]
+    assert wire("db.checkpoint", admin, directory=root)["ok"]
+    tuners = []
+    for index, tenant in enumerate(("acme", "beta", "gamma")):  # shards 3, 2 and 0
+        session = wire("session.open", tenant=tenant, role="runtime")["result"]["session"]
+        opened = wire("tuning.open", session, parameters={"x": list(range(16)), "y": ["lo", "hi"]},
+                      search="random", seed=100 + index, minimize=index != 1)
+        tuners.append((session, opened["result"]["tuner_id"]))
+    reads = [
+        ("db.best_for", {}), ("db.top_k", {"k": 5}), ("db.aggregate", {"feasible_only": True}),
+        ("db.where", {"min_objective": 4.0, "max_objective": 4.5}), ("db.stats", {}),
+        ("db.best_for", {"minimize": False, "tags": {"tenant": "beta"}}),
+        ("db.top_k", {"k": 3, "minimize": False}), ("db.aggregate", {}),
+        ("db.where", {"feasible": False, "tags": {"tenant": "gamma"}}),
+    ]
+    for tell in range(30):
+        session, tuner = tuners[tell % 3]
+        results = [
+            {"config": {"x": (5 * tell + i) % 16, "y": "hi" if (tell + i) % 3 else "lo"},
+             "objective": ((37 * tell + 11 * i) % 23) / 4.0,
+             "feasible": (tell + i) % 5 != 0,
+             "metrics": {"runtime_s": ((tell + i) % 7) / 2.0}}
+            for i in range(16)
+        ]
+        assert wire("tuning.tell", session, tuner_id=tuner, results=results)["ok"]
+        for reader in (session, admin):
+            op, args = reads[(tell + (reader == admin)) % len(reads)]
+            assert wire(op, reader, **args)["ok"]
+        if tell == 14:
+            assert wire("db.checkpoint", admin)["ok"]
+    for session, tuner in tuners:
+        assert wire("tuning.best", session, tuner_id=tuner)["ok"]
+    snapshot = str(tmp_path / "snapshot")
+    service.database.save(snapshot)
+    service.close()
+    return {
+        "responses": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest(),
+        "root": _sha256_tree(root),
+        "snapshot": _sha256_tree(snapshot),
+    }
+
+
+def test_journaled_episode_bytes_are_pinned(tmp_path):
+    """The wire answers, the durability root and the saved snapshot of one
+    journaled episode keep their bytes."""
+    assert _journaled_episode(tmp_path) == _EPISODE_DIGESTS

@@ -256,9 +256,14 @@ def _matches(record, feasible=None, min_objective=None, max_objective=None, **ta
     )
 
 
+def _shard_column(db):
+    """Each record's shard, in global order (the live column)."""
+    return db._shards[: len(db)]
+
+
 def _assert_where_parity(single, sharded, tag_cases):
-    """``where`` and per-shard ``where_indices`` equal the merged database
-    (and a brute-force scan) for every feasible/min/max/tag combination."""
+    """``where`` and ``where_indices`` equal the merged database (and a
+    brute-force scan) for every feasible/min/max/tag combination."""
     for feasible in (None, True, False):
         for low in (None, -0.5):
             for high in (None, 1.0):
@@ -268,14 +273,7 @@ def _assert_where_parity(single, sharded, tag_cases):
                     expected = [i for i, r in enumerate(single) if _matches(r, **case)]
                     assert single.where_indices(**case).tolist() == expected
                     assert _dicts(sharded.where(**case)) == _dicts(single.where(**case))
-                    merged = []
-                    for index, shard in enumerate(sharded.shards):
-                        local = shard.where_indices(**case)
-                        assert local.tolist() == [
-                            i for i, r in enumerate(shard) if _matches(r, **case)
-                        ]
-                        merged.extend(sharded._global_index(index)[local].tolist())
-                    assert sorted(merged) == expected
+                    assert sharded.where_indices(**case).tolist() == expected
 
 
 _RECORD = st.tuples(
@@ -335,10 +333,7 @@ def test_best_for_cache_stays_correct_under_interleaved_adds(records, cache_max,
     with tempfile.TemporaryDirectory() as directory:
         sharded.save(directory)
         reloaded = ShardedPerformanceDatabase.load(directory)
-    for index in range(sharded.n_shards):
-        np.testing.assert_array_equal(
-            reloaded._global_index(index), sharded._global_index(index)
-        )
+    np.testing.assert_array_equal(_shard_column(reloaded), _shard_column(sharded))
     for database in (single, reloaded):
         database.add_evaluation({"i": -1}, {}, objective=-5.0, tenant="tenant0",
                                 session="tenant0-s0", seed=0)
@@ -426,6 +421,14 @@ def _run_records(kind, rows, offset):
     return records
 
 
+def _assert_same_columns(left, right):
+    """Equal scalar columns and shard columns, record by record."""
+    np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
+    np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
+    np.testing.assert_array_equal(left.elapsed_array(), right.elapsed_array())
+    np.testing.assert_array_equal(_shard_column(left), _shard_column(right))
+
+
 def _files(directory):
     return {name: open(os.path.join(directory, name), "rb").read()
             for name in sorted(os.listdir(directory))}
@@ -459,10 +462,7 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
         recovered = [recover(os.path.join(root, name), reattach=False)
                      for name in ("batched", "single")]
         assert _dicts(recovered[0]) == _dicts(recovered[1]) == _dicts(single)
-        for left, right in zip(recovered[0].shards, recovered[1].shards):
-            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
-            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
-            np.testing.assert_array_equal(left.elapsed_array(), right.elapsed_array())
+        _assert_same_columns(*recovered)
         for minimize, filters in _CACHED_SHAPES:
             got, expected = (db.best_for(minimize, **filters) for db in recovered)
             assert (got is None) == (expected is None)
@@ -475,14 +475,12 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
             os.path.join(root, "snap-recovered-single"))
 
         assert _dicts(batched) == _dicts(single)
-        for index, (left, right) in enumerate(zip(batched.shards, single.shards)):
-            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
-            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
-            np.testing.assert_array_equal(left.elapsed_array(), right.elapsed_array())
-            np.testing.assert_array_equal(batched._global_index(index),
-                                          single._global_index(index))
-            assert left._tag_index == right._tag_index
-            assert left.best() is right.best()
+        _assert_same_columns(batched, single)
+        assert batched._tag_index == single._tag_index
+        for minimize in (True, False):
+            for feasible_only in (True, False):
+                assert batched.best(minimize, feasible_only) is single.best(
+                    minimize, feasible_only)
         merged = single.merged()
         for minimize, filters in _CACHED_SHAPES:
             best = batched.best_for(minimize, **filters)
@@ -503,9 +501,7 @@ def test_run_wise_add_equals_one_record_adds(runs, n_shards):
             os.path.join(root, "snap-single"))
         reloaded = ShardedPerformanceDatabase.load(os.path.join(root, "snap-batched"))
         assert _dicts(reloaded) == _dicts(single)
-        for index in range(n_shards):
-            np.testing.assert_array_equal(reloaded._global_index(index),
-                                          single._global_index(index))
+        np.testing.assert_array_equal(_shard_column(reloaded), _shard_column(single))
 
 
 @settings(max_examples=40, deadline=None)
@@ -546,10 +542,7 @@ def test_recover_equals_the_live_database(runs, n_shards):
             for listed in (list(live), list(recovered))
         ]
         assert shared[0] == shared[1]  # within each add call
-        for index, (left, right) in enumerate(zip(recovered.shards, live.shards)):
-            np.testing.assert_array_equal(left.objectives_array(), right.objectives_array())
-            np.testing.assert_array_equal(left.feasible_array(), right.feasible_array())
-            np.testing.assert_array_equal(recovered._global_index(index), live._global_index(index))
+        _assert_same_columns(recovered, live)
         for minimize, filters in _CACHED_SHAPES:
             got, expected = (db.best_for(minimize, **filters) for db in (recovered, live))
             assert (got is None) == (expected is None)

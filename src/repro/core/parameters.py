@@ -155,8 +155,8 @@ class CategoricalParameter(Parameter):
         return [self.values[i] for i in idx]
 
     def sample_array(self, rng: np.random.Generator, count: int) -> List[Any]:
-        idx = rng.integers(0, len(self.values), size=count)
-        return [self.values[i] for i in idx]
+        values = self.values
+        return [values[i] for i in rng.integers(0, len(values), size=count).tolist()]
 
 
 class OrdinalParameter(CategoricalParameter):

@@ -41,7 +41,7 @@ def config_key(config: Mapping[str, Any]) -> tuple:
     acquisition dedupe and the evaluation memoization cache so all of
     them agree on what "the same configuration" means.
     """
-    return tuple(sorted((k, repr(v)) for k, v in config.items()))
+    return tuple(sorted(zip(config, map(repr, config.values()))))
 
 
 def expected_improvement(improvement: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -202,14 +202,12 @@ class ParameterSpace:
         out: List[Dict[str, Any]] = []
         needed = count
         has_constraints = len(self.constraints) > 0
+        names = self.names()
+        parameters = self.parameters()
         for _ in range(max_rounds):
-            columns = {
-                name: param.sample_array(rng, needed)
-                for name, param in self._parameters.items()
-            }
-            names = self.names()
-            for i in range(needed):
-                config = {name: columns[name][i] for name in names}
+            columns = [param.sample_array(rng, needed) for param in parameters]
+            for row in zip(*columns) if columns else [()] * needed:
+                config = dict(zip(names, row))
                 if not has_constraints or self.is_allowed(config):
                     out.append(config)
             needed = count - len(out)

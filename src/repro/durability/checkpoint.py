@@ -72,7 +72,9 @@ _GEN_PREFIX = "gen-"
 
 #: The journal's entry encoder: compact separators, built once (a
 #: ``json.dumps`` call with any option builds a new encoder each time).
-_ENTRY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: A record that contains itself fails with ``RecursionError``, before
+#: anything is written.
+_ENTRY_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 #: Metric values ``EvaluationRecord.to_dict`` stores as plain floats.
 _NUMBERS = (bool, int, float, np.number, np.bool_)

@@ -122,12 +122,14 @@ def _wire_default(value: Any) -> Any:
 #: ``default`` hook is called only for the values JSON has no type for.
 #: Dictionary keys must be strings: keys are sorted as they are, so other
 #: key types would change the byte order (a handler converts its own).
-_WIRE_ENCODER = json.JSONEncoder(sort_keys=True, default=_wire_default)
+#: It keeps no table of the containers it is inside: a value that
+#: contains itself nests until the recursion limit stops it.
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True, default=_wire_default, check_circular=False)
 
 #: What :func:`encode_wire` raises for a value it cannot encode: an
-#: unconvertible type (``TypeError``), a circular reference or an int too
-#: long to print (``ValueError``), nesting deeper than the interpreter's
-#: recursion limit (``RecursionError``).
+#: unconvertible type (``TypeError``), an int too long to print
+#: (``ValueError``), nesting deeper than the interpreter's recursion
+#: limit, a value that contains itself included (``RecursionError``).
 WIRE_ENCODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
@@ -187,7 +189,7 @@ class Request:
             )
         return cls(
             op=_require_str(data, "op"),
-            args=dict(args),
+            args=args,  # __post_init__ copies it
             session=session,
             request_id=str(data.get("request_id", "0")),
             protocol=_require_str(data, "protocol", default=PROTOCOL_VERSION),

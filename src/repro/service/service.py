@@ -178,14 +178,17 @@ def _finite(value: float) -> bool:
 
 
 def _metrics(value: Any) -> Dict[str, float]:
-    """A ``tuning.tell`` result's ``metrics``: an object of finite numbers."""
-    if not isinstance(value, Mapping) or not all(isinstance(key, str) for key in value):
+    """A ``tuning.tell`` result's ``metrics``: an object of finite numbers
+    (every key is checked before any value)."""
+    if (type(value) is not dict and not isinstance(value, Mapping)) or not all(
+        isinstance(key, str) for key in value
+    ):
         raise ServiceError(
             ServiceErrorCode.BAD_REQUEST, "each result's 'metrics' must be an object"
         )
     is_number = _WIRE_KINDS[float][1]
     for key, number in value.items():
-        if not is_number(number) or not _finite(number):
+        if (type(number) is not float and not is_number(number)) or not _finite(number):
             raise ServiceError(
                 ServiceErrorCode.BAD_VALUE,
                 f"each result's 'metrics' values must be finite numbers ({key!r})",
@@ -202,6 +205,13 @@ def _check_search(search: str) -> None:
         raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
 
 
+def _check_seed(seed: Optional[int]) -> None:
+    """SVC_RET_BAD_REQUEST for a negative seed, checked, like the search,
+    before a request spends a tuner or run id."""
+    if seed is not None and seed < 0:
+        raise ServiceError(ServiceErrorCode.BAD_REQUEST, "seed must be >= 0")
+
+
 def _wire_kind(annotation: Any) -> Tuple[str, Callable[[Any], bool]]:
     members = [arg for arg in get_args(annotation) if arg is not type(None)]
     if get_origin(annotation) is Union and len(members) == 1:
@@ -215,7 +225,8 @@ class _Command:
     ``_cmd_<family>_<verb>`` serves ``<family>.<verb>``.  A leading
     ``session`` parameter means the command needs a session; every other
     parameter is an argument, required when it has no default, whose wire
-    kind comes from its annotation.
+    kind comes from its annotation.  ``null`` passes only an argument
+    annotated ``Optional[...]`` or ``Any``.
     """
 
     def __init__(self, handler: Callable[..., Any]):
@@ -234,10 +245,13 @@ class _Command:
         }
         self.names = frozenset(self.args)
         self.required = frozenset(name for name, spec in self.args.items() if spec[2])
+        self.optional = frozenset(
+            name for name in self.args if type(None) in get_args(hints[name])
+        )
 
     def validate(self, given: Mapping[str, Any]) -> None:
         """Reject unknown, missing, wrong-kind and non-finite arguments;
-        ``null`` passes every kind."""
+        ``null`` is of kind ``any`` and of every ``Optional`` kind."""
         keys = given.keys()
         if not keys <= self.names:
             raise ServiceError(
@@ -252,7 +266,7 @@ class _Command:
                 f"{sorted(self.required.difference(keys))}",
             )
         for name, value in given.items():
-            if value is None:
+            if value is None and name in self.optional:
                 continue
             kind, accepts, _ = self.args[name]
             if not accepts(value):
@@ -1018,8 +1032,13 @@ class StackService:
         self._require_operator(session, "advance the clock")
         if duration_s <= 0:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "duration_s must be positive")
+        until = self.env.now + float(duration_s)
+        if not _finite(until):
+            raise ServiceError(
+                ServiceErrorCode.BAD_VALUE, "duration_s must keep the clock finite"
+            )
         self.scheduler.start()
-        self.env.run(until=self.env.now + float(duration_s))
+        self.env.run(until=until)
         return {"time_s": self.env.now}
 
     def _cmd_jobs_stats(self, session: Session) -> Dict[str, Any]:
@@ -1120,6 +1139,7 @@ class StackService:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "batch_size must be >= 1")
         space = self._make_space(parameters)
         _check_search(search)
+        _check_seed(seed)
         session._tuner_counter += 1
         ordinal = session._tuner_counter
         if seed is None:
@@ -1160,10 +1180,11 @@ class StackService:
             raise ServiceError(ServiceErrorCode.BAD_VALUE, "n must be >= 1")
         configs: List[Dict[str, Any]] = []
         if not state.search.is_exhausted():
-            # Forbidden combinations are rejected service-side without
-            # spending client evaluations — mirroring Autotuner.
+            # Searches draw values from the space's own value lists and keep
+            # no reference to the dicts they propose, so those go out as
+            # drawn.  Forbidden combinations are rejected service-side
+            # without spending client evaluations — mirroring Autotuner.
             for config in state.search.ask_batch(count):
-                config = state.space.validate(config)
                 if state.space.is_allowed(config):
                     configs.append(config)
                 else:
@@ -1184,22 +1205,31 @@ class StackService:
         # One tags dict for the whole tell: its records share it.
         tags = {"tenant": session.tenant, "session": session.session_id, "tuner": state.tuner_id}
         records: List[EvaluationRecord] = []
+        # Each check tests the exact JSON type first, so a decoded result
+        # skips the ``Mapping`` and number checks.
         for entry in results:
-            if not isinstance(entry, Mapping) or "config" not in entry or "objective" not in entry:
+            if (
+                (type(entry) is not dict and not isinstance(entry, Mapping))
+                or "config" not in entry
+                or "objective" not in entry
+            ):
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST,
                     "each result must be an object with 'config' and 'objective'",
                 )
-            if not isinstance(entry["config"], Mapping):
+            config = entry["config"]
+            if type(config) is not dict and not isinstance(config, Mapping):
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST, "each result's 'config' must be an object"
                 )
             try:
-                config = state.space.validate(entry["config"])
+                config = state.space.validate(config)
             except (KeyError, ValueError, TypeError) as error:  # TypeError: unhashable value
                 raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
             objective = entry["objective"]
-            if not is_number(objective) or not _finite(objective):
+            if (
+                type(objective) is not float and not is_number(objective)
+            ) or not _finite(objective):
                 raise ServiceError(
                     ServiceErrorCode.BAD_VALUE,
                     "each result's 'objective' must be a finite number",
@@ -1284,6 +1314,7 @@ class StackService:
         if batch_size < 1:
             raise ServiceError(ServiceErrorCode.BAD_REQUEST, "batch_size must be >= 1")
         _check_search(search)
+        _check_seed(seed)
         session.check_quota(int(max_evals))
         self._run_counter += 1
         run_id = f"run-{self._run_counter:04d}"
@@ -1371,13 +1402,15 @@ class StackService:
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST, f"scenario #{index}: {error}"
                 ) from error
-        self._run_counter += 1
-        campaign_name = name or f"campaign-{self._run_counter:04d}"
+        # Built and quota-checked under the name it would get, so a
+        # rejected campaign spends no run id.
+        campaign_name = name or f"campaign-{self._run_counter + 1:04d}"
         try:
             campaign = Campaign(built, name=campaign_name)
         except ValueError as error:
             raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
         session.charge(campaign.total_runs)
+        self._run_counter += 1
         result = campaign.run(executor=executor, max_workers=max_workers)
         self.database.merge(
             result.database,

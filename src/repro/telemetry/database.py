@@ -194,16 +194,22 @@ class _ColumnStore:
         self._elapsed_s = np.empty(self._INITIAL_CAPACITY)
         self._feasible = np.empty(self._INITIAL_CAPACITY, dtype=bool)
 
-    def append(self, objective: float, elapsed_s: float, feasible: bool) -> None:
-        if self.size == self._objective.shape[0]:
-            new_capacity = self.size * 2
-            self._objective = np.resize(self._objective, new_capacity)
-            self._elapsed_s = np.resize(self._elapsed_s, new_capacity)
-            self._feasible = np.resize(self._feasible, new_capacity)
-        self._objective[self.size] = objective
-        self._elapsed_s[self.size] = elapsed_s
-        self._feasible[self.size] = feasible
-        self.size += 1
+    def extend(self, records: Sequence[EvaluationRecord]) -> None:
+        """Append each record's scalars, one slice assignment per column;
+        the capacity doubles until it holds them."""
+        start = self.size
+        end = start + len(records)
+        capacity = self._objective.shape[0]
+        if end > capacity:
+            while capacity < end:
+                capacity *= 2
+            self._objective = np.resize(self._objective, capacity)
+            self._elapsed_s = np.resize(self._elapsed_s, capacity)
+            self._feasible = np.resize(self._feasible, capacity)
+        self._objective[start:end] = [record.objective for record in records]
+        self._elapsed_s[start:end] = [record.elapsed_s for record in records]
+        self._feasible[start:end] = [record.feasible for record in records]
+        self.size = end
 
     @property
     def objective(self) -> np.ndarray:
@@ -238,14 +244,15 @@ class PerformanceDatabase:
     def add(self, *records: EvaluationRecord) -> None:
         """Append records in order.
 
-        Columns and running bests advance record by record.  A run of
-        records sharing one tags dict extends each of its tag postings
-        once, and every posting of a record holds the same index ``int``.
+        Each column is extended once; running bests advance record by
+        record.  A run of records sharing one tags dict extends each of
+        its tag postings once, and every posting of a record holds the
+        same index ``int``.
         """
         first = len(self._records)
         self._records.extend(records)
+        self._columns.extend(records)
         for record in records:
-            self._columns.append(record.objective, record.elapsed_s, record.feasible)
             if self._min_all is None or record.objective < self._min_all.objective:
                 self._min_all = record
             if self._max_all is None or record.objective > self._max_all.objective:

@@ -18,6 +18,12 @@ provably decision-identical:
   building one;
 * :func:`sequential_autotune` — one ``ask``/evaluate/``tell`` per
   configuration;
+* :func:`sample_many_by_name` (with :func:`categorical_sample_by_array`)
+  and :func:`config_key_by_pairs` — random configurations built row by
+  row through a name lookup in a dict of columns, categorical values
+  indexed by the drawn numpy array, and the dedupe key built from a
+  generator of pairs: the same draws, rows and keys as
+  ``ParameterSpace.sample_many`` and ``config_key``;
 * the scalar power-model functions (:func:`voltage_at_frequency` through
   :func:`effective_flops`) — one small function per formula, which the
   package pass (``power_model.pstate_walk`` and ``phase_timing``) folds
@@ -33,11 +39,13 @@ puts this directory on ``sys.path`` so the benchmarks import it too.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.core.objectives import PENALTY_OBJECTIVE
+from repro.core.parameters import CategoricalParameter, Parameter
+from repro.core.space import ParameterSpace
 from repro.core.tuner import Autotuner, TuningResult
 from repro.hardware.power_model import PowerModelParams, dram_power
 from repro.hardware.workload import PhaseDemand
@@ -50,6 +58,9 @@ __all__ = [
     "ScalarScheduler",
     "choose_node_count_by_list",
     "sequential_autotune",
+    "categorical_sample_by_array",
+    "sample_many_by_name",
+    "config_key_by_pairs",
     "voltage_at_frequency",
     "core_dynamic_power",
     "uncore_power",
@@ -200,6 +211,54 @@ def sequential_autotune(
         failed_evaluations=failed,
         convergence=convergence,
     )
+
+
+# -- random configurations and their dedupe keys -----------------------------
+
+
+def categorical_sample_by_array(
+    param: Parameter, rng: np.random.Generator, count: int
+) -> List[Any]:
+    """``param.sample_array``, a categorical one indexing its values with
+    each element of the drawn numpy array."""
+    if not isinstance(param, CategoricalParameter):
+        return param.sample_array(rng, count)
+    idx = rng.integers(0, len(param.values), size=count)
+    return [param.values[i] for i in idx]
+
+
+def sample_many_by_name(
+    space: ParameterSpace, rng: np.random.Generator, count: int, max_rounds: int = 200
+) -> List[Dict[str, Any]]:
+    """``space.sample_many``: each round draws one column per parameter and
+    builds every row by looking each name up in a dict of columns."""
+    if count <= 0:
+        return []
+    out: List[Dict[str, Any]] = []
+    needed = count
+    has_constraints = len(space.constraints) > 0
+    for _ in range(max_rounds):
+        columns = {
+            param.name: categorical_sample_by_array(param, rng, needed)
+            for param in space.parameters()
+        }
+        names = space.names()
+        for i in range(needed):
+            config = {name: columns[name][i] for name in names}
+            if not has_constraints or space.is_allowed(config):
+                out.append(config)
+        needed = count - len(out)
+        if needed == 0:
+            return out
+    raise RuntimeError(
+        f"could not sample {count} allowed configurations from {space.name!r} "
+        f"after {max_rounds} rounds — constraints may be unsatisfiable"
+    )
+
+
+def config_key_by_pairs(config: Mapping[str, Any]) -> tuple:
+    """``config_key``: the sorted ``(name, repr(value))`` pairs."""
+    return tuple(sorted((k, repr(v)) for k, v in config.items()))
 
 
 # -- the scalar package power model, one function per formula ----------------

@@ -1,9 +1,15 @@
 """Tests for the search algorithms, the autotuner loop and the co-tuner."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.constraints import ConstraintSet, MetricConstraint
+from oracles import config_key_by_pairs, sample_many_by_name
+from repro.core.constraints import ConstraintSet, ForbiddenCombination, MetricConstraint
 from repro.core.cotuner import CoTuner
 from repro.core.search import (
     GaussianProcessSearch,
@@ -15,7 +21,8 @@ from repro.core.search import (
     SimulatedAnnealing,
     make_search,
 )
-from repro.core.search.base import SEARCH_REGISTRY
+from repro.core.parameters import FloatParameter, IntegerParameter
+from repro.core.search.base import SEARCH_REGISTRY, config_key
 from repro.core.search.forest import RandomForestRegressor, RegressionTree
 from repro.core.space import ParameterSpace
 from repro.core.tuner import Autotuner
@@ -262,3 +269,100 @@ def test_cotuner_flatten_split_roundtrip():
     )
     nested = {"application": {"p": 1}, "system": {"q": "x"}}
     assert cotuner.split(cotuner.flatten(nested)) == nested
+
+
+# -- the configurations a search hands out ------------------------------------
+#: Parameter value lists as a ``tuning.open`` envelope carries them: ordinal
+#: ints and floats, strings, exactly ``[false, true]``, mixed lists (with
+#: ``null``, booleans beside numbers and lists of ints) and one-value lists.
+_SCALARS = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.text("ab1", max_size=2),
+    st.booleans(),
+    st.none(),
+)
+_VALUE_LISTS = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=6),
+    st.lists(st.text("abc", max_size=3), min_size=1, max_size=5),
+    st.just([False, True]),
+    st.lists(st.one_of(_SCALARS, st.lists(st.integers(0, 3), max_size=2)),
+             min_size=1, max_size=5),
+    st.lists(_SCALARS, min_size=1, max_size=1),
+)
+_PARAMETERS = st.dictionaries(st.text("pqrs", min_size=1, max_size=2), _VALUE_LISTS,
+                              min_size=1, max_size=4)
+
+
+def _reachable_ids(root) -> set:
+    """The ids of every object reachable from ``root`` (classes, modules
+    and code are not followed)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.CodeType)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_REGISTRY))
+@settings(max_examples=12, deadline=None)
+@given(parameters=_PARAMETERS, seed=st.integers(0, 2**16), told=st.integers(0, 12))
+def test_asked_configs_are_valid_and_held_by_no_search(name, parameters, seed, told):
+    """What ``tuning.ask`` hands out as drawn: every configuration a search
+    proposes over a space built like the service's equals its validation,
+    key for key and type for type, and the search keeps no reference to
+    the dict."""
+    space = ParameterSpace.from_dict(parameters, name="service")
+    search = make_search(name, space, seed=seed)
+    if told:
+        for index, config in enumerate(search.ask_batch(told)):
+            search.tell(config, float(index % 5))
+    asked = [config for n in (1, 3, 8) for config in search.ask_batch(n)]
+    asked.append(search.ask())
+    held = _reachable_ids(search)
+    for config in asked:
+        validated = space.validate(config)
+        assert validated == config and list(validated) == list(config)
+        assert [type(v) for v in validated.values()] == [type(v) for v in config.values()]
+        assert id(config) not in held
+
+
+@settings(max_examples=80, deadline=None)
+@given(parameters=_PARAMETERS, numeric=st.booleans(), forbid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(0, 24))
+def test_sampling_and_keys_match_the_former_row_construction(
+    parameters, numeric, forbid, seed, count
+):
+    """``sample_many`` and ``config_key`` against their former forms: the
+    same configurations (key order and value types too), the same
+    generator state afterwards and the same keys."""
+    space = ParameterSpace.from_dict(parameters, name="service")
+    if numeric:
+        space.add(IntegerParameter("zi", -5, 40))
+        space.add(FloatParameter("zf", 0.5, 8.0, log=True))
+    if forbid:
+        space.add_constraint(ForbiddenCombination(lambda c: len(repr(c)) % 3 == 0))
+
+    def draw(sample):
+        rng = np.random.default_rng(seed)
+        try:
+            configs = sample(space, rng, count)
+        except RuntimeError as error:  # constraints no configuration passes
+            configs = str(error)
+        return configs, rng.bit_generator.state
+
+    configs, state = draw(lambda space, rng, n: space.sample_many(rng, n))
+    expected, expected_state = draw(sample_many_by_name)
+    assert configs == expected and state == expected_state
+    if isinstance(configs, list):
+        assert [list(c) for c in configs] == [list(c) for c in expected]
+        assert [[type(v) for v in c.values()] for c in configs] == [
+            [type(v) for v in c.values()] for c in expected
+        ]
+        assert [config_key(c) for c in configs] == [config_key_by_pairs(c) for c in expected]

@@ -477,6 +477,31 @@ def test_torn_append_keeps_later_appends_recoverable(tmp_path):
     assert _dicts(recover(root, reattach=False)) == acknowledged
 
 
+def test_self_referencing_record_raises_and_applies_nothing(tmp_path):
+    """A record whose config contains itself cannot be encoded: its add
+    raises, applies none of its run, and leaves no readable entry; the
+    next add lands as if it had never been made."""
+    root = str(tmp_path / "root")
+    db = ShardedPerformanceDatabase(n_shards=1, name="dur")
+    journal = attach(db, root)
+    db.add(_record(0))
+    looped = {"x": 1}
+    looped["self"] = looped
+    tags = {"tenant": "t1", "session": "t1-s0"}
+    run = [EvaluationRecord(config={"x": 2}, metrics={}, objective=2.0, tags=tags),
+           EvaluationRecord(config=looped, metrics={}, objective=1.0, tags=tags)]
+    with pytest.raises((ValueError, RecursionError)):
+        db.add(*run)
+    assert len(db) == 1 and db.objectives_array().tolist() == [0.0]
+    assert db.where(tenant="t1") == [] and db.best(feasible_only=False).objective == 0.0
+    segment = os.path.join(root, "wal", "shard-0.wal")
+    assert len(read_entries(segment)) == 1
+    db.add(_record(1))
+    journal.close()
+    assert len(read_entries(segment)) == 2
+    assert _dicts(recover(root, reattach=False)) == _dicts(db)
+
+
 def test_recovered_entry_records_share_one_tags_dict(tmp_path):
     """One run is one entry; its recovered records share one tags dict, as
     the live records of a tell do, and equal them under ``to_dict``."""

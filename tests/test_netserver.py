@@ -245,14 +245,27 @@ def test_oversized_frame_answers_bad_request_then_closes():
 
 def test_unserialisable_response_fallback_keeps_request_id():
     # A pipelined client waits on exactly its request id, so the failure
-    # that replaces an unencodable answer must carry it.
-    frame = _Connection._frame_response(
-        {"ok": True, "request_id": "r7", "session": "s0001-acme", "result": object()}
-    )
-    (payload,) = FrameBuffer().feed(frame)
-    response = Response.from_json(payload.decode())
-    assert not response.ok and response.error_code == "SVC_RET_INTERNAL"
-    assert response.request_id == "r7" and response.session == "s0001-acme"
+    # that replaces an unencodable answer must carry it: for a value of no
+    # JSON type and for one that contains itself, on the caller's thread
+    # and on a dispatch thread like a worker's.
+    looped = {"x": 1}
+    looped["self"] = looped
+
+    def answer(result):
+        frame = _Connection._frame_response(
+            {"ok": True, "request_id": "r7", "session": "s0001-acme", "result": result}
+        )
+        (payload,) = FrameBuffer().feed(frame)
+        return Response.from_json(payload.decode())
+
+    answers = [answer(object()), answer(looped)]
+    thread = threading.Thread(target=lambda: answers.append(answer(looped)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and len(answers) == 3
+    for response in answers:
+        assert not response.ok and response.error_code == "SVC_RET_INTERNAL"
+        assert response.request_id == "r7" and response.session == "s0001-acme"
 
 
 def test_truncated_frame_and_midrequest_disconnect_leave_server_alive():

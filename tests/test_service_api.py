@@ -1222,6 +1222,25 @@ def test_job_failing_mid_run_is_failed_and_released_over_the_wire():
     assert len(service.scheduler.power_series) == samples
 
 
+def test_clock_advance_past_a_finite_time_is_rejected():
+    """Two advances of 1.5e308 would make the clock infinite: the second
+    answers PWR_RET_BAD_VALUE, the clock stays finite and every response
+    that carries it is strict JSON."""
+    service = make_service(n_nodes=2)
+    wire = _wire_caller(service)
+    session = wire("session.open", tenant="ops", role="resource_manager").result["session"]
+    assert wire("jobs.advance", session, duration_s=1.5e308).result["time_s"] == 1.5e308
+    refused = wire("jobs.advance", session, duration_s=1.5e308)
+    assert refused.error["code"] == ServiceErrorCode.BAD_VALUE.value
+    assert service.env.now == 1.5e308
+
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    line = service.handle_wire('{"op":"service.ping"}')
+    assert json.loads(line, parse_constant=reject_constant)["result"]["time_s"] == 1.5e308
+
+
 def test_run_stream_outlives_hostile_lines():
     """The REPL loop answers every hostile line and keeps serving."""
     service = make_service(n_nodes=2)
@@ -1322,6 +1341,64 @@ def test_rejected_tuning_run_spends_no_run_id_or_seed():
         ({"search": "random", "batch_size": 0}, ServiceErrorCode.BAD_REQUEST),
         ({"search": "random", "max_evals": 50}, ServiceErrorCode.QUOTA_EXCEEDED),
     ]) == clean
+
+
+def _wire_caller(service):
+    """``handle_wire`` with the envelope built from keyword arguments."""
+    def wire(op, session=None, **args):
+        envelope = {"op": op, "args": args}
+        if session is not None:
+            envelope["session"] = session
+        return Response.from_json(service.handle_wire(json.dumps(envelope)))
+
+    return wire
+
+
+@pytest.mark.parametrize(
+    "op, args, quota, code",
+    [
+        ("tuning.run", {"parameters": {"x": [1, 2, 3]}, "evaluator": "quadratic",
+                        "search": "random", "max_evals": 2, "seed": -1},
+         None, ServiceErrorCode.BAD_REQUEST),
+        ("campaign.run", {"scenarios": [{"use_case": "uc6", "seeds": [1, 2]}]},
+         1, ServiceErrorCode.QUOTA_EXCEEDED),
+        ("campaign.run", {"scenarios": []}, None, ServiceErrorCode.BAD_REQUEST),
+    ],
+    ids=["negative-seed", "campaign-over-quota", "empty-campaign"],
+)
+def test_rejected_run_or_campaign_spends_no_run_id_or_seed(op, args, quota, code):
+    """A ``tuning.run`` with a negative seed and a ``campaign.run`` that is
+    over quota or empty are rejected before they spend a run id: another
+    tenant's next run gets the id and seed of a clean service's first."""
+    def other_tenants_run(rejected):
+        wire = _wire_caller(make_service(n_nodes=2))
+        a = wire("session.open", tenant="a", role="runtime", quota=quota).result["session"]
+        b = wire("session.open", tenant="b", role="runtime").result["session"]
+        if rejected:
+            assert wire(op, a, **args).error["code"] == code.value
+        run = wire("tuning.run", b, parameters={"x": [1, 2, 3]}, evaluator="quadratic",
+                   search="random", max_evals=2).result
+        return run["run_id"], run["seed"]
+
+    assert other_tenants_run(False) == ("run-0001", 132256957)
+    assert other_tenants_run(True) == ("run-0001", 132256957)
+
+
+def test_rejected_negative_seed_open_spends_no_tuner_id_or_seed():
+    """A ``tuning.open`` with a negative seed spends no tuner ordinal: the
+    next open gets the id and seed a clean session's first open gets."""
+    def first_open(rejected):
+        wire = _wire_caller(make_service(n_nodes=2))
+        a = wire("session.open", tenant="a", role="runtime").result["session"]
+        if rejected:
+            refused = wire("tuning.open", a, parameters={"x": [1, 2, 3]}, search="random",
+                           seed=-1)
+            assert refused.error["code"] == ServiceErrorCode.BAD_REQUEST.value
+        opened = wire("tuning.open", a, parameters={"x": [1, 2, 3]}, search="random").result
+        return opened["tuner_id"], opened["seed"]
+
+    assert first_open(False) == ("s0001-a/t1", 389167530)
+    assert first_open(True) == ("s0001-a/t1", 389167530)
 
 
 # ---------------------------------------------------------------------------

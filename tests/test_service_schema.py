@@ -7,7 +7,9 @@
 * **error parity** — for every command, an unknown argument, each
   missing required argument and each wrong-kind value answer
   ``SVC_RET_BAD_REQUEST`` with the same message text as that table's
-  validator, and ``null`` passes every kind check;
+  validator; ``null`` passes the kind check of exactly the arguments
+  annotated ``Optional[...]`` or ``Any``, and every other argument
+  answers it with the kind error, required arguments included;
 * **finite numbers** — ``NaN``, ``Infinity`` and ``1e309`` off the wire
   answer ``SVC_RET_BAD_VALUE`` and leave the shared state untouched; so
   does a ``tuning.tell`` metric that is not a finite number, while a
@@ -17,6 +19,7 @@
 
 import json
 import os
+from typing import Any, get_args, get_type_hints
 
 import pytest
 
@@ -92,8 +95,54 @@ def test_argument_errors_keep_code_and_message(command):
             assert rejected({**required, name: value}) == (
                 BAD_REQUEST, f"{op}: argument {name!r} must be of kind {spec['kind']!r}"
             )
-        response = answer({**required, name: None})
-        assert response.ok or "must be of kind" not in response.error["message"], name
+        if name in nullable(op):
+            response = answer({**required, name: None})
+            assert response.ok or "must be of kind" not in response.error["message"], name
+        else:
+            assert rejected({**required, name: None}) == (
+                BAD_REQUEST, f"{op}: argument {name!r} must be of kind {spec['kind']!r}"
+            )
+
+
+def nullable(op: str) -> set:
+    """The arguments of ``op`` whose handler annotation admits ``null``:
+    ``Optional[...]`` or ``Any``."""
+    hints = get_type_hints(getattr(StackService, "_cmd_" + op.replace(".", "_")))
+    return {
+        name for name, hint in hints.items() if hint is Any or type(None) in get_args(hint)
+    }
+
+
+#: Each sent with its required arguments ``null``: the first was served,
+#: the other five answered SVC_RET_INTERNAL from inside their handlers.
+NULL_PROBES = [
+    ("session.open", {"tenant": None, "role": "runtime"}),
+    ("session.restore", {"state": None}),
+    ("jobs.advance", {"duration_s": None}),
+    ("campaign.run", {"scenarios": None}),
+    ("db.top_k", {"k": None}),
+    ("db.recover", {"directory": None}),
+]
+
+
+def test_null_required_arguments_answer_bad_request_over_the_wire():
+    service = make_service()
+    opened = json.loads(service.handle_wire(
+        '{"op":"session.open","args":{"tenant":"ops","role":"administrator"}}'
+    ))["result"]["session"]
+    for op, args in NULL_PROBES:
+        envelope = {"op": op, "args": args, "session": opened}
+        response = Response.from_json(service.handle_wire(json.dumps(envelope)))
+        name = next(name for name, value in args.items() if value is None)
+        assert response.error == {
+            "code": BAD_REQUEST,
+            "message": f"{op}: argument {name!r} must be of kind "
+            f"{service._commands[op].args[name][0]!r}",
+        }, op
+    # The refused open opened nothing: the next session is the second.
+    reopened = json.loads(service.handle_wire('{"op":"session.open","args":{"tenant":"x"}}'))
+    assert reopened["result"]["session"] == "s0002-x"
+    assert sorted(service._sessions) == ["s0001-ops", "s0002-x"]
 
 
 def fingerprint(service: StackService) -> str:

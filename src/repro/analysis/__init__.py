@@ -8,9 +8,9 @@
   is how the benchmark harness "draws" the paper's figures.
 * the invariant linter (``python -m repro.analysis``) — an AST rule
   engine (:mod:`~repro.analysis.engine`) with a repo-specific battery
-  (:mod:`~repro.analysis.rules`, RL001–RL005) statically enforcing the
-  determinism, wire-boundary, hot-path, fork-safety and serialization
-  contracts the runtime suites can only probe.  Configured via the
+  (:mod:`~repro.analysis.rules`, RL001–RL006) statically enforcing the
+  determinism, wire-boundary, hot-path, fork-safety, serialization and
+  dead-code contracts the runtime suites can only probe.  Configured via the
   ``[repro.analysis]`` section of ``setup.cfg``
   (:mod:`~repro.analysis.lintconfig`), with pragma suppression and a
   committed baseline (:mod:`~repro.analysis.baseline`).
@@ -54,16 +54,3 @@ __all__ = [
     "sparkline",
     "terms_table",
 ]
-
-
-def lint_paths(paths, config=None):
-    """Convenience one-call lint: returns a :class:`LintResult`.
-
-    ``config`` defaults to :meth:`LintConfig.discover` from the current
-    directory; the baseline configured there is applied.
-    """
-    if config is None:
-        config = LintConfig.discover()
-    engine = LintEngine(config, default_rules())
-    baseline = Baseline.load(config.baseline)
-    return engine.run(list(paths), baseline_fingerprints=baseline.fingerprints())

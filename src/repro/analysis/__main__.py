@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "AST-based invariant linter: determinism (RL001), wire-boundary "
-            "(RL002), hot-path purity (RL003), fork-safety (RL004) and "
-            "serialization (RL005) contracts."
+            "(RL002), hot-path purity (RL003), fork-safety (RL004), "
+            "serialization (RL005) and dead-code (RL006) contracts."
         ),
         epilog=(
             "exit codes: 0 clean, 1 violations, 2 usage/config error. "

@@ -221,13 +221,6 @@ class LintContext:
     config: LintConfig
     files: List[SourceFile] = field(default_factory=list)
 
-    def file_for(self, path: str) -> Optional[SourceFile]:
-        normalized = path.replace(os.sep, "/")
-        for source in self.files:
-            if source.path == normalized:
-                return source
-        return None
-
 
 class Rule:
     """Base class for lint rules.  Subclasses set ``rule_id``/``summary``."""

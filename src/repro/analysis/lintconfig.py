@@ -5,7 +5,7 @@ any INI file passed via ``--config``)::
 
     [repro.analysis]
     # Which rules run (and which are switched off repo-wide).
-    select = RL001, RL002, RL003, RL004, RL005
+    select = RL001, RL002, RL003, RL004, RL005, RL006
     ignore =
     # Committed baseline of accepted pre-existing findings.
     baseline = lint-baseline.json
@@ -47,7 +47,7 @@ __all__ = ["LintConfig", "SinkSpec", "CONFIG_SECTION"]
 
 CONFIG_SECTION = "repro.analysis"
 
-_DEFAULT_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005")
+_DEFAULT_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
 
 #: Sanctioned process-global registries in this repo (RL004).  These are
 #: either populated at import time through registration decorators (and
@@ -174,19 +174,6 @@ class LintConfig:
             else:
                 kwargs[spec.name] = raw.strip()
         return cls(**kwargs)  # type: ignore[arg-type]
-
-    @classmethod
-    def discover(cls, start_dir: str = ".") -> "LintConfig":
-        """Walk up from ``start_dir`` to the nearest ``setup.cfg``."""
-        directory = os.path.abspath(start_dir)
-        while True:
-            candidate = os.path.join(directory, "setup.cfg")
-            if os.path.isfile(candidate):
-                return cls.from_file(candidate)
-            parent = os.path.dirname(directory)
-            if parent == directory:
-                return cls()
-            directory = parent
 
 
 def _split_list(raw: str) -> Tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""The repo-specific rule battery: RL001–RL005.
+"""The repo-specific rule battery: RL001–RL006.
 
 Each rule statically enforces a contract the runtime test suites can
 only probe:
@@ -25,11 +25,17 @@ only probe:
   (``DatabaseJournal.append_record``, ``json.dumps``, the wire
   encoder ``encode_wire``, ``Response.success``) must be statically
   plain-JSON-safe.
+* **RL006 dead code** — every function, method and class is named
+  somewhere outside its own ``def``/``class`` line: in the linted files
+  or in the caller roots (``perfbench/``, ``examples/``,
+  ``benchmarks/``).  Dunders, decorator-registered definitions and the
+  ``_cmd_*`` service handlers are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -40,7 +46,13 @@ from repro.analysis.callgraph import (
     dotted_path,
     raw_path,
 )
-from repro.analysis.engine import LintContext, Rule, SourceFile, Violation
+from repro.analysis.engine import (
+    LintContext,
+    Rule,
+    SourceFile,
+    Violation,
+    iter_python_files,
+)
 
 __all__ = [
     "DeterminismRule",
@@ -48,6 +60,7 @@ __all__ = [
     "HotPathRule",
     "ForkSafetyRule",
     "SerializationRule",
+    "DeadCodeRule",
     "default_rules",
 ]
 
@@ -60,6 +73,7 @@ def default_rules() -> List[Rule]:
         HotPathRule(),
         ForkSafetyRule(),
         SerializationRule(),
+        DeadCodeRule(),
     ]
 
 
@@ -846,3 +860,107 @@ def _json_unsafe(
             out.extend(_json_unsafe(key, strict, aliases) if key is not None else [])
             out.extend(_json_unsafe(value, strict, aliases))
     return out
+
+
+# ---------------------------------------------------------------------------
+# RL006 — dead code
+# ---------------------------------------------------------------------------
+
+#: Code outside the linted files that calls into them: the repo benchmark
+#: (which wraps methods by name), the examples and the paper benchmarks.
+#: Resolved against the working directory, like ``paths`` and ``baseline``.
+_CALLER_ROOTS = ("perfbench", "examples", "benchmarks")
+#: Decorators that only change how a definition binds; any other
+#: decorator registers the definition somewhere, which counts as a use.
+_BINDING_DECORATORS = {"property", "staticmethod", "classmethod", "setter"}
+#: ``StackService._derive_commands`` finds the command handlers by prefix.
+_HANDLER_PREFIX = "_cmd_"
+
+
+class DeadCodeRule(Rule):
+    rule_id = "RL006"
+    name = "dead-code"
+    summary = (
+        "every function, method and class is named by the linted files or "
+        "by perfbench/, examples/ or benchmarks/"
+    )
+
+    def check_project(self, ctx: LintContext) -> Iterator[Violation]:
+        used: Set[str] = set()
+        for source in ctx.files:
+            if source.tree is not None:
+                used |= _used_names(source.tree)
+        roots = [root for root in _CALLER_ROOTS if os.path.isdir(root)]
+        for path in iter_python_files(roots):
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                try:
+                    used |= _used_names(ast.parse(fh.read(), filename=path))
+                except SyntaxError:
+                    continue
+        for source in ctx.files:
+            if source.tree is None:
+                continue
+            for node, qualname in _definitions(source.tree.body, ""):
+                name = node.name
+                if (
+                    name in used
+                    or (name.startswith("__") and name.endswith("__"))
+                    or name.startswith(_HANDLER_PREFIX)
+                    or any(
+                        _decorator_name(d) not in _BINDING_DECORATORS
+                        for d in node.decorator_list
+                    )
+                ):
+                    continue
+                yield self.violation(
+                    source,
+                    node,
+                    f"'{qualname}' is never named outside its definition, in "
+                    f"the linted files or perfbench/, examples/, benchmarks/; "
+                    f"delete it, or keep it with a pragma naming the paper "
+                    f"section or check that needs it",
+                )
+
+
+def _definitions(body: List[ast.stmt], owner: str) -> Iterator[Tuple[ast.AST, str]]:
+    """Module-level and class-body definitions, with dotted qualnames."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{owner}{node.name}"
+            yield node, qualname
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, qualname + ".")
+        elif isinstance(node, (ast.If, ast.Try)) and not owner:
+            yield from _definitions(node.body, owner)
+            for handler in getattr(node, "handlers", ()):
+                yield from _definitions(handler.body, owner)
+            yield from _definitions(node.orelse, owner)
+
+
+def _used_names(tree: ast.AST) -> Set[str]:
+    """Every name, attribute, import alias and identifier string in a tree."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            if node.asname:
+                names.add(node.asname)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            names.add(node.value)
+    return names
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""

@@ -116,10 +116,6 @@ class Application(abc.ABC):
         """Whether the application can run with ``ranks`` MPI ranks."""
         return ranks >= 1
 
-    def valid_rank_counts(self, max_ranks: int) -> List[int]:
-        """All rank counts up to ``max_ranks`` satisfying the constraint."""
-        return [r for r in range(1, max_ranks + 1) if self.rank_constraint(r)]
-
     @abc.abstractmethod
     def iterations(self, params: Mapping[str, Any]) -> int:
         """Number of main iterations (timesteps / solver iterations)."""

@@ -75,11 +75,6 @@ class EspresoFeti(Application):
                 graph.add_edge(parent, child)
         return graph
 
-    @classmethod
-    def region_names(cls) -> List[str]:
-        graph = cls.region_graph()
-        return [n for n in graph.nodes if graph.out_degree(n) == 0]
-
     # -- convergence model -------------------------------------------------------------
     def cg_iterations(self, params: Mapping[str, Any]) -> int:
         params = self.validate_parameters(params)

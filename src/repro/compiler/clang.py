@@ -92,10 +92,6 @@ class ClangToolchain:
             if flag not in _EXTRA_FLAGS:
                 raise ValueError(f"unknown flag {flag!r}; known: {sorted(_EXTRA_FLAGS)}")
 
-    @staticmethod
-    def known_flags() -> Sequence[str]:
-        return tuple(sorted(_EXTRA_FLAGS))
-
     def compile(
         self,
         pragmas: PragmaConfig | None = None,

@@ -88,14 +88,6 @@ class MetricConstraint(Constraint):
         """Convenience: measured average power must stay under ``watts``."""
         return cls(metric="power_w", upper=watts, description=f"power_w <= {watts:g} W")
 
-    @classmethod
-    def energy_goal(cls, joules: float) -> "MetricConstraint":
-        return cls(metric="energy_j", upper=joules, description=f"energy_j <= {joules:g} J")
-
-    @classmethod
-    def runtime_limit(cls, seconds: float) -> "MetricConstraint":
-        return cls(metric="runtime_s", upper=seconds, description=f"runtime_s <= {seconds:g} s")
-
 
 @dataclass
 class ConstraintSet:
@@ -118,9 +110,6 @@ class ConstraintSet:
 
     def allows_metrics(self, metrics: Mapping[str, float]) -> bool:
         return all(c.allows_metrics(metrics) for c in self.constraints)
-
-    def violated_by_metrics(self, metrics: Mapping[str, float]) -> List[Constraint]:
-        return [c for c in self.constraints if not c.allows_metrics(metrics)]
 
     def describe(self) -> Dict[str, str]:
         return {f"c{i}": c.description for i, c in enumerate(self.constraints)}

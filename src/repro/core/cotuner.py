@@ -160,13 +160,6 @@ class CoTuner:
         """Split a flat prefixed configuration into per-layer dictionaries."""
         return self._flat_evaluator.split(flat_config)
 
-    def flatten(self, nested: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]:
-        flat: Dict[str, Any] = {}
-        for layer, params in nested.items():
-            for key, value in params.items():
-                flat[f"{layer}{self.SEPARATOR}{key}"] = value
-        return flat
-
     # -- run ----------------------------------------------------------------------------
     @property
     def database(self) -> PerformanceDatabase:

@@ -70,11 +70,6 @@ class WeightedObjective:
             total += weight * value
         return total
 
-    @classmethod
-    def of(cls, weights: Mapping[str, float], name: str = "weighted") -> "WeightedObjective":
-        terms = tuple((make_objective(metric), weight) for metric, weight in weights.items())
-        return cls(terms=terms, name=name)
-
 
 #: Shorthand names accepted by :func:`make_objective` in addition to raw
 #: metric names from the registry.

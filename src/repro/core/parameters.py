@@ -89,10 +89,6 @@ class Parameter(abc.ABC):
         """Number of grid points without materializing the grid list."""
         return len(self.grid(resolution))
 
-    @property
-    def is_numeric(self) -> bool:
-        return False
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, layer={self.layer!r})"
 
@@ -171,10 +167,6 @@ class OrdinalParameter(CategoricalParameter):
             out.append(self.values[idx + 1])
         return out or [value]
 
-    @property
-    def is_numeric(self) -> bool:
-        return all(isinstance(v, (int, float, np.integer, np.floating)) for v in self.values)
-
 
 class BooleanParameter(CategoricalParameter):
     """A true/false switch."""
@@ -205,10 +197,6 @@ class IntegerParameter(Parameter):
         self.low = int(low)
         self.high = int(high)
         self.log = bool(log)
-
-    @property
-    def is_numeric(self) -> bool:
-        return True
 
     def validate(self, value: Any) -> int:
         value = int(value)
@@ -291,10 +279,6 @@ class FloatParameter(Parameter):
         self.low = float(low)
         self.high = float(high)
         self.log = bool(log)
-
-    @property
-    def is_numeric(self) -> bool:
-        return True
 
     def validate(self, value: Any) -> float:
         value = float(value)

@@ -152,12 +152,6 @@ class SearchAlgorithm(abc.ABC):
             return None
         return min(self.history, key=lambda item: item[1])
 
-    def observed_configs(self) -> List[Dict[str, Any]]:
-        return [config for config, _ in self.history]
-
-    def observed_objectives(self) -> np.ndarray:
-        return np.array([obj for _, obj in self.history], dtype=float)
-
     def _random_config(self) -> Dict[str, Any]:
         return self.space.sample(self.rng)
 

@@ -109,16 +109,6 @@ class ParameterSpace:
             merged.add_constraint(constraint)
         return merged
 
-    def subspace(self, layer: str) -> "ParameterSpace":
-        """The slice of the space belonging to one PowerStack layer."""
-        sub = ParameterSpace(name=f"{self.name}[{layer}]")
-        for param in self.parameters():
-            if param.layer == layer:
-                sub.add(param)
-        for constraint in self.constraints:
-            sub.add_constraint(constraint)
-        return sub
-
     # -- introspection -----------------------------------------------------------------
     def parameters(self) -> Tuple[Parameter, ...]:
         """The parameters in insertion order (cached, immutable)."""

@@ -123,20 +123,6 @@ class PowerStack:
         return clones
 
     # -- convenience for small tests -----------------------------------------------------------
-    @classmethod
-    def small(cls, n_nodes: int = 4, seed: int = 0, **policy_kwargs: Any) -> "PowerStack":
-        policies = SitePolicies(
-            system_power_budget_w=policy_kwargs.pop("system_power_budget_w", n_nodes * 450.0),
-            **policy_kwargs,
-        )
-        return cls(
-            PowerStackConfig(
-                cluster=ClusterSpec(n_nodes=n_nodes),
-                policies=policies,
-                scheduler=SchedulerConfig(scheduling_interval_s=5.0, monitor_interval_s=5.0),
-                seed=seed,
-            )
-        )
 
 
 def replace_request(request: JobRequest, **overrides: Any) -> JobRequest:

@@ -223,11 +223,6 @@ class EvaluationCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass
 class TuningResult:
@@ -250,10 +245,6 @@ class TuningResult:
     #: ultimately succeeded.
     retried_evaluations: int = 0
     recovered_evaluations: int = 0
-
-    @property
-    def found_feasible(self) -> bool:
-        return self.best_config is not None
 
     def summary(self) -> Dict[str, Any]:
         return {

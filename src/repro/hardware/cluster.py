@@ -117,10 +117,6 @@ class Cluster:
             raise KeyError(f"unknown node {hostname_or_id!r}")
         return self._by_hostname[hostname_or_id]
 
-    def free_nodes(self) -> List[Node]:
-        """Unallocated nodes in node-id order (from the incremental mask)."""
-        return [self.nodes[i] for i in self.state.free_indices()]
-
     def allocated_nodes(self) -> List[Node]:
         """Allocated nodes in node-id order (from the incremental mask)."""
         return [self.nodes[i] for i in self.state.busy_indices()]
@@ -228,14 +224,6 @@ class Cluster:
 
         return sorted(pool, key=badness_of)
 
-    def rank_nodes_by_temperature(self, nodes: Optional[Iterable[Node]] = None) -> List[Node]:
-        """Nodes ordered coolest-first (thermal-aware selection)."""
-        if nodes is None:
-            hottest = self.state.pkg_temperature_c.max(axis=1)
-            return [self.nodes[i] for i in np.argsort(hottest, kind="stable")]
-        pool = list(nodes)
-        return sorted(pool, key=lambda n: n.max_temperature_c())
-
     # -- power capping ----------------------------------------------------------
     def apply_power_caps(self, per_node_watts: np.ndarray) -> np.ndarray:
         """Apply a per-node power-cap vector in one vectorised pass.
@@ -282,7 +270,8 @@ class Cluster:
         value = np.nan if per_node_watts is None else float(per_node_watts)
         self.apply_power_caps(np.full(len(self.nodes), value))
 
-    def apply_budget_trace(self, trace, time_s: float) -> np.ndarray:
+    # No src caller; kept for §2.1 time-varying power constraint.
+    def apply_budget_trace(self, trace, time_s: float) -> np.ndarray:  # repro-lint: disable=RL006
         """Enforce a time-varying per-node budget at simulation time ``time_s``.
 
         ``trace`` is a :class:`~repro.experiments.scenarios.BudgetTrace`

@@ -223,10 +223,6 @@ class CpuPackage:
         """Total energy consumed by phases executed on this package."""
         return float(self._state.pkg_energy_j[self._index])
 
-    @property
-    def busy_seconds(self) -> float:
-        return float(self._state.pkg_busy_seconds[self._index])
-
     # -- knob setters ----------------------------------------------------
     def clamp_frequency(self, freq_ghz: float) -> float:
         """Clamp a requested frequency to the nearest supported P-state."""

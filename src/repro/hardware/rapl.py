@@ -83,10 +83,6 @@ class RaplDomain:
         return self._limit_w
 
     @property
-    def limit_enabled(self) -> bool:
-        return self._limit_enabled
-
-    @property
     def window_s(self) -> float:
         return self._window_s
 
@@ -130,10 +126,6 @@ class RaplDomain:
     def total_energy_j(self) -> float:
         """Unwrapped total energy (ground truth, for verification)."""
         return self._energy_j + self._wraps * ENERGY_COUNTER_WRAP_J
-
-    @property
-    def wrap_count(self) -> int:
-        return self._wraps
 
     @staticmethod
     def delta_energy_j(before: float, after: float) -> float:
@@ -181,14 +173,8 @@ class RaplInterface:
             raise KeyError(f"unknown RAPL domain {name!r}; have {sorted(self._domains)}")
         return self._domains[name]
 
-    def domain_names(self) -> list[str]:
-        return sorted(self._domains)
-
     def package_domains(self) -> list[RaplDomain]:
         return [d for name, d in sorted(self._domains.items()) if name.startswith("package-")]
-
-    def dram_domains(self) -> list[RaplDomain]:
-        return [d for name, d in sorted(self._domains.items()) if name.startswith("dram-")]
 
     # -- node-level helpers --------------------------------------------------
     def set_node_package_limit(self, total_watts: float, window_s: float = DEFAULT_WINDOW_S) -> float:
@@ -207,13 +193,15 @@ class RaplInterface:
         for dom in self._domains.values():
             dom.clear_limit()
 
-    def read_all_energy_j(self) -> Dict[str, float]:
+    # No src caller; kept for §2.1 power over a time window.
+    def read_all_energy_j(self) -> Dict[str, float]:  # repro-lint: disable=RL006
         return {name: dom.read_energy_j() for name, dom in self._domains.items()}
 
     def total_energy_j(self) -> float:
         return sum(dom.total_energy_j() for dom in self._domains.values())
 
-    def derive_power(
+    # No src caller; kept for §2.1 power over a time window.
+    def derive_power(  # repro-lint: disable=RL006
         self, before: Dict[str, float], after: Dict[str, float], interval_s: float
     ) -> PowerSample:
         """Derive a node power sample from two raw counter snapshots."""

@@ -109,7 +109,9 @@ class ThermalModel:
         """Current die temperature (degC)."""
         return float(self._temps[self._index])
 
-    def steady_state_c(self, power_w: float) -> float:
+    # No src caller; kept for the thermal-step parity oracle
+    # (``oracles.thermal_advance``).
+    def steady_state_c(self, power_w: float) -> float:  # repro-lint: disable=RL006
         """Temperature the die would settle at under constant power."""
         if power_w < 0:
             raise ValueError("power must be >= 0")
@@ -136,15 +138,8 @@ class ThermalModel:
             self._version_owner.power_inputs_version += 1
         return temperature
 
-    def is_throttling(self) -> bool:
-        """True when the die is above the throttle trip point."""
-        return self.temperature_c >= self.spec.throttle_temp_c
-
-    def headroom_c(self) -> float:
-        """Degrees of margin below the throttle temperature."""
-        return self.spec.throttle_temp_c - self.temperature_c
-
-    def reset(self, temperature_c: float | None = None) -> None:
+    # No src caller; kept for the package-physics parity properties.
+    def reset(self, temperature_c: float | None = None) -> None:  # repro-lint: disable=RL006
         """Reset the die temperature (defaults to ambient)."""
         self._temps[self._index] = (
             self.ambient_c if temperature_c is None else float(temperature_c)

@@ -93,12 +93,6 @@ class VariationModel:
             power_efficiency=power_eff, max_turbo_scale=turbo, leakage_scale=leakage
         )
 
-    def draw_many(self, rng: np.random.Generator, count: int) -> list[VariationDraw]:
-        """Draw variation for ``count`` packages."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return [self.draw(rng) for _ in range(count)]
-
     def draw_array(
         self, rng: np.random.Generator, count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,8 +101,8 @@ class VariationModel:
         Returns ``(power_efficiency, max_turbo_scale, leakage_scale)``.
         Consumes the random stream in exactly the per-draw order of
         :meth:`draw` (one ``(count, 3)`` normal block fills row-major), so
-        the arrays are bit-identical to a :meth:`draw_many` call with the
-        same generator state — seeded clusters stay reproducible across
+        the arrays are bit-identical to ``count`` :meth:`draw` calls with
+        the same generator state — seeded clusters stay reproducible across
         the scalar and vectorised construction paths.
         """
         if count < 0:

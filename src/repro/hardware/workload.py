@@ -122,7 +122,8 @@ class PhaseDemand:
         vars(copy).update(vars(self), ref_seconds=ref_seconds)
         return copy
 
-    def with_tags(self, **tags: str) -> "PhaseDemand":
+    # No src caller; kept for the ``other_fraction`` check on every copy path.
+    def with_tags(self, **tags: str) -> "PhaseDemand":  # repro-lint: disable=RL006
         merged = dict(self.tags)
         merged.update(tags)
         return replace(self, tags=merged)

@@ -6,12 +6,12 @@ correlated by the ``request_id`` its envelope carries, so responses may
 arrive in any order (and do, behind the multi-worker router).  The
 request/response semantics are identical to the in-process
 :class:`~repro.service.client.ServiceClient`: same envelopes, same error
-codes, same raising helpers.
-
-:class:`NetworkServiceClient` wraps it for synchronous callers by
-parking an event loop on a background thread — it is a drop-in for
-``ServiceClient`` in scripts and tests, down to reusing its
+codes, same raising helpers, same
 :class:`~repro.service.client.SessionHandle`.
+
+:class:`NetworkServiceClient` is the same client core for synchronous
+callers, over an :class:`AsyncServiceClient` whose event loop is parked
+on a background thread.
 """
 
 from __future__ import annotations
@@ -19,13 +19,22 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.netserver.framing import MAX_RESPONSE_BYTES, frame_text, read_frame
-from repro.service.client import ServiceCallError, SessionHandle
+from repro.service.client import (
+    ClientCore,
+    SessionHandle,
+    next_request,
+    session_open_args,
+    unwrap,
+)
 from repro.service.envelopes import Request, Response
 
 __all__ = ["AsyncServiceClient", "AsyncSessionHandle", "NetworkServiceClient"]
+
+#: The one session handle serves the asyncio client too.
+AsyncSessionHandle = SessionHandle
 
 
 class AsyncServiceClient:
@@ -57,14 +66,12 @@ class AsyncServiceClient:
         Concurrent ``call``\\ s share the connection: ``asyncio.gather``
         over many of them is the pipelined fast path.
         """
+        return await self.send(next_request(self._request_ids, op, session, args))
+
+    async def send(self, request: Request) -> Response:
+        """Write one envelope; resolves with the response to its id."""
         if self._closed:
             raise ConnectionError("client is closed")
-        request = Request(
-            op=op,
-            args=args,
-            session=session,
-            request_id=f"r{next(self._request_ids)}",
-        )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request.request_id] = future
         self.writer.write(frame_text(request.to_json()))
@@ -75,10 +82,7 @@ class AsyncServiceClient:
         self, op: str, session: Optional[str] = None, **args: Any
     ) -> Any:
         """Like :meth:`call` but unwraps the result, raising on error."""
-        response = await self.call(op, session=session, **args)
-        if not response.ok:
-            raise ServiceCallError(response)
-        return response.result
+        return unwrap(await self.call(op, session=session, **args))
 
     async def open_session(
         self,
@@ -86,14 +90,10 @@ class AsyncServiceClient:
         role: str = "monitor",
         quota: Optional[int] = None,
         scope_hostnames: Optional[list] = None,
-    ) -> "AsyncSessionHandle":
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
+    ) -> SessionHandle:
+        args = session_open_args(tenant, role, quota, scope_hostnames)
         info = await self.result("session.open", **args)
-        return AsyncSessionHandle(self, info["session"], info)
+        return SessionHandle(self, info["session"], info)
 
     async def close(self) -> None:
         self._closed = True
@@ -147,45 +147,18 @@ class AsyncServiceClient:
                 future.set_exception(ConnectionError(reason))
 
 
-class AsyncSessionHandle:
-    """One open session over the network; carries its id on every call."""
-
-    def __init__(
-        self, client: AsyncServiceClient, session_id: str, info: Mapping[str, Any]
-    ):
-        self.client = client
-        self.session_id = session_id
-        self.info = dict(info)
-
-    async def call(self, op: str, **args: Any) -> Response:
-        return await self.client.call(op, session=self.session_id, **args)
-
-    async def result(self, op: str, **args: Any) -> Any:
-        return await self.client.result(op, session=self.session_id, **args)
-
-    async def close(self) -> Any:
-        return await self.result("session.close")
-
-    async def __aenter__(self) -> "AsyncSessionHandle":
-        return self
-
-    async def __aexit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        # Closing an already-closed session is a NO_SESSION error — fine
-        # to ignore on context exit (mirrors the sync SessionHandle).
-        await self.client.call("session.close", session=self.session_id)
-
-
-class NetworkServiceClient:
+class NetworkServiceClient(ClientCore):
     """Synchronous facade: ``ServiceClient`` semantics over a socket.
 
-    Runs a private event loop on a daemon thread; every method is a
-    blocking ``run_coroutine_threadsafe`` round trip.  Reuses the
-    in-process :class:`~repro.service.client.SessionHandle`, which only
-    needs ``call``/``result`` — so code written against ``ServiceClient``
-    ports by swapping the constructor.
+    Runs a private event loop on a daemon thread; every call is a
+    blocking ``run_coroutine_threadsafe`` round trip through
+    :meth:`AsyncServiceClient.send`.  Everything else is the client core
+    ``ServiceClient`` has, so code written against it ports by swapping
+    the constructor.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 30.0):
+        super().__init__()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="netserver-client", daemon=True
@@ -196,31 +169,10 @@ class NetworkServiceClient:
         )
         self._client = future.result(connect_timeout)
 
-    def call(self, op: str, session: Optional[str] = None, **args: Any) -> Response:
+    def _exchange(self, request: Request) -> Response:
         return asyncio.run_coroutine_threadsafe(
-            self._client.call(op, session=session, **args), self._loop
+            self._client.send(request), self._loop
         ).result()
-
-    def result(self, op: str, session: Optional[str] = None, **args: Any) -> Any:
-        response = self.call(op, session=session, **args)
-        if not response.ok:
-            raise ServiceCallError(response)
-        return response.result
-
-    def open_session(
-        self,
-        tenant: str,
-        role: str = "monitor",
-        quota: Optional[int] = None,
-        scope_hostnames: Optional[list] = None,
-    ) -> SessionHandle:
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
-        info = self.result("session.open", **args)
-        return SessionHandle(self, info["session"], info)
 
     def close(self) -> None:
         try:

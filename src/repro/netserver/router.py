@@ -312,7 +312,6 @@ class _RoutedConnection:
 # ---------------------------------------------------------------------------
 
 async def _worker_serve(
-    index: int,
     ready: Any,
     host: str,
     n_nodes: int,
@@ -325,11 +324,8 @@ async def _worker_serve(
     service = StackService(
         n_nodes=n_nodes, seed=seed, n_shards=n_shards, default_quota=default_quota
     )
-    worker_dir = (
-        None if journal_dir is None else os.path.join(journal_dir, f"worker-{index}")
-    )
     server = NetworkServer(
-        service, host=host, port=0, limits=limits, journal_dir=worker_dir
+        service, host=host, port=0, limits=limits, journal_dir=journal_dir
     )
     await server.start()
     stop = asyncio.Event()
@@ -343,7 +339,6 @@ async def _worker_serve(
 
 
 def worker_main(
-    index: int,
     ready: Any,
     host: str,
     n_nodes: int,
@@ -360,11 +355,13 @@ def worker_main(
     derivation does not depend on which worker its sessions land on),
     serves until SIGTERM/SIGINT, then drains gracefully: in-flight
     requests finish, responses flush, and the journal is checkpointed.
+    ``journal_dir`` is this worker's own directory
+    (:meth:`WorkerFleet.worker_journal_dir`).
     """
     asyncio.run(
         _worker_serve(
-            index, ready, host, n_nodes, seed, n_shards, default_quota,
-            journal_dir, limits,
+            ready, host, n_nodes, seed, n_shards, default_quota, journal_dir,
+            limits,
         )
     )
 
@@ -414,8 +411,8 @@ class WorkerFleet:
             proc = context.Process(
                 target=worker_main,
                 args=(
-                    index, child, self.host, self.n_nodes, self.seed,
-                    self.n_shards, self.default_quota, self.journal_dir,
+                    child, self.host, self.n_nodes, self.seed, self.n_shards,
+                    self.default_quota, self.worker_journal_dir(index),
                     self.limits,
                 ),
                 daemon=True,

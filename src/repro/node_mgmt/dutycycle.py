@@ -42,11 +42,13 @@ class DutyCycleModulator:
     def level(self) -> float:
         return self._level
 
+    # No src caller; kept for Table 2 duty-cycle modulation.
     @staticmethod
-    def supported_levels() -> tuple:
+    def supported_levels() -> tuple:  # repro-lint: disable=RL006
         return DUTY_LEVELS
 
-    def set_level(self, level: float) -> DutyCycleSetting:
+    # No src caller; kept for Table 2 duty-cycle modulation.
+    def set_level(self, level: float) -> DutyCycleSetting:  # repro-lint: disable=RL006
         """Set the duty-cycle level (snapped to a supported value)."""
         if level <= 0 or level > 1:
             raise ValueError("level must be in (0, 1]")
@@ -66,7 +68,10 @@ class DutyCycleModulator:
         power = enabled + 0.1 * (1.0 - enabled)
         return DutyCycleSetting(level=enabled, slowdown_factor=slowdown, power_factor=power)
 
-    def level_for_power_fraction(self, power_fraction: float) -> float:
+    # No src caller; kept for Table 2 duty-cycle modulation.
+    def level_for_power_fraction(  # repro-lint: disable=RL006
+        self, power_fraction: float
+    ) -> float:
         """Smallest-slowdown level whose power factor is below a target."""
         if not 0.0 < power_fraction <= 1.0:
             raise ValueError("power_fraction must be in (0, 1]")

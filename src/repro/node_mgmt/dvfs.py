@@ -39,8 +39,9 @@ class DvfsGovernor:
     def policy(self) -> GovernorPolicy:
         return self._policy
 
+    # No src caller; kept for Table 2 DVFS governor.
     @property
-    def pinned_ghz(self) -> Optional[float]:
+    def pinned_ghz(self) -> Optional[float]:  # repro-lint: disable=RL006
         return self._pinned_ghz
 
     def set_policy(self, policy: GovernorPolicy) -> None:
@@ -49,14 +50,16 @@ class DvfsGovernor:
             self._pinned_ghz = None
         self.apply_policy()
 
-    def pin(self, freq_ghz: float) -> float:
+    # No src caller; kept for Table 2 DVFS governor.
+    def pin(self, freq_ghz: float) -> float:  # repro-lint: disable=RL006
         """Pin a fixed frequency (switches to the userspace policy)."""
         self._policy = GovernorPolicy.USERSPACE
         granted = self.node.set_frequency(freq_ghz)
         self._pinned_ghz = granted
         return granted
 
-    def unpin(self) -> None:
+    # No src caller; kept for Table 2 DVFS governor.
+    def unpin(self) -> None:  # repro-lint: disable=RL006
         """Return to the performance policy."""
         self.set_policy(GovernorPolicy.PERFORMANCE)
 
@@ -72,7 +75,8 @@ class DvfsGovernor:
         # ONDEMAND starts at base frequency and adapts per phase.
         return self.node.set_frequency(spec.freq_base_ghz)
 
-    def adapt(self, demand: PhaseDemand) -> float:
+    # No src caller; kept for Table 2 DVFS governor.
+    def adapt(self, demand: PhaseDemand) -> float:  # repro-lint: disable=RL006
         """Ondemand-style adaptation: pick a frequency matched to the phase.
 
         Memory- and communication-bound phases gain nothing from high core

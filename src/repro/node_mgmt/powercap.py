@@ -112,13 +112,6 @@ class ClusterPowerCapManager:
         caps = self.cluster.state.node_power_cap_w
         return float(np.where(np.isnan(caps), self.max_cap_w, caps).sum())
 
-    def total_headroom_w(self) -> float:
-        """Unused watts under the caps, summed over capped nodes."""
-        caps = self.cluster.state.node_power_cap_w
-        current = self.cluster.state.node_current_power_w
-        headroom = np.where(np.isnan(caps), 0.0, caps - current)
-        return float(np.maximum(headroom, 0.0).sum())
-
 
 @dataclass(frozen=True)
 class PowerCapStatus:
@@ -147,7 +140,8 @@ class NodePowerCapManager:
     def max_cap_w(self) -> float:
         return self.node.max_power_w()
 
-    def set_cap(self, watts: Optional[float]) -> Optional[float]:
+    # No src caller; kept for §3.1.1 node cap and headroom.
+    def set_cap(self, watts: Optional[float]) -> Optional[float]:  # repro-lint: disable=RL006
         """Apply a node power cap (clamped to the enforceable range)."""
         if watts is None:
             self._cap_w = None
@@ -157,7 +151,8 @@ class NodePowerCapManager:
         self._cap_w = self.node.set_power_cap(watts)
         return self._cap_w
 
-    def observe(self, measured_w: float) -> None:
+    # No src caller; kept for §3.1.1 node cap and headroom.
+    def observe(self, measured_w: float) -> None:  # repro-lint: disable=RL006
         """Record the latest measured node power (from the monitor)."""
         if measured_w < 0:
             raise ValueError("measured power must be >= 0")
@@ -174,7 +169,11 @@ class NodePowerCapManager:
         """Unused watts under the current cap (inf when uncapped)."""
         return self.status().headroom_w
 
-    def estimated_uncapped_power_w(self, demand: PhaseDemand) -> float:
+    # No src caller; kept for §3.1.1's power-balancing runtimes, which ask
+    # a node for its uncapped demand before they split a job budget.
+    def estimated_uncapped_power_w(  # repro-lint: disable=RL006
+        self, demand: PhaseDemand
+    ) -> float:
         """What the node would draw for a demand with no cap in force.
 
         Used by power-balancing runtimes to decide how much budget a node
@@ -184,7 +183,3 @@ class NodePowerCapManager:
         for pkg in self.node.packages:
             total += pkg.power_at(demand, freq_ghz=pkg.frequency_ghz)
         return total
-
-    def minimum_useful_cap_w(self) -> float:
-        """The cap below which the node cannot go without duty cycling."""
-        return self.min_cap_w

@@ -204,13 +204,7 @@ class BmcEndpoint:
         self._metrics.record(time_s, board.value)
         return out
 
-    def sensor_history(self, sensor: str) -> List[SensorReading]:
-        return [r for r in self.readings if r.sensor == sensor]
-
     # -- power limiting (Redfish PowerLimit / IPMI DCMI power cap) ------------
-    @property
-    def power_limit_w(self) -> Optional[float]:
-        return self._power_limit_w
 
     def set_power_limit(self, watts: Optional[float]) -> Optional[float]:
         """Apply (or clear) the BMC node power limit; returns the enforced value."""
@@ -334,17 +328,7 @@ class RedfishService:
                 return bmc.thermal_resource()
         raise KeyError(f"unknown path {path!r}")
 
-    def patch_power_limit(self, hostname: str, limit_w: Optional[float]) -> Dict[str, object]:
-        """PATCH the chassis power limit; returns the updated Power resource."""
-        bmc = self.bmc(hostname)
-        bmc.set_power_limit(limit_w)
-        return bmc.power_resource()
-
     # -- site-level sweeps ---------------------------------------------------------
-    def sample_all(self, time_s: float) -> Dict[str, List[SensorReading]]:
-        """Poll every BMC once (site monitoring sweep)."""
-        return {hostname: bmc.sample(time_s) for hostname, bmc in self.bmcs.items()}
-
     def system_power_w(self) -> float:
         """Sum of the quantised board-power readings across the cluster."""
         total = 0.0
@@ -352,7 +336,10 @@ class RedfishService:
             total += bmc.read_sensor("board_power").value
         return total
 
-    def apply_system_power_cap(self, total_watts: float) -> Dict[str, float]:
+    # No src caller; kept for §2.1 system power cap baseline.
+    def apply_system_power_cap(  # repro-lint: disable=RL006
+        self, total_watts: float
+    ) -> Dict[str, float]:
         """Split a system cap evenly over the chassis (the facility baseline)."""
         if total_watts <= 0:
             raise ValueError("total_watts must be positive")

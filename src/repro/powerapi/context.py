@@ -294,8 +294,9 @@ class PowerApiContext:
             scope_paths = [f"{root.name}/{hostname}" for hostname in scope_hostnames]
         return cls(root, role=role, permissions=permissions, scope_paths=scope_paths)
 
+    # No src caller; kept for §3.1.1 runtime view of one job.
     @classmethod
-    def for_nodes(
+    def for_nodes(  # repro-lint: disable=RL006
         cls,
         nodes: Sequence[Node],
         role: Role = Role.RUNTIME,
@@ -417,9 +418,6 @@ class PowerApiContext:
     def system_power_w(self) -> float:
         """Platform power (W) as seen through the standard interface."""
         return self.read(self.root, AttrName.POWER)
-
-    def system_energy_j(self) -> float:
-        return self.read(self.root, AttrName.ENERGY)
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Read every readable attribute of every in-scope object."""

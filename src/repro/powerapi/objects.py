@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -214,31 +214,6 @@ class PowerObject:
     def write(self, attr: AttrName, value: float) -> float:
         """Write an attribute; returns the value actually applied."""
         return float(self.provider.write(attr, float(value)))
-
-    def read_aggregate(self, attr: AttrName, reduce: str = "sum") -> float:
-        """Aggregate an attribute over this object and all descendants.
-
-        Objects that do not expose the attribute are skipped.  ``reduce``
-        is one of ``sum``, ``mean``, ``max``, ``min``.
-        """
-        values: List[float] = []
-        for obj in self.walk():
-            try:
-                values.append(obj.read(attr))
-            except KeyError:
-                continue
-        if not values:
-            raise KeyError(f"no object under {self.path!r} exposes {attr.value!r}")
-        array = np.asarray(values, dtype=float)
-        reducers: Dict[str, Callable[[np.ndarray], float]] = {
-            "sum": lambda a: float(a.sum()),
-            "mean": lambda a: float(a.mean()),
-            "max": lambda a: float(a.max()),
-            "min": lambda a: float(a.min()),
-        }
-        if reduce not in reducers:
-            raise ValueError(f"unknown reducer {reduce!r}")
-        return reducers[reduce](array)
 
     def __repr__(self) -> str:
         return f"PowerObject({self.obj_type.value}, {self.path!r}, children={len(self.children)})"

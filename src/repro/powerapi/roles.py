@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Mapping, Set
+from typing import Dict, FrozenSet
 
 from repro.powerapi.objects import AttrName, ObjType
 
@@ -119,21 +119,3 @@ def default_permissions() -> Dict[Role, RolePermissions]:
             Role.ADMINISTRATOR, _ALL_ATTRS, _ALL_ATTRS, _ALL_TYPES
         ),
     }
-
-
-def merge_permissions(
-    base: Mapping[Role, RolePermissions], **overrides: RolePermissions
-) -> Dict[Role, RolePermissions]:
-    """Return a copy of ``base`` with selected roles replaced.
-
-    ``overrides`` keys are role values (e.g. ``runtime=...``); unknown
-    role names raise ``KeyError`` so typos do not silently grant or deny
-    permissions.
-    """
-    merged: Dict[Role, RolePermissions] = dict(base)
-    valid: Set[str] = {role.value for role in Role}
-    for key, perm in overrides.items():
-        if key not in valid:
-            raise KeyError(f"unknown role {key!r}; valid roles: {sorted(valid)}")
-        merged[Role(key)] = perm
-    return merged

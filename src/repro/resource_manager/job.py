@@ -113,20 +113,3 @@ class Job:
         self.power_budget_w = None
         self.result = None
         self.restarts += 1
-
-    def accounting(self) -> Dict[str, float]:
-        """Accounting record for the scheduler statistics."""
-        record: Dict[str, float] = {
-            "nodes": float(self.node_count),
-            "power_budget_w": float(self.power_budget_w or 0.0),
-        }
-        if self.wait_time_s() is not None:
-            record["wait_s"] = float(self.wait_time_s())
-        if self.run_time_s() is not None:
-            record["runtime_s"] = float(self.run_time_s())
-        if self.turnaround_s() is not None:
-            record["turnaround_s"] = float(self.turnaround_s())
-        if self.result is not None:
-            record["energy_j"] = self.result.energy_j
-            record["avg_power_w"] = self.result.average_power_w
-        return record

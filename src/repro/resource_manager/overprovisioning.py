@@ -30,7 +30,7 @@ not by a closed-form model — the measured sweep is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -351,42 +351,3 @@ class OverprovisioningPlanner:
     def table(evaluations: Sequence[OverprovisionEvaluation]) -> List[Dict[str, float]]:
         """The sweep as a list of plain dictionaries (for report printing)."""
         return [e.as_dict() for e in evaluations]
-
-
-def make_evaluator(
-    planner: OverprovisioningPlanner,
-    application: Application,
-    params: Optional[Mapping[str, Any]] = None,
-    objective: str = "runtime",
-    max_iterations: Optional[int] = None,
-) -> Callable[[Mapping[str, Any]], Dict[str, float]]:
-    """Adapt the planner to the auto-tuner's ``evaluate(config) -> metrics`` shape.
-
-    The returned callable accepts ``{"nodes": int, "cap_w": float,
-    "accelerators": bool}`` configurations, making the overprovisioning
-    choice just another layer the end-to-end tuner can search over.
-    """
-
-    def evaluate(config: Mapping[str, Any]) -> Dict[str, float]:
-        partition = PoweredPartition(
-            nodes_powered=int(config["nodes"]),
-            per_node_cap_w=float(config["cap_w"]),
-            accelerators_powered=bool(config.get("accelerators", True)),
-        )
-        if partition.budgeted_power_w(len(planner.cluster)) > planner.system_power_bound_w:
-            # Infeasible configurations report an infinite objective so the
-            # search backs away from them without crashing.
-            return {
-                "runtime_s": float("inf"),
-                "energy_j": float("inf"),
-                "feasible": 0.0,
-            }
-        evaluation = planner.evaluate(
-            partition, application, params, max_iterations=max_iterations
-        )
-        metrics = evaluation.as_dict()
-        metrics["feasible"] = 1.0
-        metrics["objective"] = evaluation.objective(objective)
-        return metrics
-
-    return evaluate

@@ -134,7 +134,8 @@ class PolicyAssigner:
         self.history = history if history is not None else PerformanceDatabase("geopm-policies")
         self.assignments: Dict[str, GeopmPolicy] = {}
 
-    def record_good_policy(
+    # No src caller; kept for §3.2.2 job-specific policy database.
+    def record_good_policy(  # repro-lint: disable=RL006
         self, app_name: str, policy: GeopmPolicy, metrics: Mapping[str, float]
     ) -> None:
         """Store a known-good policy for an application (job-specific mode)."""

@@ -84,6 +84,3 @@ class JobQueue:
             for job in islice(self._jobs.values(), 1, stop)  # past the FCFS head
             if now_s + job.request.walltime_estimate_s <= shadow_time_s and fits(job)
         ]
-
-    def jobs_by_user(self, user: str) -> List[Job]:
-        return [j for j in self._jobs.values() if j.request.user == user]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Type
 
-from repro.apps.mpi import MpiJobSimulator, RegionRecord, RuntimeHooks
+from repro.apps.mpi import MpiJobSimulator, RuntimeHooks
 from repro.hardware.node import Node
 from repro.hardware.workload import PhaseDemand
 
@@ -55,7 +55,8 @@ class JobRuntime(RuntimeHooks):
         """Job-level power budget assigned by the resource manager (W)."""
         return self._power_budget_w
 
-    def set_power_budget(self, watts: Optional[float]) -> None:
+    # No src caller; kept for §3.1.1 budget change mid-run.
+    def set_power_budget(self, watts: Optional[float]) -> None:  # repro-lint: disable=RL006
         """Update the job budget (the RM may do this mid-run)."""
         if watts is not None and watts <= 0:
             raise ValueError("power budget must be positive")
@@ -153,10 +154,6 @@ class JobRuntime(RuntimeHooks):
             node.set_uncore_frequency(node.spec.cpu.uncore_max_ghz)
 
     # -- helpers for subclasses ----------------------------------------------------------
-    @staticmethod
-    def records_by_node(records: Sequence[RegionRecord]) -> Dict[str, RegionRecord]:
-        return {r.hostname: r for r in records}
-
     @staticmethod
     def is_mpi_region(region: PhaseDemand) -> bool:
         """Whether a region is dominated by MPI communication."""

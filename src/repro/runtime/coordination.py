@@ -75,9 +75,6 @@ class RuntimeCoordinator(JobRuntime):
                 return runtime
         return self.runtimes[0]
 
-    def current_owner_name(self) -> Optional[str]:
-        return self._current_owner.name if self._current_owner is not None else None
-
     # -- hook multiplexing -------------------------------------------------------------
     def on_job_start(self, sim: MpiJobSimulator) -> None:
         super().on_job_start(sim)

@@ -60,7 +60,6 @@ class EpopRuntime(JobRuntime):
         self._iteration_energy_j = 0.0
         self._iteration_duration_s = 0.0
         self._last_power_w = 0.0
-        self._iteration_history: List[Dict[str, float]] = []
         self.resizes = 0
         self.blocked_resizes = 0
 
@@ -109,9 +108,6 @@ class EpopRuntime(JobRuntime):
         released, self._released_nodes = self._released_nodes, []
         return released
 
-    def iteration_history(self) -> List[Dict[str, float]]:
-        return list(self._iteration_history)
-
     # -- hooks ---------------------------------------------------------------------------
     def on_job_start(self, sim: MpiJobSimulator) -> None:
         super().on_job_start(sim)
@@ -142,7 +138,6 @@ class EpopRuntime(JobRuntime):
             "power_w": self._last_power_w,
             "nodes": float(len(sim.nodes)),
         }
-        self._iteration_history.append(report)
         if self.on_phase_report is not None:
             self.on_phase_report(report)
 

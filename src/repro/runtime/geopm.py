@@ -80,9 +80,6 @@ class GeopmEndpoint:
         self._policy = policy
         self.policy_updates += 1
 
-    def read_sample(self) -> Dict[str, float]:
-        return dict(self._sample)
-
     # GEOPM side ----------------------------------------------------------
     def read_policy(self) -> Optional[GeopmPolicy]:
         return self._policy

@@ -6,12 +6,17 @@ JSON line that comes back.  There is no in-process fast path — so any
 command that works here works identically through a socket/HTTP
 front-end, and a test driving the client has exercised the full
 dict → wire → dict round trip by construction.
+
+:class:`ClientCore` holds ``call``/``result``/``open_session``; a
+transport supplies only ``_exchange`` (one envelope out, its response
+back): in-process ``handle_wire`` here, a socket in
+:class:`~repro.netserver.client.NetworkServiceClient`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.service.envelopes import Request, Response
 from repro.service.service import StackService
@@ -26,39 +31,51 @@ class ServiceCallError(RuntimeError):
         error = response.error or {}
         super().__init__(f"{error.get('code')}: {error.get('message')}")
         self.response = response
-        self.code = error.get("code")
+        self.code = response.error_code
 
 
-class ServiceClient:
-    """Talks JSON lines to a service instance (or any compatible callable)."""
+def next_request(
+    ids: Iterator[int], op: str, session: Optional[str], args: Dict[str, Any]
+) -> Request:
+    """One client's next envelope; its request ids run ``r1``, ``r2``, ..."""
+    return Request(op=op, args=args, session=session, request_id=f"r{next(ids)}")
 
-    def __init__(self, service: StackService):
-        self.service = service
+
+def unwrap(response: Response) -> Any:
+    """The response's result, or :class:`ServiceCallError` if it failed."""
+    if not response.ok:
+        raise ServiceCallError(response)
+    return response.result
+
+
+def session_open_args(
+    tenant: str, role: str, quota: Optional[int], scope_hostnames: Optional[list]
+) -> Dict[str, Any]:
+    """``session.open`` arguments; unset options stay off the wire."""
+    args: Dict[str, Any] = {"tenant": tenant, "role": role}
+    if quota is not None:
+        args["quota"] = quota
+    if scope_hostnames is not None:
+        args["scope_hostnames"] = scope_hostnames
+    return args
+
+
+class ClientCore:
+    """``call``/``result``/``open_session`` over one ``_exchange`` transport."""
+
+    def __init__(self) -> None:
         self._request_ids = itertools.count(1)
 
-    def call(
-        self,
-        op: str,
-        session: Optional[str] = None,
-        **args: Any,
-    ) -> Response:
+    def _exchange(self, request: Request) -> Response:
+        raise NotImplementedError
+
+    def call(self, op: str, session: Optional[str] = None, **args: Any) -> Response:
         """Send one command; returns the parsed :class:`Response`."""
-        request = Request(
-            op=op,
-            args=args,
-            session=session,
-            request_id=f"r{next(self._request_ids)}",
-        )
-        wire_out = request.to_json()
-        wire_in = self.service.handle_wire(wire_out)
-        return Response.from_json(wire_in)
+        return self._exchange(next_request(self._request_ids, op, session, args))
 
     def result(self, op: str, session: Optional[str] = None, **args: Any) -> Any:
         """Like :meth:`call` but unwraps the result, raising on error."""
-        response = self.call(op, session=session, **args)
-        if not response.ok:
-            raise ServiceCallError(response)
-        return response.result
+        return unwrap(self.call(op, session=session, **args))
 
     def open_session(
         self,
@@ -67,24 +84,36 @@ class ServiceClient:
         quota: Optional[int] = None,
         scope_hostnames: Optional[list] = None,
     ) -> "SessionHandle":
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
+        args = session_open_args(tenant, role, quota, scope_hostnames)
         info = self.result("session.open", **args)
         return SessionHandle(self, info["session"], info)
 
 
-class SessionHandle:
-    """One open session: every call carries the session id automatically."""
+class ServiceClient(ClientCore):
+    """Talks JSON lines to a service instance (or any compatible callable)."""
 
-    def __init__(self, client: ServiceClient, session_id: str, info: Mapping[str, Any]):
+    def __init__(self, service: StackService):
+        super().__init__()
+        self.service = service
+
+    def _exchange(self, request: Request) -> Response:
+        return Response.from_json(self.service.handle_wire(request.to_json()))
+
+
+class SessionHandle:
+    """One open session: every call carries the session id automatically.
+
+    Over :class:`~repro.netserver.client.AsyncServiceClient` the same
+    handle returns awaitables from ``call``/``result``/``close`` and is
+    an ``async with`` context manager.
+    """
+
+    def __init__(self, client: Any, session_id: str, info: Mapping[str, Any]):
         self.client = client
         self.session_id = session_id
         self.info = dict(info)
 
-    def call(self, op: str, **args: Any) -> Response:
+    def call(self, op: str, **args: Any) -> Any:
         return self.client.call(op, session=self.session_id, **args)
 
     def result(self, op: str, **args: Any) -> Any:
@@ -93,10 +122,16 @@ class SessionHandle:
     def close(self) -> Any:
         return self.result("session.close")
 
+    # Closing an already-closed session is a NO_SESSION error — fine to
+    # ignore on context exit.
     def __enter__(self) -> "SessionHandle":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Closing an already-closed session is a NO_SESSION error — fine
-        # to ignore on context exit.
         self.call("session.close")
+
+    async def __aenter__(self) -> "SessionHandle":
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.call("session.close")

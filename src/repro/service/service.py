@@ -588,6 +588,29 @@ class StackService:
                 ServiceErrorCode.BAD_REQUEST,
                 f"unknown role {role!r}; valid: {[r.value for r in Role]}",
             ) from None
+        ordinal = self._tenant_counters.get(tenant, 0) + 1
+        session = self._register_session(
+            f"s{self._session_counter + 1:04d}-{tenant}", tenant, resolved, ordinal,
+            quota if quota is not None else self.default_quota, scope_hostnames,
+        )
+        self._session_counter += 1
+        self._tenant_counters[tenant] = ordinal
+        return session.info()
+
+    def _register_session(
+        self,
+        session_id: str,
+        tenant: str,
+        role: Role,
+        ordinal: int,
+        quota: Optional[int],
+        scope_hostnames: Optional[List[str]],
+        used_evaluations: int = 0,
+    ) -> Session:
+        """Build and register a session for ``session.open``/``restore``.
+
+        An unknown scope hostname is rejected before anything changes.
+        """
         scope_paths = None
         if scope_hostnames is not None:
             root = self._admin_context.root.name
@@ -597,28 +620,25 @@ class StackService:
                     ServiceErrorCode.NO_OBJECT, f"unknown hostname(s) {unknown}"
                 )
             scope_paths = [f"{root}/{hostname}" for hostname in scope_hostnames]
-        context = PowerApiContext(
-            self._admin_context.root, role=resolved, scope_paths=scope_paths
-        )
-        self._session_counter += 1
-        ordinal = self._tenant_counters.get(tenant, 0) + 1
-        self._tenant_counters[tenant] = ordinal
-        session_id = f"s{self._session_counter:04d}-{tenant}"
-        # Deterministic per-tenant stream: the same tenant opening its
-        # n-th session always gets the same RNG, whatever other tenants do.
-        streams = self._streams.spawn(f"tenant:{tenant}").spawn(f"session:{ordinal}")
+            scope_hostnames = list(scope_hostnames)
         session = Session(
             session_id=session_id,
             tenant=tenant,
-            role=resolved,
-            context=context,
-            streams=streams,
-            quota=quota if quota is not None else self.default_quota,
+            role=role,
+            context=PowerApiContext(
+                self._admin_context.root, role=role, scope_paths=scope_paths
+            ),
+            # Deterministic per-tenant stream: the same tenant opening its
+            # n-th session always gets the same RNG, whatever other tenants
+            # do, and a restored session re-derives the original's streams.
+            streams=self._streams.spawn(f"tenant:{tenant}").spawn(f"session:{ordinal}"),
+            quota=quota,
+            used_evaluations=used_evaluations,
             ordinal=ordinal,
-            scope_hostnames=list(scope_hostnames) if scope_hostnames is not None else None,
+            scope_hostnames=scope_hostnames,
         )
         self._sessions[session_id] = session
-        return session.info()
+        return session
 
     def _cmd_session_info(self, session: Session) -> Dict[str, Any]:
         """Session facts."""
@@ -676,42 +696,19 @@ class StackService:
                 ServiceErrorCode.BAD_REQUEST,
                 f"unknown role {state['role']!r} in snapshot",
             ) from None
-        scope_hostnames = state.get("scope_hostnames")
-        scope_paths = None
-        if scope_hostnames is not None:
-            root = self._admin_context.root.name
-            unknown = sorted(set(scope_hostnames) - set(self._node_index))
-            if unknown:
-                raise ServiceError(
-                    ServiceErrorCode.NO_OBJECT, f"unknown hostname(s) {unknown}"
-                )
-            scope_paths = [f"{root}/{hostname}" for hostname in scope_hostnames]
         quota = state.get("quota")
-        used = int(state.get("used_evaluations", 0))
-        # The ordinal drives the RNG derivation, so the restored session
-        # draws exactly the streams the original would have; bumping the
-        # tenant counter keeps future session.open calls from reusing it.
-        streams = self._streams.spawn(f"tenant:{tenant}").spawn(f"session:{ordinal}")
+        session = self._register_session(
+            session_id, tenant, role, ordinal, None if quota is None else int(quota),
+            state.get("scope_hostnames"), int(state.get("used_evaluations", 0)),
+        )
+        # Keep future session.open calls from reusing the restored ordinal
+        # or session number.
         self._tenant_counters[tenant] = max(
             self._tenant_counters.get(tenant, 0), ordinal
         )
         prefix = session_id.split("-", 1)[0]
         if prefix.startswith("s") and prefix[1:].isdigit():
             self._session_counter = max(self._session_counter, int(prefix[1:]))
-        session = Session(
-            session_id=session_id,
-            tenant=tenant,
-            role=role,
-            context=PowerApiContext(
-                self._admin_context.root, role=role, scope_paths=scope_paths
-            ),
-            streams=streams,
-            quota=None if quota is None else int(quota),
-            used_evaluations=used,
-            ordinal=ordinal,
-            scope_hostnames=list(scope_hostnames) if scope_hostnames is not None else None,
-        )
-        self._sessions[session_id] = session
         return session.info()
 
     # -- power plane -------------------------------------------------------
@@ -1380,6 +1377,13 @@ class StackService:
             raise ServiceError(
                 ServiceErrorCode.BAD_REQUEST,
                 f"unknown executor {executor!r}; available: serial, thread, process",
+            )
+        # One request must not choose how many processes the server forks.
+        cpus = os.cpu_count() or 1
+        if max_workers is not None and not 1 <= max_workers <= cpus:
+            raise ServiceError(
+                ServiceErrorCode.BAD_VALUE,
+                f"max_workers must be null or in [1, {cpus}], got {max_workers}",
             )
         built = []
         for index, entry in enumerate(scenarios):

@@ -224,10 +224,8 @@ class Process(Event):
                 break
             except BaseException as exc:  # process died with an error
                 self._target = None
-                self._ok = False
-                self._value = exc
                 self._defused = False
-                self.env._schedule(self, NORMAL)
+                self.fail(exc)
                 break
 
             if not isinstance(next_target, Event):

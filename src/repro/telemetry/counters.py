@@ -110,11 +110,8 @@ class TelemetryAccumulator:
     def average_flops(self) -> float:
         return self.flop / self.runtime_s if self.runtime_s > 0 else 0.0
 
-    @property
-    def capped_fraction(self) -> float:
-        return self.capped_seconds / self.runtime_s if self.runtime_s > 0 else 0.0
-
-    def as_metrics(self) -> Dict[str, float]:
+    # No src caller; kept for §2.2 metric vocabulary.
+    def as_metrics(self) -> Dict[str, float]:  # repro-lint: disable=RL006
         """Export the aggregates in the canonical metric vocabulary."""
         measured = {
             "runtime_s": self.runtime_s,

@@ -319,11 +319,13 @@ class PerformanceDatabase:
         """Objective column as a numpy array (a view; do not mutate)."""
         return self._columns.objective
 
-    def feasible_array(self) -> np.ndarray:
+    # No src caller; kept for the sharded==merged column checks.
+    def feasible_array(self) -> np.ndarray:  # repro-lint: disable=RL006
         """Feasibility column as a boolean numpy array (a view)."""
         return self._columns.feasible
 
-    def elapsed_array(self) -> np.ndarray:
+    # No src caller; kept for the sharded==merged column checks.
+    def elapsed_array(self) -> np.ndarray:  # repro-lint: disable=RL006
         """Elapsed-seconds column as a numpy array (a view)."""
         return self._columns.elapsed_s
 
@@ -429,7 +431,9 @@ class PerformanceDatabase:
     def objectives(self) -> List[float]:
         return self._columns.objective.tolist()
 
-    def best_so_far(self, minimize: bool = True) -> List[float]:
+    # No src caller; kept for Fig. 4's convergence curve and the
+    # sharded==merged checks.
+    def best_so_far(self, minimize: bool = True) -> List[float]:  # repro-lint: disable=RL006
         """Convergence curve: running best objective after each evaluation.
 
         Vectorised: infeasible records (beyond the first record, which
@@ -493,7 +497,8 @@ class PerformanceDatabase:
                 break
         return result
 
-    def lookup(self, **tag_filters: str) -> List[EvaluationRecord]:
+    # No src caller; kept for the sharded==merged tag checks.
+    def lookup(self, **tag_filters: str) -> List[EvaluationRecord]:  # repro-lint: disable=RL006
         """Records whose tags match all the given key/value pairs.
 
         Served from the inverted tag index (intersection of posting

@@ -40,10 +40,6 @@ class Metric:
     minimize: bool
     description: str
 
-    @property
-    def maximize(self) -> bool:
-        return not self.minimize
-
 
 def _registry() -> Dict[str, Metric]:
     metrics = [

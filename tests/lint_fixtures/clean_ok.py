@@ -1,5 +1,7 @@
 """Clean fixture: no invariant violations."""
 
+__all__ = ["lookup"]
+
 TABLE = {"alpha": 1}
 
 

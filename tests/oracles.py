@@ -11,7 +11,8 @@ provably decision-identical:
   pass every ``scheduling_interval_s`` and a power sample every
   ``monitor_interval_s``, whether or not anything changed;
 * :class:`ScalarScheduler` — node selection, feasibility and the EASY
-  reservation on per-``Node`` lists and a per-call sort of the running
+  reservation on per-``Node`` lists (:func:`free_nodes`,
+  :func:`rank_nodes_by_temperature`) and a per-call sort of the running
   set;
 * :func:`choose_node_count_by_list` — the launch node count from a list
   of the fitting acceptable counts, which the scheduler picks without
@@ -99,16 +100,26 @@ class IntervalDriverScheduler(PowerAwareScheduler):
             yield self.env.timeout(self.config.monitor_interval_s)
 
 
+def free_nodes(cluster) -> List[Any]:
+    """Unallocated ``Node`` objects in node-id order."""
+    return [cluster.nodes[i] for i in cluster.free_node_indices()]
+
+
+def rank_nodes_by_temperature(nodes) -> List[Any]:
+    """Nodes ordered coolest-first, one ``max_temperature_c`` call each."""
+    return sorted(nodes, key=lambda n: n.max_temperature_c())
+
+
 class ScalarScheduler(PowerAwareScheduler):
     """Node selection and reservations on per-``Node`` Python lists."""
 
     def _free_count(self) -> int:
-        return len(self.cluster.free_nodes())
+        return len(free_nodes(self.cluster))
 
     def _ranked_free_indices(self) -> np.ndarray:
-        free = self.cluster.free_nodes()
+        free = free_nodes(self.cluster)
         if self.config.thermal_aware_node_selection:
-            ranked = self.cluster.rank_nodes_by_temperature(free)
+            ranked = rank_nodes_by_temperature(free)
         elif self.config.power_aware_node_selection:
             ranked = self.cluster.rank_nodes_by_efficiency(free)
         else:

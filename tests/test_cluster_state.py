@@ -182,11 +182,11 @@ def test_free_mask_tracks_allocate_release_and_direct_assignment():
     cluster = Cluster(ClusterSpec(n_nodes=10), seed=0)
     cluster.nodes[3].allocate("a")
     cluster.nodes[7].allocate("b")
-    assert [n.node_id for n in cluster.free_nodes()] == [0, 1, 2, 4, 5, 6, 8, 9]
+    assert list(cluster.free_node_indices()) == [0, 1, 2, 4, 5, 6, 8, 9]
     assert [n.node_id for n in cluster.allocated_nodes()] == [3, 7]
     # Several layers release nodes by assigning the attribute directly.
     cluster.nodes[3].allocated_to = None
-    assert [n.node_id for n in cluster.free_nodes()] == [0, 1, 2, 3, 4, 5, 6, 8, 9]
+    assert list(cluster.free_node_indices()) == [0, 1, 2, 3, 4, 5, 6, 8, 9]
     cluster.nodes[7].release()
     assert cluster.state.free_count == 10
     assert cluster.state.busy_count == 0
@@ -201,7 +201,7 @@ def test_free_nodes_order_matches_rescan_under_churn():
             node.allocate("job")
         else:
             node.release()
-        assert [n.node_id for n in cluster.free_nodes()] == [
+        assert list(cluster.free_node_indices()) == [
             n.node_id for n in cluster.nodes if n.is_free
         ]
         assert [n.node_id for n in cluster.allocated_nodes()] == [
@@ -246,7 +246,7 @@ def test_draw_array_bit_identical_to_draw_many():
     model = VariationModel()
     rng_a = np.random.default_rng(42)
     rng_b = np.random.default_rng(42)
-    draws = model.draw_many(rng_a, 64)
+    draws = [model.draw(rng_a) for _ in range(64)]
     eff, turbo, leak = model.draw_array(rng_b, 64)
     assert [d.power_efficiency for d in draws] == eff.tolist()
     assert [d.max_turbo_scale for d in draws] == turbo.tolist()
@@ -284,7 +284,7 @@ def test_apply_power_caps_matches_scalar_set_power_cap():
             )
         for vec_pkg, ref_pkg in zip(vec_node.packages, ref_node.packages):
             assert vec_pkg.power_cap_w == pytest.approx(ref_pkg.power_cap_w, rel=REL)
-        for name in vec_node.rapl.domain_names():
+        for name in sorted(vec_node.rapl._domains):
             assert vec_node.rapl.domain(name).limit_w == pytest.approx(
                 ref_node.rapl.domain(name).limit_w, rel=REL
             )
@@ -333,7 +333,6 @@ def test_cluster_powercap_manager_enforces_budget():
     caps = manager.set_system_budget(budget)
     assert np.nansum(caps) <= budget + 1e-6
     assert manager.total_cap_w() <= budget + 1e-6
-    assert manager.total_headroom_w() >= 0.0
     manager.clear()
     assert all(n.node_power_cap_w is None for n in cluster)
 

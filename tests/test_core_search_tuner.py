@@ -268,7 +268,9 @@ def test_cotuner_flatten_split_roundtrip():
         max_evals=1,
     )
     nested = {"application": {"p": 1}, "system": {"q": "x"}}
-    assert cotuner.split(cotuner.flatten(nested)) == nested
+    sep = cotuner.SEPARATOR
+    flat = {f"application{sep}p": 1, f"system{sep}q": "x"}
+    assert cotuner.split(flat) == nested
 
 
 # -- the configurations a search hands out ------------------------------------

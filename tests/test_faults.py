@@ -182,6 +182,11 @@ def chaos_bmc(plan, n_nodes=1, seed=0):
     return cluster, BmcEndpoint(cluster.nodes[0])
 
 
+def _limit_w(bmc):
+    """The chassis power limit as the Redfish ``Power`` resource reports it."""
+    return bmc.power_resource()["PowerControl"][0]["PowerLimit"]["LimitInWatts"]
+
+
 def test_bmc_timeout_returns_last_known_value_unhealthy():
     plan = FaultPlan(faults=(BmcTimeoutFault(probability=1.0),), seed=0)
     _, bmc = chaos_bmc(plan)
@@ -266,7 +271,7 @@ def test_bmc_set_power_limit_dropped_write_keeps_old_limit():
     bmc.set_power_limit(300.0)
     with faults.injected(plan):
         applied = bmc.set_power_limit(250.0)
-    assert applied == 300.0 and bmc.power_limit_w == 300.0
+    assert applied == 300.0 and _limit_w(bmc) == 300.0
 
 
 def test_bmc_set_power_limit_dropped_write_without_prior_limit():
@@ -274,7 +279,7 @@ def test_bmc_set_power_limit_dropped_write_without_prior_limit():
     _, bmc = chaos_bmc(plan)
     with faults.injected(plan):
         applied = bmc.set_power_limit(250.0)
-    assert applied is None and bmc.power_limit_w is None
+    assert applied is None and _limit_w(bmc) is None
 
 
 # -- scheduler resilience --------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_cluster_unknown_node_raises():
 def test_cluster_free_and_allocated_tracking():
     cluster = Cluster(ClusterSpec(n_nodes=4), seed=1)
     cluster.nodes[0].allocate("job")
-    assert len(cluster.free_nodes()) == 3
+    assert len(cluster.free_node_indices()) == 3
     assert len(cluster.allocated_nodes()) == 1
 
 

@@ -16,7 +16,6 @@ from repro.analysis import (
     LintConfig,
     LintEngine,
     default_rules,
-    lint_paths,
     render_json,
     render_text,
 )
@@ -29,6 +28,14 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint_fixtur
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def lint_with_repo_config(paths):
+    """Lint ``paths`` under the repo's ``setup.cfg`` and committed baseline."""
+    config = LintConfig.from_file(os.path.join(REPO, "setup.cfg"))
+    baseline = Baseline.load(os.path.join(REPO, config.baseline))
+    engine = LintEngine(config, default_rules())
+    return engine.run(list(paths), baseline_fingerprints=baseline.fingerprints())
 
 
 def no_config(tmp_path):
@@ -172,7 +179,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_repo_setup_cfg_section_parses():
     config = LintConfig.from_file(os.path.join(REPO, "setup.cfg"))
-    assert config.select == ("RL001", "RL002", "RL003", "RL004", "RL005")
+    assert config.select == ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
     assert config.is_registry("repro.faults.injector", "_ACTIVE")
     assert config.baseline == "lint-baseline.json"
 
@@ -183,7 +190,7 @@ def test_repo_setup_cfg_section_parses():
 
 
 def test_reporters_text_and_json():
-    result = lint_paths([fixture("rl001_bad.py")])
+    result = lint_with_repo_config([fixture("rl001_bad.py")])
     text = render_text(result)
     assert "rl001_bad.py:11:11 RL001" in text
     assert "5 violation(s) (RL001: 5)" in text
@@ -245,7 +252,7 @@ def test_cli_update_baseline_round_trip(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
         assert rule_id in out
 
 
@@ -274,7 +281,7 @@ def test_injected_wallclock_read_is_caught(tmp_path):
     target = tmp_path / "engine.py"
     target.write_text(mutated)
 
-    result = lint_paths([str(target)])
+    result = lint_with_repo_config([str(target)])
     assert not result.ok
     expected_line = len(mutated.splitlines())  # the injected read is the last line
     hits = [

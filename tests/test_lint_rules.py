@@ -26,7 +26,7 @@ def test_clean_fixture_is_clean():
     assert result.ok
     assert result.violations == []
     assert result.files_scanned == 1
-    assert result.rules_run == ("RL001", "RL002", "RL003", "RL004", "RL005")
+    assert result.rules_run == ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
 
 
 def test_rl001_wallclock_and_global_rng():
@@ -126,6 +126,33 @@ def test_rl005_serialization_sinks():
     assert "non-string key 7" in messages[3]
 
 
+def test_rl006_dead_code():
+    result = run_fixture("rl006_bad.py")
+    assert [(v.rule, v.line, v.col) for v in result.violations] == [
+        ("RL006", 15, 0),  # orphan_function: nothing names it
+        ("RL006", 23, 4),  # Ledger.orphan_method: nothing names it
+    ]
+    messages = [v.message for v in result.violations]
+    assert messages[0].startswith("'orphan_function' is never named")
+    assert messages[1].startswith("'Ledger.orphan_method' is never named")
+    # Ledger.balance is called, registered_probe is registered by a
+    # decorator, _cmd_fixture_ping is a command handler by prefix, and
+    # kept_by_pragma carries the pragma.
+    assert [(v.rule, v.line) for v in result.suppressed] == [("RL006", 37)]
+
+
+def test_rl006_counts_a_caller_in_another_linted_file(tmp_path):
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from rl006_bad import orphan_function\n\n"
+        "def use(ledger):\n    return orphan_function(), ledger.orphan_method()\n"
+    )
+    result = LintEngine(LintConfig(select=("RL006",)), default_rules()).run(
+        [os.path.join(FIXTURES, "rl006_bad.py"), str(caller)]
+    )
+    assert [v.message.split("'")[1] for v in result.violations] == ["use"]
+
+
 def test_pragmas_suppress_but_are_reported():
     result = run_fixture("pragma_ok.py")
     assert result.ok
@@ -153,5 +180,7 @@ def test_whole_fixture_directory_in_one_run():
     for violation in result.violations:
         by_rule.setdefault(violation.rule, 0)
         by_rule[violation.rule] += 1
-    assert by_rule == {"RL001": 5, "RL002": 4, "RL003": 3, "RL004": 4, "RL005": 4}
-    assert result.files_scanned == 7
+    assert by_rule == {
+        "RL001": 5, "RL002": 4, "RL003": 3, "RL004": 4, "RL005": 4, "RL006": 2
+    }
+    assert result.files_scanned == 8

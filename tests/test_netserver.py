@@ -37,7 +37,7 @@ from repro.netserver import (
 )
 from repro.netserver.server import _Connection
 from repro.service import MAX_WIRE_BYTES, StackService
-from repro.service.client import ServiceCallError, SessionHandle
+from repro.service.client import ServiceCallError, ServiceClient, SessionHandle
 from repro.service.envelopes import Response
 from repro.sim.rng import stable_name_key
 from repro.telemetry import ShardedPerformanceDatabase
@@ -201,6 +201,94 @@ def test_sync_wrapper_is_serviceclient_compatible():
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
+
+
+EPISODE_PARAMETERS = {"x": [1, 2, 3, 4], "y": ["a", "b"]}
+
+
+def _episode_step_args(told):
+    """The next step's arguments: a tell of the configs the last ask drew."""
+    return [
+        {"config": config, "objective": float(config["x"]) + len(config["y"])}
+        for config in told
+    ]
+
+
+def _sync_episode(client):
+    """One scripted episode through a sync client; every step's envelope."""
+    steps = []
+    with client.open_session("acme", role="runtime", quota=64) as session:
+        steps.append(session.info)
+        opened = session.call("tuning.open", parameters=EPISODE_PARAMETERS, seed=7)
+        tuner_id = opened.result["tuner_id"]
+        asked = session.call("tuning.ask", tuner_id=tuner_id, n=3)
+        told = session.call(
+            "tuning.tell", tuner_id=tuner_id,
+            results=_episode_step_args(asked.result["configs"]),
+        )
+        steps.extend(r.to_dict() for r in (opened, asked, told))
+        with pytest.raises(ServiceCallError) as failed:
+            session.result("tuning.ask", tuner_id="no-such-tuner")
+        steps.append((failed.value.code, failed.value.response.to_dict()))
+    steps.append(client.call("session.info", session=session.session_id).to_dict())
+    return steps
+
+
+async def _async_episode(client):
+    """The same episode through the asyncio client."""
+    steps = []
+    async with await client.open_session("acme", role="runtime", quota=64) as session:
+        steps.append(session.info)
+        opened = await session.call("tuning.open", parameters=EPISODE_PARAMETERS, seed=7)
+        tuner_id = opened.result["tuner_id"]
+        asked = await session.call("tuning.ask", tuner_id=tuner_id, n=3)
+        told = await session.call(
+            "tuning.tell", tuner_id=tuner_id,
+            results=_episode_step_args(asked.result["configs"]),
+        )
+        steps.extend(r.to_dict() for r in (opened, asked, told))
+        with pytest.raises(ServiceCallError) as failed:
+            await session.result("tuning.ask", tuner_id="no-such-tuner")
+        steps.append((failed.value.code, failed.value.response.to_dict()))
+    steps.append((await client.call("session.info", session=session.session_id)).to_dict())
+    return steps
+
+
+def test_one_episode_answers_the_same_on_every_client():
+    """``ServiceClient``, ``NetworkServiceClient`` and ``AsyncServiceClient``
+    each drive one episode against a fresh service with the same seed; every
+    step's envelope, the raised error and the closed session agree."""
+    in_process = _sync_episode(ServiceClient(StackService(n_nodes=4, seed=0)))
+    assert in_process[4][0] == "SVC_RET_NO_TUNER"
+    assert in_process[5]["error"]["code"] == "SVC_RET_NO_SESSION"
+    assert in_process[3]["result"]["recorded"] == 3
+
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = asyncio.run_coroutine_threadsafe(started_server(), loop).result(30)
+    try:
+        client = NetworkServiceClient(server.host, server.port)
+        try:
+            assert _sync_episode(client) == in_process
+        finally:
+            client.close()
+    finally:
+        asyncio.run_coroutine_threadsafe(server.drain(), loop).result(30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+    async def scenario():
+        server = await started_server()
+        client = await AsyncServiceClient.connect(server.host, server.port)
+        try:
+            return await _async_episode(client)
+        finally:
+            await client.close()
+            await server.drain()
+
+    assert run_async(scenario()) == in_process
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.resource_manager.overprovisioning import (
     DARK_NODE_POWER_W,
     OverprovisioningPlanner,
     PoweredPartition,
-    make_evaluator,
 )
 
 
@@ -200,15 +199,6 @@ def test_optimize_raises_when_nothing_feasible():
 # ---------------------------------------------------------------------------
 # tuner adapter
 # ---------------------------------------------------------------------------
-def test_make_evaluator_feasible_and_infeasible_configs():
-    planner = make_planner(n_nodes=4, tdp_nodes=2)
-    evaluate = make_evaluator(planner, scalable_app(), max_iterations=1)
-    ok = evaluate({"nodes": 2, "cap_w": 300.0})
-    assert ok["feasible"] == 1.0
-    assert ok["runtime_s"] > 0
-    bad = evaluate({"nodes": 4, "cap_w": planner.cluster.spec.node.tdp_w})
-    assert bad["feasible"] == 0.0
-    assert bad["runtime_s"] == float("inf")
 
 
 # ---------------------------------------------------------------------------

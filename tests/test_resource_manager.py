@@ -58,9 +58,8 @@ def test_job_lifecycle_and_accounting():
     job.mark_completed(50.0, None)
     assert job.run_time_s() == pytest.approx(30.0)
     assert job.turnaround_s() == pytest.approx(40.0)
-    accounting = job.accounting()
-    assert accounting["nodes"] == 2.0
-    assert accounting["power_budget_w"] == 600.0
+    assert job.node_count == 2
+    assert job.power_budget_w == 600.0
 
 
 def test_job_invalid_transitions():

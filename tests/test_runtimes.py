@@ -140,7 +140,7 @@ def test_geopm_endpoint_policy_and_sample_flow(cluster):
     run_job(cluster, runtime)
     # The runtime adopted the endpoint policy and published samples.
     assert runtime.policy.agent == "power_governor"
-    sample = endpoint.read_sample()
+    sample = endpoint._sample
     assert sample["epoch"] == 6.0
     assert sample["job_energy_j"] > 0
 

@@ -28,7 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ScalarScheduler, choose_node_count_by_list
+from oracles import (
+    ScalarScheduler,
+    choose_node_count_by_list,
+    free_nodes,
+    rank_nodes_by_temperature,
+)
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.lulesh import LuleshProxy
@@ -99,13 +104,13 @@ def test_rank_twins_match_scalar_rankings():
     for i in (1, 4, 9, 13):
         cluster.nodes[i].allocate("busy")
     assert list(cluster.free_node_indices()) == [
-        n.node_id for n in cluster.free_nodes()
+        n.node_id for n in free_nodes(cluster)
     ]
     assert list(cluster.rank_free_by_efficiency()) == [
-        n.node_id for n in cluster.rank_nodes_by_efficiency(cluster.free_nodes())
+        n.node_id for n in cluster.rank_nodes_by_efficiency(free_nodes(cluster))
     ]
     assert list(cluster.rank_free_by_temperature()) == [
-        n.node_id for n in cluster.rank_nodes_by_temperature(cluster.free_nodes())
+        n.node_id for n in rank_nodes_by_temperature(free_nodes(cluster))
     ]
 
 

@@ -1384,6 +1384,34 @@ def test_rejected_run_or_campaign_spends_no_run_id_or_seed(op, args, quota, code
     assert other_tenants_run(True) == ("run-0001", 132256957)
 
 
+@pytest.mark.parametrize(
+    "max_workers", [0, (os.cpu_count() or 1) + 1], ids=["zero", "above-cpu-count"]
+)
+def test_campaign_max_workers_out_of_range_spends_nothing(max_workers):
+    """``campaign.run`` answers PWR_RET_BAD_VALUE for a ``max_workers``
+    outside ``[1, os.cpu_count()]`` before it charges the quota or takes a
+    run id, so one request cannot choose how many workers the server
+    starts, and another tenant's next run is a clean service's first."""
+    def other_tenants_run(rejected):
+        client = ServiceClient(make_service(n_nodes=2))
+        a = client.open_session("a", role="runtime", quota=5)
+        b = client.open_session("b", role="runtime")
+        if rejected:
+            response = a.call(
+                "campaign.run", scenarios=[{"use_case": "uc6", "seeds": [1, 2]}],
+                executor="thread", max_workers=max_workers,
+            )
+            assert response.error_code == ServiceErrorCode.BAD_VALUE.value
+            assert "max_workers" in response.error["message"]
+            assert a.result("session.info")["used_evaluations"] == 0
+        run = b.result("tuning.run", parameters={"x": [1, 2, 3]}, evaluator="quadratic",
+                       search="random", max_evals=2)
+        return run["run_id"], run["seed"]
+
+    assert other_tenants_run(False) == ("run-0001", 132256957)
+    assert other_tenants_run(True) == ("run-0001", 132256957)
+
+
 def test_rejected_negative_seed_open_spends_no_tuner_id_or_seed():
     """A ``tuning.open`` with a negative seed spends no tuner ordinal: the
     next open gets the id and seed a clean session's first open gets."""

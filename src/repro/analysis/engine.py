@@ -36,7 +36,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lintconfig import LintConfig
 

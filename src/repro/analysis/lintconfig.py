@@ -40,8 +40,8 @@ import configparser
 import fnmatch
 import os
 import re
-from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Sequence, Tuple
 
 __all__ = ["LintConfig", "SinkSpec", "CONFIG_SECTION"]
 

@@ -29,7 +29,10 @@ only probe:
   somewhere outside its own ``def``/``class`` line: in the linted files
   or in the caller roots (``perfbench/``, ``examples/``,
   ``benchmarks/``).  Dunders, decorator-registered definitions and the
-  ``_cmd_*`` service handlers are exempt.
+  ``_cmd_*`` service handlers are exempt.  Every name a module-level
+  import binds is used by its module, outside ``__init__.py``: a
+  ``__future__`` import or a name listed in ``__all__`` (a re-export)
+  is exempt.
 """
 
 from __future__ import annotations
@@ -882,8 +885,32 @@ class DeadCodeRule(Rule):
     name = "dead-code"
     summary = (
         "every function, method and class is named by the linted files or "
-        "by perfbench/, examples/ or benchmarks/"
+        "by perfbench/, examples/ or benchmarks/, and every module-level "
+        "import is used by its module"
     )
+
+    def check_file(self, source: SourceFile, ctx: LintContext) -> Iterator[Violation]:
+        if os.path.basename(source.path) == "__init__.py":
+            return
+        tree = source.tree
+        used = _module_all(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _annotation_names(node.value)
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and bound not in used:
+                    yield self.violation(
+                        source,
+                        node,
+                        f"import of '{bound}' is never used in its module; delete "
+                        f"it, or list the name in __all__ if it is a re-export",
+                    )
 
     def check_project(self, ctx: LintContext) -> Iterator[Violation]:
         used: Set[str] = set()
@@ -935,6 +962,43 @@ def _definitions(body: List[ast.stmt], owner: str) -> Iterator[Tuple[ast.AST, st
             for handler in getattr(node, "handlers", ()):
                 yield from _definitions(handler.body, owner)
             yield from _definitions(node.orelse, owner)
+
+
+def _module_imports(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module-level imports, also under a module-level ``if`` or ``try``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from _module_imports(node.body)
+            for handler in getattr(node, "handlers", ()):
+                yield from _module_imports(handler.body)
+            yield from _module_imports(node.orelse)
+            yield from _module_imports(getattr(node, "finalbody", []))
+
+
+def _module_all(tree: ast.Module) -> Set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)):
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                names.update(
+                    e.value
+                    for e in node.value.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                )
+    return names
+
+
+def _annotation_names(text: str) -> Set[str]:
+    """The names a string read as an expression mentions: what a quoted
+    annotation such as ``"Optional[Node]"`` uses.  Prose reads as none."""
+    try:
+        expr = ast.parse(text.strip(), mode="eval")
+    except (SyntaxError, ValueError):
+        return set()
+    return {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
 
 
 def _used_names(tree: ast.AST) -> Set[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.apps.base import Application, SyntheticApplication, make_phase
 from repro.apps.hypre import HypreLaplacian

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.apps.base import Application
 from repro.hardware.node import Node, NodePhaseResult
+from repro.hardware.state import SPIN_DEMAND
 from repro.hardware.workload import PhaseDemand
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
@@ -175,24 +176,18 @@ class JobResult:
         return out
 
 
-#: What a package runs while spinning in an MPI wait loop.
-SPIN_DEMAND = PhaseDemand(
-    name="mpi_spin",
-    ref_seconds=1.0,
-    core_fraction=0.05,
-    memory_fraction=0.05,
-    comm_fraction=0.0,
-    activity_factor=0.45,
-    dram_intensity=0.05,
-)
-
-
 # repro-lint: hot
 def busy_wait_power_w(node: Node) -> float:
-    """Default power drawn by a node spinning in an MPI wait loop."""
+    """Default power drawn by a node spinning in an MPI wait loop, at its
+    packages' current knobs and temperatures.
+
+    A region reads the same value from its phase's
+    ``NodePhaseResult.busy_wait_power_w``; this form serves wait hooks
+    that scale it.
+    """
     total = node.spec.platform_power_w
     for pkg in node.packages:
-        total += pkg.effective_frequency(SPIN_DEMAND)[2]
+        total += pkg.busy_wait_power_w()
     return total
 
 
@@ -249,6 +244,7 @@ class MpiJobSimulator:
         #: across runs being compared (e.g. the GEOPM agent comparison).
         self._static_skew: Dict[str, float] = dict(static_skew or {})
         self._assign_static_skew(self.nodes)
+        self._imbalance_rng = self.streams.stream(f"{job_id}.imbalance")
 
     # -- malleability ---------------------------------------------------------
     def resize(self, new_nodes: Sequence[Node]) -> None:
@@ -284,7 +280,7 @@ class MpiJobSimulator:
 
     # repro-lint: hot
     def _execute_region(self, demand: PhaseDemand, iteration: int) -> List[RegionRecord]:
-        rng = self.streams.stream(f"{self.job_id}.imbalance")
+        rng = self._imbalance_rng
         threads = self.threads_per_node
         self.hooks.on_region_enter(self, demand, iteration)
 
@@ -297,6 +293,7 @@ class MpiJobSimulator:
 
         region_duration = max(r.duration_s for _, r in results)
         name = demand.name
+        wait_name = f"{name}.mpi_wait"
         telemetry = self.telemetry
         records: List[RegionRecord] = []
         for node, result in results:
@@ -304,7 +301,7 @@ class MpiJobSimulator:
             wait = region_duration - result.duration_s
             wait_power = self.hooks.wait_power_w(self, node, demand, wait)
             if wait_power is None:
-                wait_power = busy_wait_power_w(node)
+                wait_power = result.busy_wait_power_w
             records.append(RegionRecord(hostname, name, iteration, result, wait, wait_power))
             acc = telemetry.get(hostname)
             if acc is None:
@@ -320,7 +317,7 @@ class MpiJobSimulator:
             )
             if wait > 0:
                 acc.record_phase(
-                    f"{name}.mpi_wait", wait, wait_power, 0.05, 0.0,
+                    wait_name, wait, wait_power, 0.05, 0.0,
                     result.frequency_ghz, False,
                 )
             # Average node power over the whole region (compute + wait).

@@ -12,7 +12,7 @@ optimisation flags.  The model maps a flag set to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Sequence
 

@@ -18,7 +18,6 @@ use case optimises.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.apps.kernels import TileableKernel

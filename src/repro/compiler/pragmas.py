@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping
 
 __all__ = ["PragmaConfig", "MoldCode", "DEFAULT_MOLD_SOURCE"]
 

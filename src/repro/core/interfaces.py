@@ -17,7 +17,7 @@ tables stay truthful as the framework evolves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 __all__ = ["LayerDescription", "LAYERS", "TERMS", "EXISTING_COMPONENTS", "layer_names"]

@@ -10,8 +10,8 @@ part) lives in :mod:`repro.core.constraints` and the tuner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from repro.telemetry.metrics import METRIC_REGISTRY
 

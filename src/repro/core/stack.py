@@ -12,8 +12,8 @@ so tuning evaluations are independent.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.apps.generator import JobRequest
 from repro.hardware.cluster import Cluster, ClusterSpec

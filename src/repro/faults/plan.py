@@ -25,7 +25,7 @@ Two knobs matter for realism (see ISSUE 6 / Sasaki & Wang):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Sequence, Tuple, Type
 
 __all__ = [

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.hardware import power_model as pm
 from repro.hardware.power_model import PowerModelParams
-from repro.hardware.state import IDLE_DEMAND, ClusterState
+from repro.hardware.state import IDLE_DEMAND, SPIN_DEMAND, ClusterState
 from repro.hardware.thermal import ThermalModel, ThermalSpec
 from repro.hardware.variation import VariationDraw, VariationModel
 from repro.hardware.workload import PhaseDemand
@@ -117,6 +117,8 @@ class PhaseExecution(NamedTuple):
     flops: float
     power_capped: bool
     temperature_c: float
+    #: What the package draws spinning in an MPI wait after the phase (W).
+    busy_wait_power_w: float
 
     @property
     def energy_delay_product(self) -> float:
@@ -135,12 +137,15 @@ class CpuPackage:
     """Stateful processor package with DVFS, uncore and power-cap controls.
 
     All mutable state (frequency/uncore targets, power cap, accumulated
-    energy, busy time, die temperature) lives in a
+    energy, die temperature) lives in a
     :class:`~repro.hardware.state.ClusterState` — either the shared
     cluster-wide store (``state``/``index`` given) or a private one-row
     store for standalone packages.  The scalar accessors below are views
     into those arrays, so per-package and whole-cluster code always agree.
     """
+
+    #: The busy-wait's ``power_model.demand_table``, set on first use.
+    _spin_table: Optional[tuple] = None
 
     def __init__(
         self,
@@ -193,7 +198,6 @@ class CpuPackage:
         state.pkg_leakage_scale[index] = self.variation.leakage_scale
         state.invalidate_efficiency_cache()
         state.pkg_energy_j[index] = 0.0
-        state.pkg_busy_seconds[index] = 0.0
 
     # -- properties ------------------------------------------------------
     @property
@@ -288,43 +292,6 @@ class CpuPackage:
         """
         return self.power_at(IDLE_DEMAND, freq_ghz=self.spec.freq_min_ghz, active_cores=0)
 
-    def effective_frequency(
-        self, demand: PhaseDemand, active_cores: Optional[int] = None
-    ) -> tuple[float, bool, float]:
-        """Frequency actually delivered for a demand, honouring the power cap.
-
-        Returns ``(frequency_ghz, was_capped, power_w)``, where ``power_w``
-        is :meth:`power_at` at that frequency.  Mirrors RAPL behaviour:
-        firmware walks down the P-states from the target until the
-        running-average power fits under the cap (or the minimum P-state
-        is reached); a target below every P-state runs at ``freq_min``.
-        One :func:`~repro.hardware.power_model.pstate_walk` call.
-        """
-        state, index = self._state, self._index
-        target = float(state.pkg_freq_target_ghz[index])
-        cap = float(state.pkg_power_cap_w[index])
-        freqs, negated, floor, sku = self._table
-        ceiling = target + 1e-9
-        start = bisect_left(negated, -ceiling)
-        # A NaN ceiling bisects to the front, yet no P-state is at or below it.
-        if start == len(freqs) or not freqs[start] <= ceiling:
-            freqs, start = floor, 0
-        cores = self.spec.cores
-        freq, power = pm.pstate_walk(
-            demand,
-            freqs,
-            start,
-            cap,
-            float(state.pkg_uncore_ghz[index]),
-            cores if active_cores is None else min(active_cores, cores),
-            float(state.pkg_temperature_c[index]),
-            sku,
-            self._freq_span_ghz,
-            self._efficiency,
-            self._leakage_extra,
-        )
-        return freq, not power <= cap + 1e-9 or freq < target - 1e-9, power
-
     def _walk(
         self,
         demand: PhaseDemand,
@@ -351,6 +318,38 @@ class CpuPackage:
             self._leakage_extra,
         )
 
+    def busy_wait_power_w(self) -> float:
+        """Power this package draws while its rank spins in an MPI wait loop
+        at the current knobs and die temperature (W).
+
+        The walk :meth:`execute` prices after each phase, from the state.
+        """
+        state, index = self._state, self._index
+        return self._spin_power(
+            self._first_at_or_below(float(state.pkg_freq_target_ghz[index]) + 1e-9),
+            float(state.pkg_power_cap_w[index]),
+            float(state.pkg_uncore_ghz[index]),
+            float(state.pkg_temperature_c[index]),
+        )
+
+    def _spin_power(self, start: int, cap: float, uncore: float, temperature: float) -> float:
+        """:data:`~repro.hardware.state.SPIN_DEMAND`'s power walked from P-state
+        ``start`` (the ``freq_min`` fallback when ``start`` is past the last).
+
+        Its table is built on first use, so a package that never runs a
+        phase holds none (see ``__init__`` on what a per-package object
+        costs a large cluster).
+        """
+        freqs, _, floor, sku = self._table
+        table = self._spin_table
+        if table is None:
+            table = self._spin_table = pm.demand_table(
+                SPIN_DEMAND, freqs + floor, self.spec.cores, sku, self._freq_span_ghz,
+                self._efficiency,
+            )
+        stop = len(freqs) if start < len(freqs) else start + 1
+        return pm.table_walk(table, start, stop, cap, uncore, temperature, sku, self._leakage_extra)
+
     # repro-lint: hot
     def execute(
         self,
@@ -360,7 +359,14 @@ class CpuPackage:
         ref_freq_ghz: Optional[float] = None,
         ref_uncore_ghz: Optional[float] = None,
     ) -> PhaseExecution:
-        """Execute a phase, accumulate energy, and return the outcome."""
+        """Execute a phase, accumulate energy, and return the outcome.
+
+        Mirrors RAPL: firmware walks down the P-states from the target
+        until the power fits under the cap (or the minimum P-state is
+        reached); a target below every P-state runs at ``freq_min``.  The
+        same walk start prices the busy-wait that follows the phase, at
+        the die temperature the phase leaves.
+        """
         spec, state, index = self.spec, self._state, self._index
         threads = spec.cores if threads is None else int(threads)
         if threads < 1:
@@ -370,20 +376,38 @@ class CpuPackage:
         ref_freq = spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
         ref_uncore = spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
 
+        target = float(state.pkg_freq_target_ghz[index])
+        cap = float(state.pkg_power_cap_w[index])
         uncore = float(state.pkg_uncore_ghz[index])
-        freq, capped, power = self.effective_frequency(demand, threads)
+        freqs, _, floor, sku = self._table
+        start = self._first_at_or_below(target + 1e-9)
+        walked, first = (freqs, start) if start < len(freqs) else (floor, 0)
+        freq, power = pm.pstate_walk(
+            demand,
+            walked,
+            first,
+            cap,
+            uncore,
+            threads,
+            float(state.pkg_temperature_c[index]),
+            sku,
+            self._freq_span_ghz,
+            self._efficiency,
+            self._leakage_extra,
+        )
+        capped = not power <= cap + 1e-9 or freq < target - 1e-9
         duration, ipc, flops = pm.phase_timing(
             demand, freq, uncore, threads, ref_freq, ref_uncore, spec.params, comm_seconds_override
         )
-        power = min(power, max(float(state.pkg_power_cap_w[index]), spec.min_power_cap_w))
+        power = min(power, max(cap, spec.min_power_cap_w))
         energy = power * duration
 
         state.pkg_energy_j[index] += energy
-        state.pkg_busy_seconds[index] += duration
         temperature = self.thermal.advance(power, duration)
 
         return PhaseExecution(
-            demand, duration, power, energy, freq, uncore, threads, ipc, flops, capped, temperature
+            demand, duration, power, energy, freq, uncore, threads, ipc, flops, capped, temperature,
+            self._spin_power(start, cap, uncore, temperature),
         )
 
     def __repr__(self) -> str:

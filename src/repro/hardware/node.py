@@ -88,6 +88,9 @@ class NodePhaseResult(NamedTuple):
     flops: float
     power_capped: bool
     per_package: tuple[PhaseExecution, ...]
+    #: What the node draws spinning in an MPI wait after the phase (W):
+    #: platform power plus each package's, added in package order.
+    busy_wait_power_w: float
 
     @property
     def flops_per_watt(self) -> float:
@@ -341,6 +344,7 @@ class Node:
         executions: List[PhaseExecution] = []
         duration = freq = None
         compute_power = ipc = flops = 0
+        busy_wait = self.spec.platform_power_w
         capped = False
         for pkg, package_rapl, dram_rapl in metered:
             execution = pkg.execute(demand, per_pkg_threads, comm_seconds_override)
@@ -356,13 +360,15 @@ class Node:
             compute_power += execution.power_w
             ipc += execution.ipc
             flops += execution.flops
+            busy_wait += execution.busy_wait_power_w
             capped = capped or execution.power_capped
         power = compute_power + self.spec.platform_power_w
         ipc = ipc / len(executions)
 
         self._state.node_current_power_w[self._node_index] = power
         return NodePhaseResult(
-            duration, power, power * duration, freq, ipc, flops, capped, tuple(executions)
+            duration, power, power * duration, freq, ipc, flops, capped, tuple(executions),
+            busy_wait,
         )
 
     def __repr__(self) -> str:

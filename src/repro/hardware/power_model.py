@@ -19,9 +19,12 @@ A package phase is one scalar pass over these formulas:
 power drawn there, and :func:`phase_timing` derives duration, IPC and
 FLOP/s at that frequency.  The walk takes what never changes once a
 package is built as bound constants: its SKU's :func:`sku_constants`
-and a few per-package scalars.  The ``*_array`` twins evaluate the
-uncore and leakage terms for every package of a cluster at once, which
-is all the vectorised idle power
+and a few per-package scalars.  A demand priced on every phase, the MPI
+busy-wait, has its core term tabulated once per package
+(:func:`demand_table`), so its walk (:func:`table_walk`) adds only the
+terms that depend on uncore and temperature.  The ``*_array`` twins
+evaluate the uncore and leakage terms for every package of a cluster at
+once, which is all the vectorised idle power
 (:meth:`~repro.hardware.state.ClusterState.idle_power_per_package`)
 needs: at idle no core is active.
 """
@@ -40,6 +43,8 @@ __all__ = [
     "sku_constants",
     "dram_power",
     "pstate_walk",
+    "demand_table",
+    "table_walk",
     "phase_timing",
     "uncore_power_array",
     "static_power_array",
@@ -193,6 +198,85 @@ def pstate_walk(
         if power <= limit:
             break
     return freq, power
+
+
+# The two functions below price one fixed demand (the MPI busy-wait) on one
+# package.  They restate pstate_walk's expressions, operand for operand,
+# rather than share helpers with it: a helper call per walk costs about a
+# third of a one-probe walk, and pstate_walk prices every package phase.
+
+
+def demand_table(
+    demand: PhaseDemand,
+    freqs: Sequence[float],
+    cores: int,
+    sku: tuple,
+    freq_span_ghz: float,
+    efficiency: float,
+) -> tuple:
+    """What :func:`table_walk` needs to price ``demand`` on one package.
+
+    Returns ``(core_w, utilization, p_dram)``: :func:`pstate_walk`'s core
+    term at each of ``freqs`` (its probe expression, evaluated once per
+    frequency), the demand's uncore utilisation and its DRAM power.  The
+    arguments and their checks are :func:`pstate_walk`'s.
+    """
+    params, freq_min, _, uncore_span, v_span, _ = sku
+    if uncore_span <= 0:
+        raise ValueError("uncore_max must exceed uncore_min")
+    if cores < 0:
+        raise ValueError("active_cores must be >= 0")
+    if freq_span_ghz <= 0:
+        raise ValueError("freq_max must exceed freq_min")
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + demand.other_fraction * 0.4
+    )
+    switching = params.core_capacitance * (demand.activity_factor * busy_weight)
+    v_min = params.v_min
+    core_w = []
+    for freq in freqs:
+        frac = (freq - freq_min) / freq_span_ghz
+        volt = v_min + v_span * (0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac)
+        core_w.append(float(switching * volt * volt * freq * cores * efficiency))
+    intensity = demand.dram_intensity
+    utilization = 0.3 + 0.7 * (0.0 if intensity < 0.0 else 1.0 if intensity > 1.0 else intensity)
+    return tuple(core_w), utilization, dram_power(intensity, params)
+
+
+def table_walk(
+    table: tuple,
+    start: int,
+    stop: int,
+    cap_w: float,
+    uncore_ghz: float,
+    temperature_c: float,
+    sku: tuple,
+    leakage_extra: float,
+) -> float:
+    """:func:`pstate_walk`'s power over a :func:`demand_table`.
+
+    The power at the first of the table's frequencies ``[start:stop]``
+    whose power fits under ``cap_w``, or at the last: the power
+    :func:`pstate_walk` returns for the table's demand over those
+    frequencies, bit for bit.
+    """
+    core_w, utilization, p_dram = table
+    params, _, uncore_min, uncore_span, _, uncore_dynamic_w = sku
+    frac = (uncore_ghz - uncore_min) / uncore_span
+    frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
+    p_uncore = params.uncore_idle_power + uncore_dynamic_w * frac * utilization
+    leakage = 1.0 + params.leakage_temp_coeff * (temperature_c - params.ref_temperature)
+    p_static = params.static_power * (leakage if leakage > 0.2 else 0.2)
+    static_extra = p_static * leakage_extra
+    limit = cap_w + 1e-9
+    for index in range(start, stop):
+        power = core_w[index] + p_uncore + p_static + p_dram + static_extra
+        if power <= limit:
+            break
+    return power
 
 
 def phase_timing(

@@ -31,7 +31,7 @@ from repro.hardware.workload import PhaseDemand
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.hardware.node import NodeSpec
 
-__all__ = ["IDLE_DEMAND", "ClusterState"]
+__all__ = ["IDLE_DEMAND", "SPIN_DEMAND", "COUNTDOWN_WAIT_DEMAND", "ClusterState"]
 
 #: The demand a package presents when nothing is scheduled on it (the same
 #: constants :meth:`CpuPackage.idle_power_w` has always used).
@@ -43,6 +43,30 @@ IDLE_DEMAND = PhaseDemand(
     comm_fraction=0.0,
     activity_factor=0.05,
     dram_intensity=0.02,
+)
+
+#: What a package runs while its rank spins in an MPI wait loop at the
+#: current frequency: the busy-wait COUNTDOWN removes.
+SPIN_DEMAND = PhaseDemand(
+    name="mpi_spin",
+    ref_seconds=1.0,
+    core_fraction=0.05,
+    memory_fraction=0.05,
+    comm_fraction=0.0,
+    activity_factor=0.45,
+    dram_intensity=0.05,
+)
+
+#: What a package runs while COUNTDOWN holds its waiting rank at the
+#: lowest P-state.
+COUNTDOWN_WAIT_DEMAND = PhaseDemand(
+    name="countdown_wait",
+    ref_seconds=1.0,
+    core_fraction=0.05,
+    memory_fraction=0.02,
+    comm_fraction=0.0,
+    activity_factor=0.15,
+    dram_intensity=0.03,
 )
 
 
@@ -83,7 +107,6 @@ class ClusterState:
         self.pkg_max_freq_ghz = np.zeros(shape)
         # -- package telemetry ---------------------------------------------
         self.pkg_energy_j = np.zeros(shape)
-        self.pkg_busy_seconds = np.zeros(shape)
         self.pkg_temperature_c = np.zeros(shape)
         self.pkg_ambient_offset_c = np.zeros(shape)
         # -- manufacturing variation (immutable after binding) -------------

@@ -17,7 +17,7 @@ is the shape a site-level monitoring or power-capping service consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 

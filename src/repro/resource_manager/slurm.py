@@ -18,7 +18,7 @@ need:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +30,6 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.node import Node
 from repro.resource_manager.job import Job, JobState
 from repro.resource_manager.policies import (
-    GeopmPolicyMode,
-    JobPowerPolicy,
     PolicyAssigner,
     SitePolicies,
 )

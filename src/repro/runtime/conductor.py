@@ -17,7 +17,7 @@ Following Marathe et al. (ISC'15), the model has Conductor's two stages:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.apps.mpi import MpiJobSimulator, RegionRecord
 from repro.hardware.node import Node
+from repro.hardware.state import COUNTDOWN_WAIT_DEMAND
 from repro.hardware.workload import PhaseDemand
 from repro.runtime.base import JobRuntime, register_runtime
 
@@ -125,18 +126,9 @@ class CountdownRuntime(JobRuntime):
             return None
         if wait_s < self.wait_threshold_s:
             return None
-        idle_like = PhaseDemand(
-            name="countdown_wait",
-            ref_seconds=1.0,
-            core_fraction=0.05,
-            memory_fraction=0.02,
-            comm_fraction=0.0,
-            activity_factor=0.15,
-            dram_intensity=0.03,
-        )
         total = node.spec.platform_power_w
         for pkg in node.packages:
-            total += pkg.power_at(idle_like, freq_ghz=self._min_freq(node))
+            total += pkg.power_at(COUNTDOWN_WAIT_DEMAND, freq_ghz=self._min_freq(node))
         return total
 
     # -- reporting ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ the paper cares about:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.apps.mpi import MpiJobSimulator, RegionRecord
 from repro.hardware.workload import PhaseDemand

@@ -18,8 +18,8 @@ Two pieces implement this:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.mpi import MpiJobSimulator, RegionRecord
 from repro.hardware.rapl import MIN_SAMPLE_INTERVAL_S

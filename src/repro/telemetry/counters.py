@@ -11,7 +11,7 @@ job-level runtime reports them upward to the resource manager.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.telemetry.metrics import derived_metrics
 

@@ -1,6 +1,15 @@
-"""RL006 fixture: definitions nothing names, and the kinds RL006 exempts."""
+"""RL006 fixture: definitions and imports nothing uses, and the kinds RL006 exempts."""
 
-__all__ = ["summary"]
+from __future__ import annotations
+
+import os.path
+from json import dumps as encode
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+
+__all__ = ["summary", "encode"]
 
 
 def register(fn):
@@ -17,8 +26,10 @@ def orphan_function():
 
 
 class Ledger:
-    def balance(self):
-        return 0.0
+    entries: List[float] = []
+
+    def balance(self) -> "Optional[Decimal]":
+        return None
 
     def orphan_method(self):
         return None

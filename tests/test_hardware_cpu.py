@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import effective_flops, effective_ipc, phase_duration
 from repro.apps.mpi import SPIN_DEMAND, RegionRecord, busy_wait_power_w
 from repro.hardware import power_model as pm
+from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.hardware.cpu import CpuPackage, CpuSpec, PhaseExecution
 from repro.hardware.node import Node, NodePhaseResult, NodeSpec
 from repro.hardware.power_model import PowerModelParams
@@ -83,13 +84,14 @@ def test_set_power_cap_clamped_and_reset():
 
 
 def test_power_cap_reduces_effective_frequency_for_compute():
-    pkg = CpuPackage()
-    pkg.set_frequency(pkg.spec.freq_base_ghz)
-    uncapped_freq, _, _ = pkg.effective_frequency(compute_demand())
-    pkg.set_power_cap(pkg.spec.min_power_cap_w)
-    capped_freq, capped, _ = pkg.effective_frequency(compute_demand())
-    assert capped
-    assert capped_freq < uncapped_freq
+    uncapped, capped = CpuPackage(), CpuPackage()
+    for pkg in (uncapped, capped):
+        pkg.set_frequency(pkg.spec.freq_base_ghz)
+    capped.set_power_cap(capped.spec.min_power_cap_w)
+    uncapped_run = uncapped.execute(compute_demand())
+    capped_run = capped.execute(compute_demand())
+    assert capped_run.power_capped
+    assert capped_run.frequency_ghz < uncapped_run.frequency_ghz
 
 
 def test_memory_bound_tolerates_cap_better_than_compute():
@@ -97,8 +99,8 @@ def test_memory_bound_tolerates_cap_better_than_compute():
     for pkg in (pkg_a, pkg_b):
         pkg.set_frequency(pkg.spec.freq_max_ghz)
         pkg.set_power_cap(130.0)
-    freq_compute, _, _ = pkg_a.effective_frequency(compute_demand())
-    freq_memory, _, _ = pkg_b.effective_frequency(memory_demand())
+    freq_compute = pkg_a.execute(compute_demand()).frequency_ghz
+    freq_memory = pkg_b.execute(memory_demand()).frequency_ghz
     assert freq_memory >= freq_compute
 
 
@@ -109,17 +111,11 @@ def test_execute_respects_power_cap():
     assert result.power_w <= 120.0 + 1e-6
 
 
-def _busy_seconds(pkg):
-    """The package's busy-seconds column entry in its cluster state."""
-    return float(pkg._state.pkg_busy_seconds[pkg._index])
-
-
 def test_execute_accumulates_energy_and_busy_time():
     pkg = CpuPackage()
     r1 = pkg.execute(compute_demand(), threads=28)
     r2 = pkg.execute(compute_demand(), threads=28)
     assert pkg.energy_j == pytest.approx(r1.energy_j + r2.energy_j)
-    assert _busy_seconds(pkg) == pytest.approx(r1.duration_s + r2.duration_s)
 
 
 def test_execute_lower_frequency_longer_duration_less_power():
@@ -261,11 +257,16 @@ def _ref_execute(pkg, demand, threads, comm_seconds_override):
     )
 
 
+def _ref_spin_power(pkg):
+    """The package's busy-wait draw: the reference walk of ``SPIN_DEMAND``."""
+    freq, _, _ = _ref_effective_frequency(pkg, SPIN_DEMAND)
+    return _ref_power_at(pkg, SPIN_DEMAND, freq)
+
+
 def _ref_busy_wait_power_w(node):
     total = node.spec.platform_power_w
     for pkg in node.packages:
-        freq, _, _ = _ref_effective_frequency(pkg, SPIN_DEMAND)
-        total += _ref_power_at(pkg, SPIN_DEMAND, freq)
+        total += _ref_spin_power(pkg)
     return total
 
 
@@ -384,18 +385,20 @@ def test_package_physics_matches_reference(
     pkg = CpuPackage(spec, variation, state=state, index=(0, 0))
     _set_up(pkg, state, (0, 0), target, uncore, cap, temperature)
 
-    freq, capped, power = pkg.effective_frequency(demand, active_cores=cores)
-    ref_freq, ref_capped, _ = _ref_effective_frequency(pkg, demand, active_cores=cores)
-    assert (freq, capped) == (ref_freq, ref_capped)
-    assert power == _ref_power_at(pkg, demand, freq, active_cores=cores)
-    assert power == pkg.power_at(demand, freq_ghz=freq, active_cores=cores)
+    ref_freq, _, _ = _ref_effective_frequency(pkg, demand, active_cores=cores)
+    assert pkg.power_at(demand, freq_ghz=ref_freq, active_cores=cores) == _ref_power_at(
+        pkg, demand, ref_freq, active_cores=cores
+    )
 
     expected = _ref_execute(pkg, demand, cores, comm)
     expected["temperature_c"] = _ref_temperature(pkg, temperature, expected)
     result = pkg.execute(demand, threads=cores, comm_seconds_override=comm)
+    # The knobs are unchanged and the die is at ``temperature_c`` now, so
+    # the reference walk reads the state the busy-wait follows.
+    assert pkg.thermal.temperature_c == expected["temperature_c"]
+    expected["busy_wait_power_w"] = _ref_spin_power(pkg)
     assert _fields(result) == expected
     assert pkg.energy_j == expected["energy_j"]
-    assert _busy_seconds(pkg) == expected["duration_s"]
 
 
 def _ref_temperature(pkg, temperature, expected):
@@ -427,6 +430,9 @@ def test_node_phase_matches_reference_aggregation(
         expected.append(outcome)
 
     result = node.execute_phase(demand, threads=threads, comm_seconds_override=comm)
+    for pkg, outcome in zip(node.packages, expected):
+        assert pkg.thermal.temperature_c == outcome["temperature_c"]
+        outcome["busy_wait_power_w"] = _ref_spin_power(pkg)
     assert [_fields(execution) for execution in result.per_package] == expected
     duration = max(e["duration_s"] for e in expected)
     power = sum(e["power_w"] for e in expected) + node.spec.platform_power_w
@@ -439,6 +445,9 @@ def test_node_phase_matches_reference_aggregation(
         flops=sum(e["flops"] for e in expected),
         power_capped=any(e["power_capped"] for e in expected),
         per_package=result.per_package,
+        busy_wait_power_w=node.spec.platform_power_w
+        + expected[0]["busy_wait_power_w"]
+        + expected[1]["busy_wait_power_w"],
     )
     assert node.current_power_w == power
     for i, outcome in enumerate(expected):
@@ -486,15 +495,16 @@ def test_other_fraction_is_the_residual_on_every_copy(demand, factor, share, tag
     assert "other_fraction" not in repr(demand)
 
 
-#: The field order of the records when they were frozen dataclasses.
+#: The field order of the records when they were frozen dataclasses, with
+#: the busy-wait price appended.
 RECORD_FIELDS = {
     PhaseExecution: (
         "demand", "duration_s", "power_w", "energy_j", "frequency_ghz", "uncore_ghz",
-        "threads", "ipc", "flops", "power_capped", "temperature_c",
+        "threads", "ipc", "flops", "power_capped", "temperature_c", "busy_wait_power_w",
     ),
     NodePhaseResult: (
         "duration_s", "power_w", "energy_j", "frequency_ghz", "ipc", "flops",
-        "power_capped", "per_package",
+        "power_capped", "per_package", "busy_wait_power_w",
     ),
     RegionRecord: ("hostname", "region", "iteration", "result", "wait_s", "wait_power_w"),
 }
@@ -566,6 +576,53 @@ def test_busy_wait_power_matches_reference(spec, variation, cap, target, uncore,
     assert busy_wait_power_w(node) == _ref_busy_wait_power_w(node)
 
 
+#: Caps written straight into the state: under every P-state's power
+#: (binding), anywhere in between, and above all of them (slack).
+cap_cells = st.one_of(st.floats(0.0, 2 * SPEC.tdp_w), st.just(float("inf")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=cpu_specs(),
+    demand=demands(),
+    sockets=st.sampled_from([1, 2, 4]),
+    threads=st.one_of(st.none(), st.integers(1, 4 * 64)),
+    data=st.data(),
+)
+def test_phase_carries_the_busy_wait_price_it_leaves(spec, demand, sockets, threads, data):
+    """A phase's busy-wait price is the state-reading price right after it,
+    and both are the reference walk, bit for bit."""
+    node = Node(
+        NodeSpec(n_sockets=sockets, cpu=spec),
+        variations=[data.draw(variations) for _ in range(sockets)],
+    )
+    state = node.cluster_state
+    for i, pkg in enumerate(node.packages):
+        state.pkg_freq_target_ghz[0, i] = data.draw(st.one_of(targets, st.just(float("nan"))))
+        state.pkg_uncore_ghz[0, i] = data.draw(uncores)
+        state.pkg_power_cap_w[0, i] = data.draw(cap_cells)
+        pkg.thermal.reset(data.draw(temperatures))
+
+    result = node.execute_phase(demand, threads=threads)
+    prices = (result.busy_wait_power_w, busy_wait_power_w(node), _ref_busy_wait_power_w(node))
+    assert len({price.hex() for price in prices}) == 1, prices
+    assert [e.busy_wait_power_w.hex() for e in result.per_package] == [
+        pkg.busy_wait_power_w().hex() for pkg in node.packages
+    ]
+
+
+def test_cluster_that_runs_no_phase_holds_no_spin_table():
+    """The busy-wait table is built on a package's first phase, so a cluster
+    that only schedules and meters (trace replay, the service) holds none."""
+    cluster = Cluster(ClusterSpec(n_nodes=4))
+    packages = [pkg for node in cluster.nodes for pkg in node.packages]
+    cluster.instantaneous_power_w()
+    cluster.nodes[1].release()
+    assert not any("_spin_table" in vars(pkg) for pkg in packages)
+    cluster.nodes[0].execute_phase(compute_demand())
+    assert ["_spin_table" in vars(pkg) for pkg in packages] == [True] * 2 + [False] * 6
+
+
 def test_reference_walk_falls_back_below_lowest_pstate():
     """A cap under the lowest P-state's power ends the walk at the bottom."""
     pkg = CpuPackage(SPEC, VariationDraw(1.4, 1.0, 1.8))
@@ -574,10 +631,11 @@ def test_reference_walk_falls_back_below_lowest_pstate():
     demand = compute_demand()
     lowest = pkg.pstates[-1].frequency_ghz
     assert pkg.power_at(demand, freq_ghz=lowest) > pkg.power_cap_w
-    freq, capped, power = pkg.effective_frequency(demand)
-    assert (freq, capped) == (lowest, True) == _ref_effective_frequency(pkg, demand)[:2]
-    assert power == _ref_power_at(pkg, demand, lowest)
-    assert pkg.execute(demand).power_w == pkg.power_cap_w
+    assert pkg.power_at(demand, freq_ghz=lowest) == _ref_power_at(pkg, demand, lowest)
+    assert _ref_effective_frequency(pkg, demand)[:2] == (lowest, True)
+    result = pkg.execute(demand)
+    assert (result.frequency_ghz, result.power_capped) == (lowest, True)
+    assert result.power_w == pkg.power_cap_w
 
 
 # -- structure: one P-state walk per power evaluation, no numpy on scalars ----
@@ -605,9 +663,9 @@ def test_execute_evaluates_static_terms_once_and_core_term_per_probe(walks):
     pkg = CpuPackage()
     pkg.set_frequency(pkg.spec.freq_max_ghz)
     pkg.set_power_cap(130.0)
-    _, _, probes = _ref_effective_frequency(pkg, compute_demand(), active_cores=28)
+    freq, _, probes = _ref_effective_frequency(pkg, compute_demand(), active_cores=28)
     assert probes >= 3
-    freq, _, power = pkg.effective_frequency(compute_demand(), active_cores=28)
+    power = _ref_power_at(pkg, compute_demand(), freq, active_cores=28)
     walks.clear()
     assert pkg.power_at(compute_demand(), freq_ghz=freq, active_cores=28) == power
     assert [(freqs, start) for freqs, start, _ in walks] == [((freq,), 0)]
@@ -620,13 +678,14 @@ def test_execute_evaluates_static_terms_once_and_core_term_per_probe(walks):
 
 
 def test_busy_wait_evaluates_static_terms_once_per_package(walks):
-    """One walk per package, and the node's draw is the sum of their powers."""
+    """No P-state walk: each package prices the busy-wait from its table,
+    and the node's draw is the sum of their prices."""
     node = Node(NodeSpec(n_sockets=2))
     walks.clear()
     total = busy_wait_power_w(node)
-    assert len(walks) == 2
-    (_, _, (_, first)), (_, _, (_, second)) = walks
-    assert total == node.spec.platform_power_w + first + second
+    assert walks == []
+    first, second = (pkg.busy_wait_power_w() for pkg in node.packages)
+    assert total == node.spec.platform_power_w + first + second == _ref_busy_wait_power_w(node)
 
 
 def test_scalar_path_never_calls_numpy_clip(monkeypatch):

@@ -129,16 +129,22 @@ def test_rl005_serialization_sinks():
 def test_rl006_dead_code():
     result = run_fixture("rl006_bad.py")
     assert [(v.rule, v.line, v.col) for v in result.violations] == [
-        ("RL006", 15, 0),  # orphan_function: nothing names it
-        ("RL006", 23, 4),  # Ledger.orphan_method: nothing names it
+        ("RL006", 5, 0),  # import os.path: nothing uses os
+        ("RL006", 7, 0),  # Dict: nothing uses it
+        ("RL006", 24, 0),  # orphan_function: nothing names it
+        ("RL006", 34, 4),  # Ledger.orphan_method: nothing names it
     ]
     messages = [v.message for v in result.violations]
-    assert messages[0].startswith("'orphan_function' is never named")
-    assert messages[1].startswith("'Ledger.orphan_method' is never named")
-    # Ledger.balance is called, registered_probe is registered by a
-    # decorator, _cmd_fixture_ping is a command handler by prefix, and
-    # kept_by_pragma carries the pragma.
-    assert [(v.rule, v.line) for v in result.suppressed] == [("RL006", 37)]
+    assert messages[0].startswith("import of 'os' is never used in its module")
+    assert messages[1].startswith("import of 'Dict' is never used in its module")
+    assert messages[2].startswith("'orphan_function' is never named")
+    assert messages[3].startswith("'Ledger.orphan_method' is never named")
+    # The __future__ import is exempt, encode is re-exported through
+    # __all__, TYPE_CHECKING and List are used, and Optional and Decimal are
+    # used in a quoted annotation.  Ledger.balance is called,
+    # registered_probe is registered by a decorator, _cmd_fixture_ping is a
+    # command handler by prefix, and kept_by_pragma carries the pragma.
+    assert [(v.rule, v.line) for v in result.suppressed] == [("RL006", 48)]
 
 
 def test_rl006_counts_a_caller_in_another_linted_file(tmp_path):
@@ -150,7 +156,20 @@ def test_rl006_counts_a_caller_in_another_linted_file(tmp_path):
     result = LintEngine(LintConfig(select=("RL006",)), default_rules()).run(
         [os.path.join(FIXTURES, "rl006_bad.py"), str(caller)]
     )
-    assert [v.message.split("'")[1] for v in result.violations] == ["use"]
+    assert [v.message.split("'")[1] for v in result.violations] == ["os", "Dict", "use"]
+
+
+def test_rl006_exempts_imports_in_package_init(tmp_path):
+    """A package ``__init__.py`` imports to export; a module that imports
+    the same names without using them is reported."""
+    text = "import os\nfrom json import dumps\n"
+    (tmp_path / "__init__.py").write_text(text)
+    (tmp_path / "module.py").write_text(text)
+    result = LintEngine(LintConfig(select=("RL006",)), default_rules()).run([str(tmp_path)])
+    found = [
+        (os.path.basename(v.path), v.line, v.message.split("'")[1]) for v in result.violations
+    ]
+    assert found == [("module.py", 1, "os"), ("module.py", 2, "dumps")]
 
 
 def test_pragmas_suppress_but_are_reported():
@@ -181,6 +200,6 @@ def test_whole_fixture_directory_in_one_run():
         by_rule.setdefault(violation.rule, 0)
         by_rule[violation.rule] += 1
     assert by_rule == {
-        "RL001": 5, "RL002": 4, "RL003": 3, "RL004": 4, "RL005": 4, "RL006": 2
+        "RL001": 5, "RL002": 4, "RL003": 3, "RL004": 4, "RL005": 4, "RL006": 4
     }
     assert result.files_scanned == 8

@@ -34,7 +34,6 @@ from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest
 from repro.faults import injector as faults
 from repro.faults.conformance import scheduler_invariants
-from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.resource_manager.slurm import PowerAwareScheduler, SchedulerConfig

@@ -72,7 +72,6 @@ def run_comparison():
         max_evals=MAX_EVALS,
         seed=SEED,
         batch_size=BATCH_SIZE,
-        executor="serial",
         cache_evaluations=True,
     )
     t0 = time.perf_counter()

@@ -52,10 +52,9 @@ _DEFAULT_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
 #: Sanctioned process-global registries in this repo (RL004).  These are
 #: either populated at import time through registration decorators (and
 #: therefore identical in every process-pool worker) or are *the*
-#: deliberate per-process slots (fault injector, pool-worker evaluator).
+#: deliberate per-process slots (the fault injector).
 _DEFAULT_REGISTRIES = (
     "repro.core.search.base:SEARCH_REGISTRY",
-    "repro.core.tuner:_PROCESS_EVALUATOR",
     "repro.experiments.registry:_REGISTRY",
     "repro.faults.injector:_ACTIVE",
     "repro.faults.injector:_LOCK",

@@ -40,13 +40,7 @@ from repro.core.parameters import (
 from repro.core.space import ParameterSpace
 from repro.core.stack import PowerStack, PowerStackConfig
 from repro.core.translation import GoalTranslator, TranslationStep
-from repro.core.tuner import (
-    Autotuner,
-    EvaluationCache,
-    SerialExecutor,
-    ThreadedExecutor,
-    TuningResult,
-)
+from repro.core.tuner import Autotuner, EvaluationCache, TuningResult
 
 __all__ = [
     "Autotuner",
@@ -70,8 +64,6 @@ __all__ = [
     "ParameterSpace",
     "PowerStack",
     "PowerStackConfig",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "TranslationStep",
     "TuningResult",
     "WeightedObjective",

@@ -29,15 +29,7 @@ LayeredEvaluator = Callable[[Dict[str, Dict[str, Any]]], Mapping[str, float]]
 
 
 class _FlatEvaluator:
-    """Splits a flat prefixed configuration and calls the layered evaluator.
-
-    A standalone callable (rather than a bound ``CoTuner`` method) so
-    that ``executor="process"`` only has to pickle the layer names, the
-    separator and the user's evaluator — not the tuner object graph,
-    which by run time contains the search state and the process pool
-    itself and can never be shipped to a worker under the ``spawn``
-    start method.
-    """
+    """Splits a flat prefixed configuration and calls the layered evaluator."""
 
     def __init__(self, layers: List[str], separator: str, evaluator: LayeredEvaluator):
         self.layers = list(layers)
@@ -87,21 +79,8 @@ class CoTuningResult:
 class CoTuner:
     """Joint tuner over a dictionary of per-layer parameter spaces.
 
-    ``batch_size``, ``executor`` and ``cache_evaluations`` are forwarded
-    to the :class:`~repro.core.tuner.Autotuner`: whole generations are
-    asked/told at once, evaluations run through the chosen executor, and
-    repeated cross-layer configurations are served from the memoization
-    cache.  The defaults evaluate one configuration at a time.
-
-    Executor selection (``executor=``):
-
-    * ``"serial"`` — evaluate in the calling thread (the default; right
-      for cheap evaluators and for exactly reproducing sequential runs).
-    * ``"thread"`` — a thread pool; helps evaluators that release the
-      GIL or wait on subprocesses / I/O (real build-and-run ploppers).
-    * ``"process"`` — a process pool for CPU-bound pure-Python
-      evaluators; requires the evaluator to be picklable (module-level
-      function).  ``max_workers`` bounds the pool size for both pools.
+    One :class:`~repro.core.tuner.Autotuner` at its defaults runs the
+    search over the joint space, one configuration at a time.
     """
 
     SEPARATOR = "."
@@ -116,10 +95,6 @@ class CoTuner:
         max_evals: int = 100,
         seed: int = 0,
         name: str = "cotuner",
-        batch_size: int = 1,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
-        cache_evaluations: bool = False,
     ):
         if not layer_spaces:
             raise ValueError("co-tuning needs at least one layer space")
@@ -137,10 +112,6 @@ class CoTuner:
             max_evals=max_evals,
             seed=seed,
             name=name,
-            batch_size=batch_size,
-            executor=executor,
-            max_workers=max_workers,
-            cache_evaluations=cache_evaluations,
         )
 
     # -- space composition -------------------------------------------------------------
@@ -164,10 +135,6 @@ class CoTuner:
     @property
     def database(self) -> PerformanceDatabase:
         return self._autotuner.database
-
-    def close(self) -> None:
-        """Release executor resources (no-op for the serial executor)."""
-        self._autotuner.close()
 
     def run(self, callback=None) -> CoTuningResult:
         result = self._autotuner.run(callback=callback)

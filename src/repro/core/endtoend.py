@@ -78,16 +78,7 @@ class EndToEndResult:
 
 
 class EndToEndTuner:
-    """Co-tunes system, runtime, node, application and compiler layers.
-
-    Executor selection (``executor=``, forwarded to the batched engine):
-    ``"serial"`` evaluates in the calling thread; ``"thread"`` suits
-    evaluators that wait on subprocesses or I/O; ``"process"`` runs
-    CPU-bound evaluations on a process pool past the GIL — note the
-    end-to-end evaluator replays whole simulated workloads, which is
-    exactly the CPU-bound shape the process pool is for.  ``max_workers``
-    bounds either pool.
-    """
+    """Co-tunes system, runtime, node, application and compiler layers."""
 
     def __init__(
         self,
@@ -100,10 +91,6 @@ class EndToEndTuner:
         search: str = "forest",
         max_evals: int = 40,
         seed: int = 0,
-        batch_size: int = 1,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
-        cache_evaluations: bool = False,
     ):
         if not workload:
             raise ValueError("the end-to-end tuner needs a workload")
@@ -116,14 +103,6 @@ class EndToEndTuner:
         self.search = search
         self.max_evals = int(max_evals)
         self.seed = int(seed)
-        #: Batched-engine knobs, forwarded to the CoTuner.  A batch size > 1
-        #: asks the search for whole generations; ``cache_evaluations``
-        #: memoizes repeated cross-layer configurations (every evaluation
-        #: replays the full workload, so hits are pure savings).
-        self.batch_size = int(batch_size)
-        self.executor = executor
-        self.max_workers = max_workers
-        self.cache_evaluations = bool(cache_evaluations)
         self.translator = GoalTranslator()
         self._evaluation_count = 0
 
@@ -280,16 +259,9 @@ class EndToEndTuner:
             max_evals=self.max_evals,
             seed=self.seed,
             name="end-to-end",
-            batch_size=self.batch_size,
-            executor=self.executor,
-            max_workers=self.max_workers,
-            cache_evaluations=self.cache_evaluations,
         )
         baseline_metrics = dict(self.evaluate(self.baseline_configuration()))
-        try:
-            result = cotuner.run()
-        finally:
-            cotuner.close()  # release thread pools when executor="thread"
+        result = cotuner.run()
 
         # Record the budget-translation chain for the winning configuration.
         cluster_spec = self.stack.config.cluster

@@ -8,25 +8,19 @@ best configuration is read off the database at the end.
 
 :class:`Autotuner` runs the steps a batch at a time through
 :meth:`SearchAlgorithm.ask_batch` / :meth:`SearchAlgorithm.tell_batch`,
-evaluates each batch through a pluggable executor
-(:class:`SerialExecutor`, the thread-pool :class:`ThreadedExecutor` for
-GIL-releasing / subprocess evaluators, or the process-pool
-:class:`ProcessExecutor` for CPU-bound pure-Python evaluators) and can
-memoize evaluator calls in an :class:`EvaluationCache` keyed by the
-canonical configuration.  Its defaults (``batch_size=1``, a serial
-executor, no cache, no retries) are the one-configuration-at-a-time
-loop, bit for bit.
+evaluates each batch in the calling thread and can memoize evaluator
+calls in an :class:`EvaluationCache` keyed by the canonical
+configuration.  Its defaults (``batch_size=1``, no cache) are the
+one-configuration-at-a-time loop, bit for bit.  Fanning whole runs out
+over threads or processes is the campaign's job
+(:mod:`repro.experiments.campaign`).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.constraints import ConstraintSet
 from repro.core.objectives import Objective, PENALTY_OBJECTIVE, WeightedObjective, make_objective
@@ -34,15 +28,7 @@ from repro.core.search.base import SearchAlgorithm, config_key, make_search
 from repro.core.space import ParameterSpace
 from repro.telemetry.database import EvaluationRecord, PerformanceDatabase
 
-__all__ = [
-    "TuningResult",
-    "Autotuner",
-    "EvaluationCache",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ProcessExecutor",
-    "make_executor",
-]
+__all__ = ["TuningResult", "Autotuner", "EvaluationCache"]
 
 #: An evaluator maps a configuration to a dictionary of measured metrics.
 Evaluator = Callable[[Dict[str, Any]], Mapping[str, float]]
@@ -50,147 +36,9 @@ Evaluator = Callable[[Dict[str, Any]], Mapping[str, float]]
 #: Internal evaluation outcome: (metrics, failed).
 _Outcome = Tuple[Dict[str, float], bool]
 
-
-class SerialExecutor:
-    """Evaluates a batch in the calling thread, in order."""
-
-    name = "serial"
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return [fn(item) for item in items]
-
-
-class ThreadedExecutor:
-    """Evaluates a batch on a shared thread pool (order-preserving).
-
-    Suited to evaluators that release the GIL or wait on subprocesses /
-    I/O (real build-and-run ploppers); pure-Python evaluators gain little.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return list(self._pool.map(fn, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-#: Worker-process global holding the evaluator shipped at pool start-up.
-_PROCESS_EVALUATOR: Optional[Evaluator] = None
-
-
-def _process_worker_init(evaluator: Evaluator) -> None:
-    """Pool initializer: install the evaluator once per worker process."""
-    global _PROCESS_EVALUATOR
-    _PROCESS_EVALUATOR = evaluator
-
-
-def _process_worker_call(config: Dict[str, Any]) -> _Outcome:
-    """Evaluate one configuration in a worker, mirroring ``_call_evaluator``.
-
-    The exception-to-failure-metrics conversion must happen *inside* the
-    worker: exceptions are data to the tuning loop, and letting them
-    propagate would poison the whole ``Executor.map`` batch.
-    """
-    try:
-        return dict(_PROCESS_EVALUATOR(config)), False
-    except Exception as error:  # evaluator failures are data, not crashes
-        metrics = {"error": 1.0, "error_message_hash": float(abs(hash(str(error))) % 10_000)}
-        return metrics, True
-
-
-class ProcessExecutor:
-    """Evaluates a batch on a process pool (order-preserving).
-
-    The executor for CPU-bound pure-Python evaluators, which the thread
-    pool cannot speed up because of the GIL.  The contract: the evaluator
-    must be *picklable* (a module-level function or a picklable callable
-    object) — it is shipped to each worker once via the pool initializer,
-    and batches are submitted in chunks so per-item IPC overhead is
-    amortised.  Note ``error_message_hash`` of failures may differ from
-    the in-process executors because string hashing is per-process.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None, chunksize: Optional[int] = None):
-        self.max_workers = max_workers
-        self.chunksize = chunksize
-        self._evaluator: Optional[Evaluator] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def bind_evaluator(self, evaluator: Evaluator) -> None:
-        """Declare the evaluator the pool will run (checked for picklability)."""
-        try:
-            pickle.dumps(evaluator)
-        except Exception as error:
-            raise TypeError(
-                "the process executor requires a picklable evaluator "
-                "(define it at module level, or use executor='thread'): "
-                f"{error}"
-            ) from error
-        if self._pool is not None and evaluator is not self._evaluator:
-            self.close()
-        self._evaluator = evaluator
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Evaluate ``items`` on the pool; order-preserving.
-
-        NOTE: when an evaluator is bound, ``fn`` is *not* shipped to the
-        workers — the pool runs the stock evaluate-and-convert-failures
-        wrapper (:func:`_process_worker_call`) around the bound evaluator
-        instead, because pickling an arbitrary ``fn`` (typically a tuner
-        bound method) would drag the whole tuner object graph across the
-        process boundary.  :class:`Autotuner` enforces this contract by
-        rejecting subclasses that override ``_call_evaluator``.
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self._evaluator is None:
-            # No bound evaluator (used outside Autotuner): degrade to
-            # in-process evaluation rather than pickling a bound method.
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_process_worker_init,
-                initargs=(self._evaluator,),
-            )
-        workers = self.max_workers or os.cpu_count() or 1
-        chunksize = self.chunksize or max(1, math.ceil(len(items) / (workers * 4)))
-        return list(self._pool.map(_process_worker_call, items, chunksize=chunksize))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def make_executor(spec: Union[str, Any], max_workers: Optional[int] = None):
-    """Resolve an executor spec (``"serial"``, ``"thread"``, ``"process"``
-    or an object with a ``.map(fn, items)`` method)."""
-    if not isinstance(spec, str):
-        if not hasattr(spec, "map"):
-            raise TypeError(f"executor {spec!r} must provide a .map(fn, items) method")
-        return spec
-    key = spec.strip().lower()
-    if key == "serial":
-        return SerialExecutor()
-    if key in ("thread", "threads", "threadpool"):
-        return ThreadedExecutor(max_workers=max_workers)
-    if key in ("process", "processes", "processpool"):
-        return ProcessExecutor(max_workers=max_workers)
-    raise ValueError(f"unknown executor {spec!r}; available: serial, thread, process")
+#: How far past its own objective an infeasible record is reported to the
+#: search: ``objective + factor * (|objective| + 1)``.
+INFEASIBLE_PENALTY_FACTOR = 10.0
 
 
 class EvaluationCache:
@@ -240,11 +88,6 @@ class TuningResult:
     #: Evaluation-cache statistics (0 without ``cache_evaluations``).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Retry-with-backoff statistics (``max_retries > 0``): attempts
-    #: re-issued for failed evaluations, and how many of those
-    #: ultimately succeeded.
-    retried_evaluations: int = 0
-    recovered_evaluations: int = 0
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -258,17 +101,17 @@ class TuningResult:
 
 
 class Autotuner:
-    """Batched ask/evaluate/tell loop with optional memoization and parallelism.
+    """Batched ask/evaluate/tell loop with optional memoization.
 
     Per round the loop (1) asks the search for a whole batch, (2) rejects
     constraint-violating proposals without spending evaluations, (3)
     resolves the rest through the evaluation cache (which also
-    deduplicates identical configurations within a batch), (4) runs the
-    misses through the executor, and (5) reports the whole batch back
-    with one ``tell_batch``.  Records land in the database in ask order.
+    deduplicates identical configurations within a batch), (4) evaluates
+    the misses in order in the calling thread, and (5) reports the whole
+    batch back with one ``tell_batch``.  Records land in the database in
+    ask order.
 
-    ``cache_evaluations`` is opt-in (matching :class:`~repro.core.cotuner.CoTuner`
-    and the end-to-end tuner): memoization assumes a deterministic
+    ``cache_evaluations`` is opt-in: memoization assumes a deterministic
     evaluator — failures are cached too, so a flaky evaluator would pin
     a transient failure for the rest of the run.
     """
@@ -282,24 +125,14 @@ class Autotuner:
         search: Union[str, SearchAlgorithm] = "forest",
         max_evals: int = 100,
         seed: int = 0,
-        database: Optional[PerformanceDatabase] = None,
         name: str = "autotuner",
-        infeasible_penalty_factor: float = 10.0,
         batch_size: int = 1,
-        executor: Union[str, Any] = "serial",
-        max_workers: Optional[int] = None,
         cache_evaluations: bool = False,
-        max_retries: int = 0,
-        retry_backoff_s: float = 0.0,
     ):
         if max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         self.space = space
         self.evaluator = evaluator
         self.objective = make_objective(objective) if isinstance(objective, str) else objective
@@ -308,37 +141,12 @@ class Autotuner:
             make_search(search, space, seed=seed) if isinstance(search, str) else search
         )
         self.max_evals = int(max_evals)
-        self.database = database if database is not None else PerformanceDatabase(name)
+        self.database = PerformanceDatabase(name)
         self.name = name
-        self.infeasible_penalty_factor = float(infeasible_penalty_factor)
         self.batch_size = int(batch_size)
-        self.max_retries = int(max_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.retried_evaluations = 0
-        self.recovered_evaluations = 0
-        self.executor = make_executor(executor, max_workers=max_workers)
-        # The process executor ships the evaluator to its workers once, at
-        # pool start-up; it checks picklability here so a bad evaluator
-        # fails fast instead of at the first batch.
-        bind = getattr(self.executor, "bind_evaluator", None)
-        if bind is not None:
-            if type(self)._call_evaluator is not Autotuner._call_evaluator:
-                raise TypeError(
-                    "the process executor replicates the stock "
-                    "Autotuner._call_evaluator inside its workers; a subclass "
-                    "overriding _call_evaluator must use the serial or thread "
-                    "executor instead"
-                )
-            bind(self.evaluator)
         self.cache: Optional[EvaluationCache] = (
             EvaluationCache() if cache_evaluations else None
         )
-
-    def close(self) -> None:
-        """Release executor resources (no-op for the serial executor)."""
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
 
     # -- evaluation of one configuration ---------------------------------------------------
     def _call_evaluator(self, config: Dict[str, Any]) -> _Outcome:
@@ -371,46 +179,17 @@ class Autotuner:
         if record.objective >= PENALTY_OBJECTIVE:
             return PENALTY_OBJECTIVE
         magnitude = abs(record.objective)
-        return record.objective + self.infeasible_penalty_factor * (magnitude + 1.0)
+        return record.objective + INFEASIBLE_PENALTY_FACTOR * (magnitude + 1.0)
 
     # -- batch evaluation ------------------------------------------------------------------
-    def _map_with_retries(self, configs: List[Dict[str, Any]]) -> List[_Outcome]:
-        """Executor map that re-issues failed evaluations with backoff.
-
-        Straggling or transiently-poisoned evaluators (chaos profiles,
-        flaky measurement hosts) get up to ``max_retries`` fresh attempts
-        each, with exponential backoff between retry rounds.  The final
-        outcome per position replaces the failed one, so a recovered
-        evaluation is indistinguishable downstream from a first-try
-        success — only the retry counters tell the story.
-        """
-        outcomes = list(self.executor.map(self._call_evaluator, configs))
-        if self.max_retries <= 0:
-            return outcomes
-        for attempt in range(1, self.max_retries + 1):
-            failed_positions = [i for i, (_, was_failed) in enumerate(outcomes) if was_failed]
-            if not failed_positions:
-                break
-            if self.retry_backoff_s > 0:
-                time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
-            retries = [configs[i] for i in failed_positions]
-            self.retried_evaluations += len(retries)
-            for i, outcome in zip(
-                failed_positions, self.executor.map(self._call_evaluator, retries)
-            ):
-                if not outcome[1]:
-                    self.recovered_evaluations += 1
-                outcomes[i] = outcome
-        return outcomes
-
     def _evaluate_batch(self, configs: List[Dict[str, Any]]) -> List[_Outcome]:
-        """Outcomes for ``configs`` via cache + executor, in input order."""
-        results: Dict[int, _Outcome] = {}
+        """Outcomes for ``configs`` via the cache and the evaluator, in input order."""
         if self.cache is None:
-            return self._map_with_retries(configs)
+            return [self._call_evaluator(config) for config in configs]
 
         # Group cache misses by canonical key so within-batch duplicates
         # are evaluated once.
+        results: Dict[int, _Outcome] = {}
         pending: Dict[tuple, List[int]] = {}
         ordered_keys: List[tuple] = []
         for pos, config in enumerate(configs):
@@ -426,7 +205,7 @@ class Autotuner:
                 pending[key] = [pos]
                 ordered_keys.append(key)
         misses = [configs[pending[key][0]] for key in ordered_keys]
-        for key, outcome in zip(ordered_keys, self._map_with_retries(misses)):
+        for key, outcome in zip(ordered_keys, map(self._call_evaluator, misses)):
             self.cache.put(key, outcome)
             for pos in pending[key]:
                 results[pos] = outcome
@@ -496,8 +275,6 @@ class Autotuner:
             convergence=convergence,
             cache_hits=self.cache.hits if self.cache is not None else 0,
             cache_misses=self.cache.misses if self.cache is not None else 0,
-            retried_evaluations=self.retried_evaluations,
-            recovered_evaluations=self.recovered_evaluations,
         )
 
 

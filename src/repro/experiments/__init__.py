@@ -4,10 +4,11 @@ The paper's product is its experiments; this package is the layer that
 runs them at scale.  A declarative :class:`ScenarioSpec` names a use
 case, its parameters, a seed list and (optionally) a time-varying
 per-node power-budget trace; a :class:`Campaign` expands scenario×seed
-grids and fans the runs out over the PR 1/2 executors (``serial`` /
-``thread`` / ``process``), captures every run's metrics into one
-columnar :class:`~repro.telemetry.database.PerformanceDatabase` (tagged
-by use case, scenario and seed) and aggregates across seeds.
+grids and runs them in the calling thread or fans them out over a
+thread or process pool (``serial`` / ``thread`` / ``process``),
+captures every run's metrics into one columnar
+:class:`~repro.telemetry.database.PerformanceDatabase` (tagged by use
+case, scenario and seed) and aggregates across seeds.
 
 The seven use-case modules register themselves here
 (:func:`register_use_case`); each registers its public ``run_use_case``

@@ -1,11 +1,12 @@
-"""Campaign runner: scenario×seed grids fanned out over executors.
+"""Campaign runner: scenario×seed grids fanned out over a pool.
 
 A :class:`Campaign` expands a list of :class:`ScenarioSpec` into one
-:class:`RunSpec` per (scenario, seed, budget-trace segment), evaluates
-them through the same pluggable executors the batched tuner uses
-(``serial`` / ``thread`` / ``process``), and captures every run into a
+:class:`RunSpec` per (scenario, seed, budget-trace segment), runs them
+in the calling thread (``serial``) or fans them out over a thread or
+process pool (``thread`` / ``process``), and captures every run into a
 columnar :class:`~repro.telemetry.database.PerformanceDatabase` tagged
-by use case, scenario, seed and segment.
+by use case, scenario, seed and segment.  It is the one place that
+fans out: a tuner evaluates its batches in the calling thread.
 
 Determinism: every run builds its own
 :class:`~repro.sim.rng.RandomStreams` from the run's seed (SHA-256
@@ -17,19 +18,23 @@ per-run seeds from one base seed the same way in every process.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.tuner import make_executor
 from repro.experiments.registry import get_use_case, scalar_metrics
 from repro.experiments.scenarios import ScenarioSpec
 from repro.telemetry.database import PerformanceDatabase
 
 __all__ = ["RunSpec", "RunResult", "Campaign", "CampaignResult", "derive_seeds"]
+
+#: The pool behind each executor name (``serial`` runs in the calling thread).
+_POOLS = {"serial": None, "thread": ThreadPoolExecutor, "process": ProcessPoolExecutor}
 
 
 def derive_seeds(base_seed: int, n: int) -> Tuple[int, ...]:
@@ -68,7 +73,7 @@ class RunSpec:
         object.__setattr__(self, "tags", dict(self.tags))
 
     def payload(self) -> Dict[str, Any]:
-        """The picklable work item shipped to executor workers."""
+        """The picklable work item shipped to pool workers."""
         out = {
             "use_case": self.use_case,
             "seed": self.seed,
@@ -101,21 +106,18 @@ class RunResult:
     objective: float
     feasible: bool
     elapsed_s: float = 0.0
-    #: Failure diagnostics when the run raised (in-process executors only;
-    #: process workers cannot ship the message back — see run()).
+    #: The exception message when the run raised.
     error: Optional[str] = None
 
 
 def _execute_run(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one use case and time it.
+    """Run one use case and time it (inside the pool worker).
 
-    Module-level so the ``process`` executor can ship it by import path;
-    the registry repopulates itself inside fresh worker processes.
-
-    A ``fault_profile`` in the payload installs that chaos profile (seeded
-    by the run's seed) around the run — inside the worker, so serial and
-    process executors inject bit-identically — and the injector's event
-    stats land in the result under ``"chaos"``.
+    The registry repopulates itself inside fresh worker processes.  A
+    ``fault_profile`` in the payload installs that chaos profile (seeded
+    by the run's seed) around the run — inside the worker, so every
+    executor injects bit-identically — and the injector's event stats
+    land in the result under ``"chaos"``.
     """
     # elapsed_s is wall-clock *metadata* (stripped from every parity and
     # resume diff); run results themselves never read the clock.
@@ -140,7 +142,12 @@ def _execute_run(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _call_run(payload: Mapping[str, Any]) -> Tuple[Dict[str, Any], bool]:
-    """In-process wrapper matching the process-worker outcome shape."""
+    """Run one payload, turning an exception into failure data.
+
+    Module-level so the process pool ships it by import path.  It calls
+    ``_execute_run`` through the module global, so a wrapper installed on
+    that name sees every in-process run.
+    """
     try:
         return _execute_run(payload), False
     except Exception as error:  # failures are campaign data, not crashes
@@ -161,10 +168,9 @@ def _process_outcome(
     chaos: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     if failed:
-        # Normalised failure marker: the serial/thread path carries the
-        # exception message and the process path only a hash, so neither
-        # lands in the metrics — the database record must be identical
-        # whichever executor ran the campaign.
+        # Normalised failure marker: the exception message goes to
+        # ``error``, never into the metrics, so the database record is
+        # identical whichever executor ran the campaign.
         metrics: Dict[str, float] = {"error": 1.0}
         raw_message = value.get("error_message")
         error = str(raw_message) if raw_message is not None else None
@@ -193,14 +199,9 @@ def _process_outcome(
 
 
 class Campaign:
-    """Expand scenario×seed grids and fan the runs out over an executor."""
+    """Expand scenario×seed grids and fan the runs out over a pool."""
 
-    def __init__(
-        self,
-        scenarios: Sequence[ScenarioSpec],
-        name: str = "campaign",
-        database: Optional[PerformanceDatabase] = None,
-    ):
+    def __init__(self, scenarios: Sequence[ScenarioSpec], name: str = "campaign"):
         scenarios = list(scenarios)
         if not scenarios:
             raise ValueError("a campaign needs at least one scenario")
@@ -228,7 +229,7 @@ class Campaign:
                     )
         self.scenarios = scenarios
         self.name = name
-        self.database = database if database is not None else PerformanceDatabase(name)
+        self.database = PerformanceDatabase(name)
 
     @property
     def total_runs(self) -> int:
@@ -272,21 +273,20 @@ class Campaign:
     # -- execution ---------------------------------------------------------
     def run(
         self,
-        executor: Union[str, Any] = "serial",
+        executor: str = "serial",
         max_workers: Optional[int] = None,
-        keep_results: bool = True,
         journal_dir: Optional[str] = None,
         resume: bool = False,
         run_budget: Optional[int] = None,
     ) -> "CampaignResult":
         """Run the grid (or the part of it not yet journaled as done).
 
-        ``executor`` is a :func:`~repro.core.tuner.make_executor` spec.
-        Results land in ``self.database`` (and in the returned result
-        object) in grid order regardless of the executor, so any two
-        executors produce identical databases for the same campaign.
-        ``keep_results=False`` drops the raw per-run payload dictionaries
-        after metric extraction (large campaigns, bounded memory).
+        ``executor`` is ``"serial"`` (the calling thread), ``"thread"`` or
+        ``"process"`` (a pool of ``max_workers`` workers, the pool's
+        default when ``None``).  Results land in ``self.database`` (and in
+        the returned result object) in grid order regardless of the
+        executor, so any two executors produce identical databases for
+        the same campaign.
 
         Durability: with ``journal_dir`` set, every completed run's
         processed outcome is appended to a crash-safe
@@ -300,8 +300,15 @@ class Campaign:
         number of runs *executed* this invocation (journaled replays are
         free); when the budget ends the campaign early, the returned
         result is partial and flagged ``aborted`` — re-invoke with
-        ``resume=True`` to finish.
+        ``resume=True`` to finish.  Every argument is checked before the
+        journal is touched.
         """
+        if executor not in _POOLS:
+            raise ValueError(
+                f"unknown executor {executor!r}; available: serial, thread, process"
+            )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be None or >= 1, got {max_workers}")
         if resume and journal_dir is None:
             raise ValueError("resume=True requires journal_dir")
         if run_budget is not None and run_budget < 0:
@@ -330,58 +337,42 @@ class Campaign:
             for index, spec in enumerate(specs)
             if keys[index] not in replayed
         ]
+        todo = pending if run_budget is None else pending[:run_budget]
+        workers = max_workers or os.cpu_count() or 1
+        if journal is None and run_budget is None:
+            waves = [todo]  # no journal, no budget: one map over the grid
+        else:
+            # Journaled/budgeted execution proceeds in waves so completed
+            # outcomes hit the journal incrementally — a kill mid-campaign
+            # loses at most the in-flight wave.
+            size = 1 if executor == "serial" else workers
+            waves = [todo[start : start + size] for start in range(0, len(todo), size)]
 
         entries: Dict[int, Dict[str, Any]] = {}
         raw_results: Dict[int, Optional[Dict[str, Any]]] = {}
-
-        def finish(index: int, spec: RunSpec, value: Dict[str, Any], failed: bool) -> None:
-            entry = _process_outcome(spec, value, failed)
-            entries[index] = entry
-            raw_results[index] = None if failed else value["result"]
-            if journal is not None:
-                journal.record_run(keys[index], entry)
-
+        pool = None
         # Campaign elapsed time is reporting metadata only (stripped from
         # the resume-vs-uninterrupted diffs); never feeds a result.
         started = time.perf_counter()  # repro-lint: disable=RL001
         try:
-            if pending and (run_budget is None or run_budget > 0):
-                pool = make_executor(executor, max_workers=max_workers)
-                bind = getattr(pool, "bind_evaluator", None)
-                if bind is not None:
-                    bind(_execute_run)
-                try:
-                    if journal is None and run_budget is None:
-                        # No journal, no budget: one map over the grid.
-                        outcomes = pool.map(
-                            _call_run, [spec.payload() for _, spec in pending]
-                        )
-                        for (index, spec), (value, failed) in zip(pending, outcomes):
-                            finish(index, spec, value, failed)
-                    else:
-                        # Journaled/budgeted execution proceeds in waves so
-                        # completed outcomes hit the journal incrementally —
-                        # a kill mid-campaign loses at most the in-flight
-                        # wave (one run for serial, one batch otherwise).
-                        if executor == "serial":
-                            wave_size = 1
-                        else:
-                            wave_size = max_workers or os.cpu_count() or 4
-                        todo = pending
-                        if run_budget is not None:
-                            todo = todo[:run_budget]
-                        for start in range(0, len(todo), wave_size):
-                            wave = todo[start : start + wave_size]
-                            outcomes = pool.map(
-                                _call_run, [spec.payload() for _, spec in wave]
-                            )
-                            for (index, spec), (value, failed) in zip(wave, outcomes):
-                                finish(index, spec, value, failed)
-                finally:
-                    close = getattr(pool, "close", None)
-                    if close is not None:
-                        close()
+            if todo and _POOLS[executor] is not None:
+                pool = _POOLS[executor](max_workers=max_workers)
+            for wave in waves:
+                payloads = [spec.payload() for _, spec in wave]
+                if pool is None:
+                    outcomes = map(_call_run, payloads)
+                else:
+                    chunksize = max(1, math.ceil(len(payloads) / (workers * 4)))
+                    outcomes = pool.map(_call_run, payloads, chunksize=chunksize)
+                for (index, spec), (value, failed) in zip(wave, outcomes):
+                    entry = _process_outcome(spec, value, failed)
+                    entries[index] = entry
+                    raw_results[index] = None if failed else value["result"]
+                    if journal is not None:
+                        journal.record_run(keys[index], entry)
         finally:
+            if pool is not None:
+                pool.shutdown(wait=True)
             if journal is not None:
                 journal.close()
         elapsed = time.perf_counter() - started  # repro-lint: disable=RL001
@@ -424,7 +415,7 @@ class Campaign:
             runs.append(
                 RunResult(
                     spec=spec,
-                    result=result if keep_results else None,
+                    result=result,
                     metrics=metrics,
                     objective=objective,
                     feasible=feasible,

@@ -6,9 +6,9 @@ campaign runner and the CLI dispatch through by name.  Registration
 introspects the function signature for the parameter defaults, so the
 declarative layer and the implementation can never drift apart.
 
-The runner must be a *module-level* function: the campaign ships runs to
-the ``process`` executor by import path, exactly like the batched
-tuner's evaluators.
+The runner must be a *module-level* function: a ``process`` campaign's
+workers find it by use-case name in their own registry, which each
+fresh worker repopulates on import.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Deterministic fault injection and chaos profiles.
 
 ``repro.faults`` seats typed, replayable faults at the Power API / BMC
-boundary and the executor layer:
+boundary, the write-ahead journal and, through
+:class:`~repro.faults.injector.ChaoticEvaluator`, a wrapped tuning
+evaluator:
 
 - :mod:`repro.faults.plan` — frozen :class:`FaultPlan` / fault specs,
   JSON round-trippable.

@@ -264,9 +264,9 @@ class FaultInjector:
     def evaluator_fault(self, key: str, attempt: int) -> Optional[str]:
         """``"poison"`` / ``"straggle"`` / ``None`` for one evaluation attempt.
 
-        The attempt index is part of the stream name so a retried
-        evaluation redraws — transient faults are recoverable, which is
-        what the tuner's retry-with-backoff policy exploits.
+        The attempt index is part of the stream name, so a configuration
+        evaluated again redraws: a poisoned evaluation is transient.
+        :class:`ChaoticEvaluator` is the only caller.
         """
         spec = self._specs.get("straggler")
         if spec is None:
@@ -287,12 +287,14 @@ class FaultInjector:
 
 
 class ChaoticEvaluator:
-    """Picklable evaluator wrapper injecting straggle/poison faults.
+    """Evaluator wrapper injecting straggle/poison faults.
 
-    Wraps a (module-level, hence picklable) evaluator so chaos follows
-    it into ``ProcessExecutor`` workers: each worker rebuilds its own
-    :class:`FaultInjector` from the plan on unpickle, and the per-key,
-    per-attempt streams keep serial and process execution bit-identical.
+    The only consumer of ``straggler`` faults: it draws one per
+    evaluation from its own :class:`FaultInjector`, built from the plan
+    it wraps (not the process-global one a campaign's ``fault_profile``
+    installs), so only a tuner whose evaluator is wrapped in it sees
+    them.  No use case wraps its evaluator.  It pickles as its evaluator
+    and plan, and an unpickled copy rebuilds its injector.
     """
 
     def __init__(self, evaluator, plan: FaultPlan):

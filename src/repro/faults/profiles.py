@@ -90,7 +90,8 @@ def _node_crash():
 @register_profile(
     "straggler",
     "Tuning-evaluator chaos: straggling (delayed) and poisoned "
-    "(raising) evaluations; exercises tuner retry-with-backoff.",
+    "(raising) evaluations, drawn only by an evaluator wrapped in "
+    "ChaoticEvaluator (no use case wraps one).",
 )
 def _straggler():
     return (

@@ -107,8 +107,8 @@ def linear_evaluator(config: Mapping[str, Any]) -> Dict[str, float]:
     return {"runtime_s": 0.1 + abs(value)}
 
 
-#: Named evaluators ``tuning.run`` may execute service-side.  Module-level
-#: functions, so the batched tuner's process executor could ship them.
+#: Named evaluators ``tuning.run`` may execute service-side, in the
+#: thread that handles the request.
 EVALUATOR_REGISTRY: Dict[str, Callable[[Mapping[str, Any]], Mapping[str, float]]] = {
     "quadratic": quadratic_evaluator,
     "linear": linear_evaluator,
@@ -1345,7 +1345,6 @@ class StackService:
             ) from error
         finally:
             session.used_evaluations -= max(0, int(max_evals) - len(tuner.database))
-            tuner.close()
         self.database.merge(
             result.database,
             tenant=session.tenant,

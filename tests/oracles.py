@@ -174,7 +174,7 @@ def sequential_autotune(
     """Run ``tuner``'s search one configuration at a time.
 
     Uses the tuner's space, search, evaluator, constraints and database
-    but none of its batch, executor, cache or retry settings.
+    but none of its batch or cache settings.
     """
     infeasible = 0
     failed = 0

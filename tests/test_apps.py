@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.apps.base import Application, SyntheticApplication, make_phase
+from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.espreso import EspresoFeti
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.hypre import HypreLaplacian

@@ -3,9 +3,9 @@
 Covers the batch ask/tell protocol of every registered search algorithm
 (determinism under a fixed seed, validity of proposals), the
 Autotuner's equivalence at batch size 1 to the one-at-a-time reference
-loop (``oracles.sequential_autotune``), evaluation memoization,
-thread-pool evaluation, the vectorized ParameterSpace batch APIs, and
-the O(1) running best of the performance database.
+loop (``oracles.sequential_autotune``), evaluation memoization, the
+vectorized ParameterSpace batch APIs, and the O(1) running best of the
+performance database.
 """
 
 import numpy as np
@@ -22,14 +22,7 @@ from repro.core.parameters import (
 )
 from repro.core.search.base import SEARCH_REGISTRY, SearchAlgorithm, make_search
 from repro.core.space import ParameterSpace
-from repro.core.tuner import (
-    Autotuner,
-    EvaluationCache,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    make_executor,
-)
+from repro.core.tuner import Autotuner, EvaluationCache
 from repro.sim.engine import Environment, Event, Process, Timeout
 from repro.telemetry.database import PerformanceDatabase
 
@@ -175,8 +168,7 @@ def assert_reproduces_reference(make_tuner):
     assert tuner.search.history == reference_tuner.search.history
     for field in ("best_config", "best_metrics", "best_objective", "evaluations",
                   "objective_name", "infeasible_evaluations", "failed_evaluations",
-                  "convergence", "cache_hits", "cache_misses", "retried_evaluations",
-                  "recovered_evaluations"):
+                  "convergence", "cache_hits", "cache_misses"):
         assert getattr(result, field) == getattr(reference, field), field
     return result
 
@@ -268,93 +260,6 @@ def test_batch_autotuner_caches_failures_too():
     assert len(calls) <= 84
 
 
-def test_batch_autotuner_threadpool_matches_serial():
-    serial = Autotuner(
-        make_space(), evaluator, search="random", max_evals=60, seed=4,
-        batch_size=12, executor="serial", cache_evaluations=False,
-    ).run()
-    tuner = Autotuner(
-        make_space(), evaluator, search="random", max_evals=60, seed=4,
-        batch_size=12, executor="thread", max_workers=4, cache_evaluations=False,
-    )
-    threaded = tuner.run()
-    tuner.close()
-    assert [r.to_dict() for r in serial.database] == [r.to_dict() for r in threaded.database]
-    assert serial.best_config == threaded.best_config
-
-
-def test_batch_autotuner_processpool_matches_serial():
-    serial = Autotuner(
-        make_space(), evaluator, search="random", max_evals=60, seed=4,
-        batch_size=12, executor="serial", cache_evaluations=False,
-    ).run()
-    tuner = Autotuner(
-        make_space(), evaluator, search="random", max_evals=60, seed=4,
-        batch_size=12, executor="process", max_workers=2, cache_evaluations=False,
-    )
-    pooled = tuner.run()
-    tuner.close()
-    assert [r.to_dict() for r in serial.database] == [r.to_dict() for r in pooled.database]
-    assert serial.best_config == pooled.best_config
-
-
-def _failing_evaluator(config):
-    if config["algo"] == "c":
-        raise RuntimeError("deterministic failure")
-    return evaluator(config)
-
-
-def test_processpool_converts_worker_exceptions_to_failures():
-    tuner = Autotuner(
-        make_space(), _failing_evaluator, search="random", max_evals=40, seed=7,
-        batch_size=8, executor="process", max_workers=2,
-    )
-    result = tuner.run()
-    tuner.close()
-    assert result.failed_evaluations > 0
-    failed = [r for r in result.database if "error" in r.metrics]
-    assert all(r.config["algo"] == "c" for r in failed)
-    assert all(not r.feasible for r in failed)
-    # The run still finds a best among the successful configurations.
-    assert result.best_config is not None and result.best_config["algo"] != "c"
-
-
-def test_processpool_rejects_unpicklable_evaluator():
-    with pytest.raises(TypeError):
-        Autotuner(
-            make_space(),
-            lambda config: {"runtime_s": 1.0},
-            search="random",
-            max_evals=4,
-            executor="process",
-        )
-
-
-def test_cotuner_process_executor_passthrough():
-    rt_space = ParameterSpace.from_dict({"cap": [100, 200, 300]}, layer="runtime")
-    cotuner = CoTuner(
-        {"runtime": rt_space},
-        _layered_cap_evaluator,
-        objective="runtime",
-        search="grid",
-        max_evals=3,
-        batch_size=3,
-        executor="process",
-        max_workers=2,
-    )
-    tuner = cotuner._autotuner
-    assert tuner.batch_size == 3 and tuner.cache is None
-    assert isinstance(tuner.executor, ProcessExecutor) and tuner.executor.max_workers == 2
-    result = cotuner.run()
-    cotuner.close()
-    assert result.best_by_layer["runtime"]["cap"] == 300
-
-
-def _layered_cap_evaluator(nested):
-    cap = nested["runtime"]["cap"]
-    return {"runtime_s": 10.0 - cap / 100.0, "power_w": float(cap)}
-
-
 def test_batch_autotuner_constraint_rejections_do_not_evaluate():
     space = make_space()
     space.add_constraint(
@@ -381,18 +286,6 @@ def test_batch_autotuner_constraint_rejections_do_not_evaluate():
     assert all(c["algo"] != "c" for c in calls)
     assert result.infeasible_evaluations > 0
     assert result.best_metrics["runtime_s"] <= 2.0
-
-
-def test_make_executor_specs():
-    assert isinstance(make_executor("serial"), SerialExecutor)
-    assert isinstance(make_executor("thread"), ThreadedExecutor)
-    assert isinstance(make_executor("process"), ProcessExecutor)
-    custom = SerialExecutor()
-    assert make_executor(custom) is custom
-    with pytest.raises(ValueError):
-        make_executor("gpu")
-    with pytest.raises(TypeError):
-        make_executor(object())
 
 
 def test_evaluation_cache_keys_and_stats():
@@ -423,14 +316,8 @@ def test_cotuner_batched_engine_matches_layers():
         search="grid",
         max_evals=10,
         seed=0,
-        batch_size=4,
-        cache_evaluations=True,
     )
-    tuner = cotuner._autotuner
-    assert tuner.batch_size == 4 and isinstance(tuner.executor, SerialExecutor)
-    assert isinstance(tuner.cache, EvaluationCache)
     result = cotuner.run()
-    cotuner.close()
     assert result.best_objective == pytest.approx(7.0)
     best = result.best_by_layer
     assert (best["application"]["solver"], best["runtime"]["cap"]) in {("a", 300), ("b", 100)}

@@ -665,6 +665,18 @@ def test_campaign_zero_budget_runs_nothing(tmp_path):
     assert len(result.database) == 0
 
 
+@pytest.mark.parametrize(
+    "executor, max_workers", [("bogus", None), ("thread", 0)],
+    ids=["unknown-executor", "zero-workers"],
+)
+def test_rejected_campaign_run_writes_no_journal(tmp_path, executor, max_workers):
+    """A run whose executor or pool size is rejected leaves no journal."""
+    jdir = tmp_path / "journal"
+    with pytest.raises(ValueError):
+        _campaign().run(executor=executor, max_workers=max_workers, journal_dir=str(jdir))
+    assert not (jdir / "campaign.wal").exists()
+
+
 def test_campaign_resume_validates_identity(tmp_path):
     jdir = str(tmp_path / "journal")
     _campaign().run(journal_dir=jdir, run_budget=1)

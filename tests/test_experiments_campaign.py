@@ -2,10 +2,10 @@
 
 Covers the declarative scenario layer (validation + serialisation), the
 registry, grid expansion (seeds × budget-trace segments), executor
-parity (the campaign determinism contract: a process-pool campaign is
-result-identical to the sequential loop), columnar capture, cross-seed
-aggregation, the vectorised ``Cluster.reset_nodes`` satellite and the
-CLI.
+parity (the campaign determinism contract: a thread- or process-pool
+campaign is result-identical to the sequential loop), columnar capture,
+cross-seed aggregation, the vectorised ``Cluster.reset_nodes`` satellite
+and the CLI.
 """
 
 import json
@@ -174,19 +174,28 @@ def _toy_campaign(name: str) -> Campaign:
     )
 
 
-def test_campaign_process_executor_matches_sequential_loop():
-    """The determinism contract: scenario×seed grid through the process
-    pool equals the plain sequential loop, result for result."""
+def _assert_pool_matches_sequential_loop(executor: str) -> None:
+    """The determinism contract: scenario×seed grid through a pool equals
+    the plain sequential loop, result for result."""
     sequential = [
         run_registered("uc6", seed=s, **UC6_PARAMS) for s in (1, 2)
     ] + [run_registered("uc7", seed=s, **UC7_PARAMS) for s in (1, 2)]
 
-    result = _toy_campaign("par").run(executor="process", max_workers=2)
+    result = _toy_campaign("par").run(executor=executor, max_workers=2)
     assert [r.result for r in result.runs] == sequential
 
     serial = _toy_campaign("ser").run(executor="serial")
     assert [r.metrics for r in serial.runs] == [r.metrics for r in result.runs]
     assert [r.objective for r in serial.runs] == [r.objective for r in result.runs]
+
+
+def test_campaign_process_executor_matches_sequential_loop():
+    _assert_pool_matches_sequential_loop("process")
+
+
+def test_campaign_thread_executor_matches_sequential_loop():
+    """No journal and no budget: the whole grid in one map over the pool."""
+    _assert_pool_matches_sequential_loop("thread")
 
 
 def test_campaign_captures_into_columnar_database_with_tags():
@@ -237,6 +246,9 @@ def test_campaign_failed_runs_identical_across_executors():
     assert ser.objective == pro.objective
     assert ser.feasible == pro.feasible == False  # noqa: E712
     assert ser.tags == pro.tags
+    # The worker ships the exception message back like the serial path.
+    assert "n_iterations" in serial.runs[0].error
+    assert process.runs[0].error == serial.runs[0].error
 
 
 def test_campaign_aggregate_survives_a_failed_seed():

@@ -1,7 +1,7 @@
 """Tests for the fault-injection subsystem: plans, profiles, injector
 decision points, the resilience policies they exercise (scheduler
-re-queue/quarantine, runtime budget reclaim, tuner retries), and the
-determinism guarantees chaos runs rely on."""
+re-queue/quarantine, runtime budget reclaim, a tuner recording failed
+evaluations), and the determinism guarantees chaos runs rely on."""
 
 import pickle
 
@@ -388,7 +388,7 @@ def test_runtime_reclaim_unknown_or_unbudgeted_node():
     assert "reclaimed_power_w" not in runtime.report()
 
 
-# -- tuner retries and the chaotic evaluator -------------------------------------------
+# -- tuner failures and the chaotic evaluator ------------------------------------------
 
 
 class FlakyEvaluator:
@@ -411,24 +411,6 @@ def small_space():
     return ParameterSpace.from_dict({"x": [0, 1, 2, 3, 4, 5]})
 
 
-def test_tuner_retries_recover_transient_failures():
-    tuner = Autotuner(
-        small_space(),
-        FlakyEvaluator(failures=1),
-        batch_size=3,
-        max_evals=6,
-        search="random",
-        seed=1,
-        max_retries=2,
-    )
-    result = tuner.run()
-    tuner.close()
-    assert result.failed_evaluations == 0
-    assert result.retried_evaluations == 6
-    assert result.recovered_evaluations == 6
-    assert result.best_config is not None
-
-
 def test_tuner_without_retries_records_failures():
     tuner = Autotuner(
         small_space(),
@@ -439,16 +421,7 @@ def test_tuner_without_retries_records_failures():
         seed=1,
     )
     result = tuner.run()
-    tuner.close()
     assert result.failed_evaluations == 6
-    assert result.retried_evaluations == 0 and result.recovered_evaluations == 0
-
-
-def test_tuner_retry_validation():
-    with pytest.raises(ValueError):
-        Autotuner(small_space(), lambda c: {"objective": 0.0}, max_retries=-1)
-    with pytest.raises(ValueError):
-        Autotuner(small_space(), lambda c: {"objective": 0.0}, retry_backoff_s=-1.0)
 
 
 def eval_square(config):
@@ -475,21 +448,3 @@ def test_chaotic_evaluator_pickles():
     clone = pickle.loads(pickle.dumps(chaotic))
     assert clone.plan == plan
     assert clone({"x": 3}) in ({"objective": 9.0},) or True  # may straggle, not raise
-
-
-def test_chaotic_evaluator_with_tuner_retries():
-    plan = get_profile("straggler", seed=2)
-    tuner = Autotuner(
-        small_space(),
-        ChaoticEvaluator(eval_square, plan),
-        batch_size=3,
-        max_evals=6,
-        search="random",
-        seed=1,
-        max_retries=3,
-    )
-    result = tuner.run()
-    tuner.close()
-    # Retries redraw per attempt, so transient poison always recovers.
-    assert result.failed_evaluations == 0
-    assert result.evaluations == 6

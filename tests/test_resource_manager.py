@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.generator import JobRequest, WorkloadGenerator
-from repro.apps.stream import StreamTriad
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.resource_manager import (
     CorridorStrategy,

@@ -21,7 +21,7 @@ from repro.runtime import (
     RegionConfigStore,
     RuntimeCoordinator,
 )
-from repro.runtime.agents import AGENT_REGISTRY, EnergyEfficientAgent, PowerBalancerAgent
+from repro.runtime.agents import AGENT_REGISTRY, EnergyEfficientAgent
 from repro.runtime.readex import AtpConstraint, AtpParameter, ReadexTuner, TuningModel
 from repro.sim.rng import RandomStreams
 

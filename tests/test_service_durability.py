@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.service import Request, ServiceClient, ServiceErrorCode
+from repro.service import ServiceClient, ServiceErrorCode
 from test_service_api import close_built_services, make_service  # noqa: F401  (autouse)
 
 

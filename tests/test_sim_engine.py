@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.engine import Environment, Interrupt, Process, SimulationError
 
 
 def test_environment_starts_at_zero():

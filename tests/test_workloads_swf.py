@@ -3,7 +3,6 @@ arrival-order stability (hypothesis) for the trace-ingestion path."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

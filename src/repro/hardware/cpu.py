@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from repro.hardware.thermal import ThermalModel, ThermalSpec
 from repro.hardware.variation import VariationDraw, VariationModel
 from repro.hardware.workload import PhaseDemand
 
-__all__ = ["PState", "CpuSpec", "PhaseExecution", "CpuPackage"]
+__all__ = [
+    "PState", "CpuSpec", "PhaseExecution", "NodePhaseResult", "CpuPackage", "execute_packages",
+]
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +125,31 @@ class PhaseExecution(NamedTuple):
     @property
     def energy_delay_product(self) -> float:
         return self.energy_j * self.duration_s
+
+    @property
+    def flops_per_watt(self) -> float:
+        return self.flops / self.power_w if self.power_w > 0 else 0.0
+
+    @property
+    def ipc_per_watt(self) -> float:
+        return self.ipc / self.power_w if self.power_w > 0 else 0.0
+
+
+class NodePhaseResult(NamedTuple):
+    """Aggregated outcome of running one phase across a node's sockets
+    (a named tuple, like :class:`PhaseExecution`)."""
+
+    duration_s: float
+    power_w: float
+    energy_j: float
+    frequency_ghz: float
+    ipc: float
+    flops: float
+    power_capped: bool
+    per_package: tuple[PhaseExecution, ...]
+    #: What the node draws spinning in an MPI wait after the phase (W):
+    #: platform power plus each package's, added in package order.
+    busy_wait_power_w: float
 
     @property
     def flops_per_watt(self) -> float:
@@ -334,84 +361,150 @@ class CpuPackage:
 
     def _spin_power(self, start: int, cap: float, uncore: float, temperature: float) -> float:
         """:data:`~repro.hardware.state.SPIN_DEMAND`'s power walked from P-state
-        ``start`` (the ``freq_min`` fallback when ``start`` is past the last).
-
-        Its table is built on first use, so a package that never runs a
-        phase holds none (see ``__init__`` on what a per-package object
-        costs a large cluster).
-        """
-        freqs, _, floor, sku = self._table
-        table = self._spin_table
-        if table is None:
-            table = self._spin_table = pm.demand_table(
-                SPIN_DEMAND, freqs + floor, self.spec.cores, sku, self._freq_span_ghz,
-                self._efficiency,
-            )
+        ``start`` (the ``freq_min`` fallback when ``start`` is past the last)."""
+        freqs = self._table[0]
         stop = len(freqs) if start < len(freqs) else start + 1
-        return pm.table_walk(table, start, stop, cap, uncore, temperature, sku, self._leakage_extra)
+        return pm.table_walk(
+            self._spin_table or self._build_spin_table(), start, stop, cap, uncore, temperature,
+            self._table[3], self._leakage_extra,
+        )
 
-    # repro-lint: hot
+    def _build_spin_table(self) -> tuple:
+        """Build the busy-wait's table on first use, so a package that never
+        runs a phase holds none (see ``__init__`` on what a per-package
+        object costs a large cluster)."""
+        freqs, _, floor, sku = self._table
+        table = self._spin_table = pm.demand_table(
+            SPIN_DEMAND, freqs + floor, self.spec.cores, sku, self._freq_span_ghz, self._efficiency,
+        )
+        return table
+
     def execute(
         self,
         demand: PhaseDemand,
         threads: Optional[int] = None,
         comm_seconds_override: Optional[float] = None,
-        ref_freq_ghz: Optional[float] = None,
-        ref_uncore_ghz: Optional[float] = None,
     ) -> PhaseExecution:
-        """Execute a phase, accumulate energy, and return the outcome.
-
-        Mirrors RAPL: firmware walks down the P-states from the target
-        until the power fits under the cap (or the minimum P-state is
-        reached); a target below every P-state runs at ``freq_min``.  The
-        same walk start prices the busy-wait that follows the phase, at
-        the die temperature the phase leaves.
-        """
-        spec, state, index = self.spec, self._state, self._index
-        threads = spec.cores if threads is None else int(threads)
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        threads = min(threads, spec.cores)
-
-        ref_freq = spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
-        ref_uncore = spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
-
-        target = float(state.pkg_freq_target_ghz[index])
-        cap = float(state.pkg_power_cap_w[index])
-        uncore = float(state.pkg_uncore_ghz[index])
-        freqs, _, floor, sku = self._table
-        start = self._first_at_or_below(target + 1e-9)
-        walked, first = (freqs, start) if start < len(freqs) else (floor, 0)
-        freq, power = pm.pstate_walk(
-            demand,
-            walked,
-            first,
-            cap,
-            uncore,
-            threads,
-            float(state.pkg_temperature_c[index]),
-            sku,
-            self._freq_span_ghz,
-            self._efficiency,
-            self._leakage_extra,
+        """Execute a phase on this package alone, accumulate its energy, and
+        return the outcome: :func:`execute_packages` over one package."""
+        threads = self.spec.cores if threads is None else int(threads)
+        result = execute_packages(
+            ((self, None, None),), demand, threads, comm_seconds_override, 0.0
         )
-        capped = not power <= cap + 1e-9 or freq < target - 1e-9
-        duration, ipc, flops = pm.phase_timing(
-            demand, freq, uncore, threads, ref_freq, ref_uncore, spec.params, comm_seconds_override
-        )
-        power = min(power, max(cap, spec.min_power_cap_w))
-        energy = power * duration
-
-        state.pkg_energy_j[index] += energy
-        temperature = self.thermal.advance(power, duration)
-
-        return PhaseExecution(
-            demand, duration, power, energy, freq, uncore, threads, ipc, flops, capped, temperature,
-            self._spin_power(start, cap, uncore, temperature),
-        )
+        return result.per_package[0]
 
     def __repr__(self) -> str:
         return (
             f"CpuPackage(id={self.package_id}, model={self.spec.model!r}, "
             f"freq={self.frequency_ghz:.2f}GHz, cap={self.power_cap_w})"
         )
+
+
+# repro-lint: hot
+def execute_packages(
+    metered: Sequence[tuple],
+    demand: PhaseDemand,
+    threads: int,
+    comm_seconds_override: Optional[float],
+    base_w: float,
+) -> NodePhaseResult:
+    """Execute one phase on every package of ``metered``, in order, and
+    aggregate the outcome: the package physics, one pass per node-phase.
+
+    ``metered`` holds ``(package, package_meter, dram_meter)`` triples, the
+    packages of one ``CpuSpec`` and one ``ClusterState``; a package's
+    meters are the RAPL domains its energy feeds (80% package, 20% DRAM),
+    or ``None``.  Each package runs ``threads`` threads (at most its
+    cores).  ``base_w``, the power drawn outside the packages (a node's
+    platform power), starts the power and busy-wait sums.
+
+    Mirrors RAPL: firmware walks down the P-states from the target until
+    the power fits under the cap (or the minimum P-state is reached); a
+    target below every P-state runs at ``freq_min``.  The same walk start
+    prices the busy-wait that follows the phase, at the die temperature
+    the phase leaves.  What the packages share (their thread count, the
+    reference frequencies, the thread-scaling factor) is computed once,
+    and a package that ends at the (frequency, uncore) point the package
+    before it ended at takes that package's timing: on a node of one or
+    two sockets, the phase is timed once per distinct point.  Like the
+    max/min builtins, the duration and frequency keep the first of equal
+    or unordered (NaN) values; the sums add in package order.
+    """
+    first_pkg = metered[0][0]
+    spec, state = first_pkg.spec, first_pkg._state
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    cores = spec.cores
+    threads = cores if cores < threads else threads
+    freqs, _, floor, sku = first_pkg._table
+    n_freqs = len(freqs)
+    params, min_cap = spec.params, spec.min_power_cap_w
+    ref_freq, ref_uncore = spec.freq_base_ghz, spec.uncore_max_ghz
+    thread_factor = demand.thread_scaling(threads)
+    targets, caps, uncores = state.pkg_freq_target_ghz, state.pkg_power_cap_w, state.pkg_uncore_ghz
+    temps, energies = state.pkg_temperature_c, state.pkg_energy_j
+    # The records are built with ``tuple.__new__``: a named tuple's own
+    # ``__new__`` adds a Python frame per record.
+    record = tuple.__new__
+
+    timed_freq = timed_uncore = None
+    executions = []
+    duration = frequency = None
+    compute_w = ipc_sum = flops_sum = 0
+    busy_wait = base_w
+    capped_any = False
+    for pkg, package_meter, dram_meter in metered:
+        index = pkg._index
+        target, cap, uncore = targets.item(index), caps.item(index), uncores.item(index)
+        # Past the last P-state, the walk and the busy-wait's table walk
+        # take the ``freq_min`` fallback, the table's last entry.
+        start = pkg._first_at_or_below(target + 1e-9)
+        if start < n_freqs:
+            walked, first, stop = freqs, start, n_freqs
+        else:
+            walked, first, stop = floor, 0, start + 1
+        freq, power = pm.pstate_walk(
+            demand, walked, first, cap, uncore, threads, temps.item(index), sku,
+            pkg._freq_span_ghz, pkg._efficiency, pkg._leakage_extra,
+        )
+        capped = not power <= cap + 1e-9 or freq < target - 1e-9
+        if freq != timed_freq or uncore != timed_uncore:
+            timed_freq, timed_uncore = freq, uncore
+            timing = pm.phase_timing(
+                demand, freq, uncore, threads, thread_factor, ref_freq, ref_uncore, params,
+                comm_seconds_override,
+            )
+        duration_s, ipc, flops = timing
+        # ``min(power, max(cap, min_cap))`` without two builtin calls.
+        limit = min_cap if min_cap > cap else cap
+        power = limit if limit < power else power
+        energy = power * duration_s
+        energies[index] += energy
+        temperature = pkg.thermal.advance(power, duration_s)
+        spin = pm.table_walk(
+            pkg._spin_table or pkg._build_spin_table(), start, stop, cap, uncore, temperature,
+            sku, pkg._leakage_extra,
+        )
+        executions.append(record(PhaseExecution, (
+            demand, duration_s, power, energy, freq, uncore, threads, ipc, flops, capped,
+            temperature, spin,
+        )))
+        if package_meter is not None:
+            # Feed the RAPL energy counters so software-visible telemetry
+            # matches what was consumed.
+            package_meter.accumulate_energy(energy * 0.8)
+            dram_meter.accumulate_energy(energy * 0.2)
+        if duration is None or duration_s > duration:
+            duration = duration_s
+        if frequency is None or freq < frequency:
+            frequency = freq
+        compute_w += power
+        ipc_sum += ipc
+        flops_sum += flops
+        busy_wait += spin
+        capped_any = capped_any or capped
+    power = compute_w + base_w
+    return record(NodePhaseResult, (
+        duration, power, power * duration, frequency, ipc_sum / len(executions), flops_sum,
+        capped_any, tuple(executions), busy_wait,
+    ))

@@ -11,11 +11,11 @@ Conductor address nodes in the paper's use cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.hardware.cpu import CpuPackage, CpuSpec, PhaseExecution
+from repro.hardware.cpu import CpuPackage, CpuSpec, NodePhaseResult, execute_packages
 from repro.hardware.gpu import GpuDevice, GpuSpec
 from repro.hardware.rapl import RaplInterface
 from repro.hardware.state import ClusterState
@@ -74,31 +74,6 @@ class NodeSpec:
             + self.n_gpus * self.gpu.min_power_cap_w
             + self.platform_power_w
         )
-
-
-class NodePhaseResult(NamedTuple):
-    """Aggregated outcome of running one phase across a node's sockets
-    (a named tuple, like :class:`~repro.hardware.cpu.PhaseExecution`)."""
-
-    duration_s: float
-    power_w: float
-    energy_j: float
-    frequency_ghz: float
-    ipc: float
-    flops: float
-    power_capped: bool
-    per_package: tuple[PhaseExecution, ...]
-    #: What the node draws spinning in an MPI wait after the phase (W):
-    #: platform power plus each package's, added in package order.
-    busy_wait_power_w: float
-
-    @property
-    def flops_per_watt(self) -> float:
-        return self.flops / self.power_w if self.power_w > 0 else 0.0
-
-    @property
-    def ipc_per_watt(self) -> float:
-        return self.ipc / self.power_w if self.power_w > 0 else 0.0
 
 
 class Node:
@@ -320,9 +295,11 @@ class Node:
         parallel, so the node-level duration is the slowest socket and the
         node-level power is the sum plus the platform power.
         """
-        threads = self.spec.total_cores if threads is None else int(threads)
-        threads = max(1, min(threads, self.spec.total_cores))
-        per_pkg_threads = max(1, threads // self.spec.n_sockets)
+        spec = self.spec
+        total = spec.total_cores
+        threads = total if threads is None else int(threads)
+        threads = max(1, min(threads, total))
+        per_pkg_threads = max(1, threads // spec.n_sockets)
 
         metered = self._metered_packages
         if metered is None:
@@ -337,39 +314,11 @@ class Node:
                 )
                 for pkg in self.packages
             ]
-
-        # One pass over the packages.  Like the max/min builtins, the
-        # duration and frequency keep the first of equal or unordered (NaN)
-        # values; the sums add in package order, starting from 0.
-        executions: List[PhaseExecution] = []
-        duration = freq = None
-        compute_power = ipc = flops = 0
-        busy_wait = self.spec.platform_power_w
-        capped = False
-        for pkg, package_rapl, dram_rapl in metered:
-            execution = pkg.execute(demand, per_pkg_threads, comm_seconds_override)
-            executions.append(execution)
-            # Feed the RAPL energy counters so software-visible telemetry
-            # matches what was consumed.
-            package_rapl.accumulate_energy(execution.energy_j * 0.8)
-            dram_rapl.accumulate_energy(execution.energy_j * 0.2)
-            if duration is None or execution.duration_s > duration:
-                duration = execution.duration_s
-            if freq is None or execution.frequency_ghz < freq:
-                freq = execution.frequency_ghz
-            compute_power += execution.power_w
-            ipc += execution.ipc
-            flops += execution.flops
-            busy_wait += execution.busy_wait_power_w
-            capped = capped or execution.power_capped
-        power = compute_power + self.spec.platform_power_w
-        ipc = ipc / len(executions)
-
-        self._state.node_current_power_w[self._node_index] = power
-        return NodePhaseResult(
-            duration, power, power * duration, freq, ipc, flops, capped, tuple(executions),
-            busy_wait,
+        result = execute_packages(
+            metered, demand, per_pkg_threads, comm_seconds_override, spec.platform_power_w
         )
+        self._state.node_current_power_w[self._node_index] = result.power_w
+        return result
 
     def __repr__(self) -> str:
         return (

@@ -17,10 +17,12 @@ on (Conductor, GEOPM, COUNTDOWN, READEX):
 A package phase is one scalar pass over these formulas:
 :func:`pstate_walk` finds the frequency the power cap allows and the
 power drawn there, and :func:`phase_timing` derives duration, IPC and
-FLOP/s at that frequency.  The walk takes what never changes once a
-package is built as bound constants: its SKU's :func:`sku_constants`
-and a few per-package scalars.  A demand priced on every phase, the MPI
-busy-wait, has its core term tabulated once per package
+FLOP/s at that frequency (once per operating point the packages of a
+node end at).  The walk takes what never changes once a package is
+built as bound constants: its SKU's :func:`sku_constants` and a few
+per-package scalars; what depends on the demand alone it reads from the
+:class:`~repro.hardware.workload.PhaseDemand`.  A demand priced on every
+phase, the MPI busy-wait, has its core term tabulated once per package
 (:func:`demand_table`), so its walk (:func:`table_walk`) adds only the
 terms that depend on uncore and temperature.  The ``*_array`` twins
 evaluate the uncore and leakage terms for every package of a cluster at
@@ -116,9 +118,9 @@ def sku_constants(
     """The inputs of :func:`pstate_walk` that every package of a SKU shares.
 
     Returns ``(params, freq_min, uncore_min, uncore_span, voltage_span,
-    uncore_dynamic_w)``: the uncore range and the constant differences of
-    ``params``.  Each is a value the formulas would otherwise recompute on
-    every call, so binding it changes no result.
+    uncore_dynamic_w, dram_dynamic_w)``: the uncore range and the constant
+    differences of ``params``.  Each is a value the formulas would otherwise
+    recompute on every call, so binding it changes no result.
     """
     return (
         params,
@@ -127,6 +129,7 @@ def sku_constants(
         uncore_max_ghz - uncore_min_ghz,
         params.v_max - params.v_min,
         params.uncore_max_power - params.uncore_idle_power,
+        params.dram_max_power - params.dram_idle_power,
     )
 
 
@@ -147,44 +150,35 @@ def pstate_walk(
 
     Returns that frequency and the package + DRAM power drawn there (W),
     or the last frequency and its power when none fits.  The terms that
-    do not depend on core frequency are computed once: the core activity
-    factor, uncore power, leakage at the die temperature (plus the
-    package's leakage variation) and DRAM power.  Each probe adds only
-    the dynamic power of the active cores, ``C * A * V^2 * f`` per core
-    with the voltage linear in frequency between ``freq_min`` and the
-    turbo limit, scaled by the package's power efficiency.
+    do not depend on core frequency are computed once: uncore power,
+    leakage at the die temperature (plus the package's leakage variation)
+    and DRAM power, from the demand's own ``switching_activity``,
+    ``uncore_utilization`` and ``dram_load``.  Each probe adds only the
+    dynamic power of the active cores, ``C * A * V^2 * f`` per core with
+    the voltage linear in frequency between ``freq_min`` and the turbo
+    limit, scaled by the package's power efficiency.
 
     ``sku`` is the SKU's :func:`sku_constants`.  The package's own
     constants come as scalars: its turbo limit minus ``freq_min``, its
     dynamic-power efficiency multiplier and its leakage scale minus 1
     (leakage variation applies to the static share only).
     """
-    params, freq_min, uncore_min, uncore_span, v_span, uncore_dynamic_w = sku
+    params, freq_min, uncore_min, uncore_span, v_span, uncore_dynamic_w, dram_dynamic_w = sku
     if uncore_span <= 0:
         raise ValueError("uncore_max must exceed uncore_min")
     if cores < 0:
         raise ValueError("active_cores must be >= 0")
     if freq_span_ghz <= 0:
         raise ValueError("freq_max must exceed freq_min")
-    # Stall-heavy (memory/communication bound) phases keep cores busy
-    # spinning or waiting at far lower switching activity.
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
-    )
-    switching = params.core_capacitance * (demand.activity_factor * busy_weight)
+    switching = params.core_capacitance * demand.switching_activity
     # ``lo if x < lo else hi if x > hi else x`` is ``min(max(x, lo), hi)``,
     # the same value (NaN included) without two builtin calls.
     frac = (uncore_ghz - uncore_min) / uncore_span
     frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
-    intensity = demand.dram_intensity
-    utilization = 0.3 + 0.7 * (0.0 if intensity < 0.0 else 1.0 if intensity > 1.0 else intensity)
-    p_uncore = params.uncore_idle_power + uncore_dynamic_w * frac * utilization
+    p_uncore = params.uncore_idle_power + uncore_dynamic_w * frac * demand.uncore_utilization
     leakage = 1.0 + params.leakage_temp_coeff * (temperature_c - params.ref_temperature)
     p_static = params.static_power * (leakage if leakage > 0.2 else 0.2)
-    p_dram = dram_power(intensity, params)
+    p_dram = params.dram_idle_power + dram_dynamic_w * demand.dram_load
     static_extra = p_static * leakage_extra
 
     v_min = params.v_min
@@ -201,9 +195,10 @@ def pstate_walk(
 
 
 # The two functions below price one fixed demand (the MPI busy-wait) on one
-# package.  They restate pstate_walk's expressions, operand for operand,
-# rather than share helpers with it: a helper call per walk costs about a
-# third of a one-probe walk, and pstate_walk prices every package phase.
+# package.  They restate pstate_walk's per-package expressions, operand for
+# operand, rather than share helpers with it: a helper call per walk costs
+# about a third of a one-probe walk, and pstate_walk prices every package
+# phase.  The demand-only terms both read from the demand.
 
 
 def demand_table(
@@ -221,29 +216,22 @@ def demand_table(
     frequency), the demand's uncore utilisation and its DRAM power.  The
     arguments and their checks are :func:`pstate_walk`'s.
     """
-    params, freq_min, _, uncore_span, v_span, _ = sku
+    params, freq_min, _, uncore_span, v_span, _, dram_dynamic_w = sku
     if uncore_span <= 0:
         raise ValueError("uncore_max must exceed uncore_min")
     if cores < 0:
         raise ValueError("active_cores must be >= 0")
     if freq_span_ghz <= 0:
         raise ValueError("freq_max must exceed freq_min")
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
-    )
-    switching = params.core_capacitance * (demand.activity_factor * busy_weight)
+    switching = params.core_capacitance * demand.switching_activity
     v_min = params.v_min
     core_w = []
     for freq in freqs:
         frac = (freq - freq_min) / freq_span_ghz
         volt = v_min + v_span * (0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac)
         core_w.append(float(switching * volt * volt * freq * cores * efficiency))
-    intensity = demand.dram_intensity
-    utilization = 0.3 + 0.7 * (0.0 if intensity < 0.0 else 1.0 if intensity > 1.0 else intensity)
-    return tuple(core_w), utilization, dram_power(intensity, params)
+    p_dram = params.dram_idle_power + dram_dynamic_w * demand.dram_load
+    return tuple(core_w), demand.uncore_utilization, p_dram
 
 
 def table_walk(
@@ -264,7 +252,7 @@ def table_walk(
     frequencies, bit for bit.
     """
     core_w, utilization, p_dram = table
-    params, _, uncore_min, uncore_span, _, uncore_dynamic_w = sku
+    params, _, uncore_min, uncore_span, _, uncore_dynamic_w, _ = sku
     frac = (uncore_ghz - uncore_min) / uncore_span
     frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
     p_uncore = params.uncore_idle_power + uncore_dynamic_w * frac * utilization
@@ -284,6 +272,7 @@ def phase_timing(
     freq_ghz: float,
     uncore_ghz: float,
     threads: int,
+    thread_factor: float,
     ref_freq_ghz: float,
     ref_uncore_ghz: float,
     params: PowerModelParams,
@@ -292,7 +281,9 @@ def phase_timing(
     """Duration (s), IPC and FLOP/s of a phase at the given operating point.
 
     The duration is a core-bound part scaled by ``ref_freq / freq`` and
-    the thread count, a memory-bound part scaled by the uncore frequency,
+    the thread count's ``thread_factor`` (the demand's
+    :meth:`~repro.hardware.workload.PhaseDemand.thread_scaling` at
+    ``threads``), a memory-bound part scaled by the uncore frequency,
     the knob-insensitive rest and the communication time.
     ``comm_seconds_override`` lets the MPI layer substitute the actual
     (imbalance-dependent) communication time; when ``None`` the nominal
@@ -307,7 +298,6 @@ def phase_timing(
         raise ValueError("frequencies must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    thread_factor = demand.thread_scaling(threads)
     base = demand.ref_seconds
     core, memory, other = demand.core_fraction, demand.memory_fraction, demand.other_fraction
     core_time = base * core * (ref_freq_ghz / freq_ghz) * thread_factor

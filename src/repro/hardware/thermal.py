@@ -109,19 +109,11 @@ class ThermalModel:
         """Current die temperature (degC)."""
         return float(self._temps[self._index])
 
-    # No src caller; kept for the thermal-step parity oracle
-    # (``oracles.thermal_advance``).
-    def steady_state_c(self, power_w: float) -> float:  # repro-lint: disable=RL006
-        """Temperature the die would settle at under constant power."""
-        if power_w < 0:
-            raise ValueError("power must be >= 0")
-        return self.ambient_c + self.spec.resistance_k_per_w * power_w
-
     def advance(self, power_w: float, dt_s: float) -> float:
         """Advance the model ``dt_s`` seconds at constant power; return temp.
 
-        One inline step toward :meth:`steady_state_c`: one cell read, one
-        write and one version bump.
+        One step toward the steady state ``ambient + R * power``: one cell
+        read, one write and one version bump.
         """
         if dt_s < 0:
             raise ValueError("dt must be >= 0")
@@ -129,19 +121,11 @@ class ThermalModel:
             raise ValueError("power must be >= 0")
         spec, temps, index = self.spec, self._temps, self._index
         resistance = spec.resistance_k_per_w
-        target = (spec.ambient_c + float(self._offsets[index])) + resistance * power_w
+        target = (spec.ambient_c + self._offsets.item(index)) + resistance * power_w
         # np.exp, not math.exp: libm may differ from numpy in the last bit.
         alpha = 1.0 - float(np.exp(-dt_s / (resistance * spec.capacitance_j_per_k)))
-        temperature = float(temps[index])
+        temperature = temps.item(index)
         temps[index] = temperature = temperature + (target - temperature) * alpha
         if self._version_owner is not None:
             self._version_owner.power_inputs_version += 1
         return temperature
-
-    # No src caller; kept for the package-physics parity properties.
-    def reset(self, temperature_c: float | None = None) -> None:  # repro-lint: disable=RL006
-        """Reset the die temperature (defaults to ambient)."""
-        self._temps[self._index] = (
-            self.ambient_c if temperature_c is None else float(temperature_c)
-        )
-        self._bump_version()

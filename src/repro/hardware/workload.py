@@ -22,7 +22,7 @@ READEX/MERIC and Conductor-style runtimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 __all__ = ["PhaseDemand"]
@@ -70,6 +70,14 @@ class PhaseDemand:
     tags:
         Free-form metadata (e.g. ``{"mpi_call": "Allreduce"}``) consumed
         by runtimes such as COUNTDOWN.
+
+    Besides ``other_fraction``, construction computes the terms of the
+    package physics that depend on the demand alone: ``switching_activity``
+    (``activity_factor`` weighted by how busy the phase keeps the cores),
+    ``dram_load`` (the DRAM intensity clipped to [0, 1]),
+    ``uncore_utilization`` (what that load makes of the uncore's dynamic
+    range) and ``ref_thread_time`` (the Amdahl time at ``ref_threads``,
+    the fixed half of :meth:`thread_scaling`).
     """
 
     name: str
@@ -105,15 +113,35 @@ class PhaseDemand:
             raise ValueError("activity_factor must be in [0, 1.5]")
         if not 0.0 <= self.dram_intensity <= 1.0:
             raise ValueError("dram_intensity must be in [0, 1]")
-        # Computed once per demand; not a field, so ``==`` and ``repr`` skip it.
+        # The demand-only terms of the package physics, computed once per
+        # demand and carried by ``scaled``.  Not fields, so ``==`` and
+        # ``repr`` skip them.
         other = 1.0 - self.core_fraction - self.memory_fraction - self.comm_fraction
-        object.__setattr__(self, "other_fraction", other if other > 0.0 else 0.0)
+        other = other if other > 0.0 else 0.0
+        # Stall-heavy (memory/communication bound) phases keep cores busy
+        # spinning or waiting at far lower switching activity.
+        busy_weight = (
+            self.core_fraction * 1.0
+            + self.memory_fraction * 0.55
+            + self.comm_fraction * 0.35
+            + other * 0.4
+        )
+        intensity = self.dram_intensity
+        intensity = 0.0 if intensity < 0.0 else 1.0 if intensity > 1.0 else intensity
+        s = self.serial_fraction
+        vars(self).update(
+            other_fraction=other,
+            switching_activity=self.activity_factor * busy_weight,
+            dram_load=intensity,
+            uncore_utilization=0.3 + 0.7 * intensity,
+            ref_thread_time=s + (1.0 - s) / self.ref_threads,
+        )
 
     def scaled(self, factor: float) -> "PhaseDemand":
         """Return a copy whose reference duration is multiplied by ``factor``.
 
-        The other fields (``tags`` the same object) and ``other_fraction``
-        are copied as they are, so only the new duration is validated.
+        The other fields (``tags`` the same object) and the demand-only
+        terms are copied as they are, so only the new duration is validated.
         """
         if factor < 0:
             raise ValueError("factor must be >= 0")
@@ -121,12 +149,6 @@ class PhaseDemand:
         copy = object.__new__(type(self))
         vars(copy).update(vars(self), ref_seconds=ref_seconds)
         return copy
-
-    # No src caller; kept for the ``other_fraction`` check on every copy path.
-    def with_tags(self, **tags: str) -> "PhaseDemand":  # repro-lint: disable=RL006
-        merged = dict(self.tags)
-        merged.update(tags)
-        return replace(self, tags=merged)
 
     def thread_scaling(self, threads: int) -> float:
         """Amdahl speedup factor relative to ``ref_threads``.
@@ -137,4 +159,4 @@ class PhaseDemand:
         if threads < 1:
             raise ValueError("threads must be >= 1")
         s = self.serial_fraction
-        return (s + (1.0 - s) / threads) / (s + (1.0 - s) / self.ref_threads)
+        return (s + (1.0 - s) / threads) / self.ref_thread_time

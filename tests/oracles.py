@@ -29,9 +29,14 @@ provably decision-identical:
   :func:`effective_flops`) — one small function per formula, which the
   package pass (``power_model.pstate_walk`` and ``phase_timing``) folds
   into one scalar pass with the same operations in the same order;
-* :func:`thermal_advance` — the RC thermal step through the model's
-  ``steady_state_c``/``time_constant_s`` chain, which
-  ``ThermalModel.advance`` evaluates inline.
+* :func:`thermal_advance` — the RC thermal step through the
+  :func:`thermal_steady_state`/``time_constant_s`` chain, which
+  ``ThermalModel.advance`` evaluates in one step.
+
+It also holds the test-only helpers that production has no use for:
+:func:`thermal_steady_state` and :func:`thermal_reset` on a
+``ThermalModel``, and :func:`with_tags`, a tags-merging copy of a
+``PhaseDemand`` through ``dataclasses.replace``.
 
 Not collected by pytest (no ``test_`` prefix); ``benchmarks/conftest.py``
 puts this directory on ``sys.path`` so the benchmarks import it too.
@@ -39,6 +44,7 @@ puts this directory on ``sys.path`` so the benchmarks import it too.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -72,6 +78,9 @@ __all__ = [
     "effective_ipc",
     "effective_flops",
     "thermal_advance",
+    "thermal_steady_state",
+    "thermal_reset",
+    "with_tags",
 ]
 
 
@@ -409,7 +418,11 @@ def phase_duration(
         raise ValueError("frequencies must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    thread_factor = demand.thread_scaling(threads)
+    # Amdahl's speedup relative to ``ref_threads``, from the fields alone.
+    serial = demand.serial_fraction
+    thread_factor = (serial + (1.0 - serial) / threads) / (
+        serial + (1.0 - serial) / demand.ref_threads
+    )
     base = demand.ref_seconds
     core_time = base * demand.core_fraction * (ref_freq_ghz / freq_ghz) * thread_factor
     mem_time = (
@@ -468,9 +481,33 @@ def thermal_advance(model, power_w: float, dt_s: float) -> float:
         raise ValueError("dt must be >= 0")
     if power_w < 0:
         raise ValueError("power must be >= 0")
-    target = model.steady_state_c(power_w)
+    target = thermal_steady_state(model, power_w)
     tau = model.spec.time_constant_s
     alpha = 1.0 - float(np.exp(-dt_s / tau))
     model._temps[model._index] += (target - float(model._temps[model._index])) * alpha
     model._bump_version()
     return float(model._temps[model._index])
+
+
+def thermal_steady_state(model, power_w: float) -> float:
+    """Temperature a ``ThermalModel``'s die would settle at under constant power."""
+    if power_w < 0:
+        raise ValueError("power must be >= 0")
+    return model.ambient_c + model.spec.resistance_k_per_w * power_w
+
+
+def thermal_reset(model, temperature_c: Optional[float] = None) -> None:
+    """Set a ``ThermalModel``'s die temperature (defaults to its ambient)."""
+    model._temps[model._index] = model.ambient_c if temperature_c is None else float(temperature_c)
+    model._bump_version()
+
+
+# -- a tags-merging copy of a demand -------------------------------------------
+
+
+def with_tags(demand: PhaseDemand, **tags: str) -> PhaseDemand:
+    """A copy of ``demand`` with ``tags`` merged into its tags, through
+    ``dataclasses.replace`` (so its ``__post_init__`` runs again)."""
+    merged = dict(demand.tags)
+    merged.update(tags)
+    return dataclasses.replace(demand, tags=merged)

@@ -12,6 +12,7 @@ semantics rather than against itself.
 import numpy as np
 import pytest
 
+from oracles import thermal_reset
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.node import Node, NodeSpec
@@ -235,7 +236,7 @@ def test_standalone_thermal_model_still_scalar():
     t0 = model.temperature_c
     model.advance(200.0, 30.0)
     assert model.temperature_c > t0
-    model.reset()
+    thermal_reset(model)
     assert model.temperature_c == pytest.approx(model.ambient_c)
 
 

@@ -58,6 +58,23 @@ def _dicts(db) -> list:
     return [r.to_dict() for r in db]
 
 
+@pytest.fixture
+def recover_closing():
+    """``recover`` whose re-attached journals are closed when the test ends,
+    so their segment files never outlive it."""
+    recovered = []
+
+    def run(directory, **kwargs):
+        db = recover(directory, **kwargs)
+        recovered.append(db)
+        return db
+
+    yield run
+    for db in recovered:
+        if db.journal is not None:
+            db.journal.close()
+
+
 def _populated_root(tmp_path, n=30, n_shards=3, checkpoint_at=None):
     """A durability root with ``n`` records; optional mid-way checkpoint."""
     root = str(tmp_path / "root")
@@ -114,7 +131,8 @@ def test_torn_tail_at_every_byte_prefix(tmp_path):
     for p in payloads:
         seg.append(p)
     seg.close()
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     boundaries = [0]
     for p in payloads:
         boundaries.append(boundaries[-1] + len(encode_entry(p)))
@@ -126,26 +144,26 @@ def test_torn_tail_at_every_byte_prefix(tmp_path):
 
 
 # -- checkpoint / recover ---------------------------------------------------
-def test_recover_without_checkpoint_is_bit_identical(tmp_path):
+def test_recover_without_checkpoint_is_bit_identical(tmp_path, recover_closing):
     root, db, journal = _populated_root(tmp_path, n=25)
     journal.close()
-    recovered = recover(root)
+    recovered = recover_closing(root)
     assert _dicts(recovered) == _dicts(db)
     assert recovered.shard_sizes() == db.shard_sizes()
     assert recovered.journal is not None and recovered.journal.enabled
 
 
-def test_recover_snapshot_plus_journal_tail(tmp_path):
+def test_recover_snapshot_plus_journal_tail(tmp_path, recover_closing):
     root, db, journal = _populated_root(tmp_path, n=30, checkpoint_at=12)
     journal.close()
-    recovered = recover(root)
+    recovered = recover_closing(root)
     assert _dicts(recovered) == _dicts(db)
     # The 12 checkpointed records came from the snapshot, not the WAL.
     assert sum(len(read_entries(os.path.join(root, "wal", f"shard-{s}.wal")))
                for s in range(3)) == 18
 
 
-def test_checkpoint_truncates_and_bounds_generations(tmp_path):
+def test_checkpoint_truncates_and_bounds_generations(tmp_path, recover_closing):
     root, db, journal = _populated_root(tmp_path, n=10)
     for _ in range(4):
         db.add(_record(len(db)))
@@ -155,39 +173,39 @@ def test_checkpoint_truncates_and_bounds_generations(tmp_path):
     assert gens == ["gen-000003", "gen-000004"]  # keep_generations=2
     assert journal.appended == 0
     journal.close()
-    assert _dicts(recover(root)) == _dicts(db)
+    assert _dicts(recover_closing(root)) == _dicts(db)
 
 
-def test_recovered_writes_continue_cleanly(tmp_path):
+def test_recovered_writes_continue_cleanly(tmp_path, recover_closing):
     """Appends after recovery must not collide with discarded ghosts."""
     root, db, journal = _populated_root(tmp_path, n=8)
     journal.close()
-    recovered = recover(root)
+    recovered = recover_closing(root)
     for i in range(8, 14):
         recovered.add(_record(i))
     recovered.journal.close()
-    final = recover(root)
+    final = recover_closing(root)
     assert _dicts(final) == _dicts(recovered)
     assert len(final) == 14
 
 
-def test_attach_over_stale_root_drops_ghosts(tmp_path):
+def test_attach_over_stale_root_drops_ghosts(tmp_path, recover_closing):
     root, db, journal = _populated_root(tmp_path, n=6)
     journal.close()
     fresh = ShardedPerformanceDatabase(n_shards=3, name="dur")
     attach(fresh, root)
     fresh.journal.close()
-    assert _dicts(recover(root)) == []
+    assert _dicts(recover_closing(root)) == []
 
 
-def test_attach_checkpoints_preexisting_records(tmp_path):
+def test_attach_checkpoints_preexisting_records(tmp_path, recover_closing):
     root = str(tmp_path / "root")
     db = ShardedPerformanceDatabase(n_shards=2, name="dur")
     for i in range(5):
         db.add(_record(i))
     journal = attach(db, root)
     journal.close()
-    assert _dicts(recover(root)) == _dicts(db)
+    assert _dicts(recover_closing(root)) == _dicts(db)
 
 
 def test_whole_root_torn_at_every_prefix(tmp_path):
@@ -199,7 +217,8 @@ def test_whole_root_torn_at_every_prefix(tmp_path):
     pristine = str(tmp_path / "pristine")
     shutil.copytree(root, pristine)
     victim = os.path.join(root, "wal", "shard-0.wal")
-    blob = open(victim, "rb").read()
+    with open(victim, "rb") as fh:
+        blob = fh.read()
     seen_lengths = set()
     for cut in range(len(blob) + 1):
         shutil.rmtree(root)

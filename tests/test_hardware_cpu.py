@@ -2,13 +2,14 @@
 
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import effective_flops, effective_ipc, phase_duration
+from oracles import effective_flops, effective_ipc, phase_duration, thermal_reset, with_tags
 from repro.apps.mpi import SPIN_DEMAND, RegionRecord, busy_wait_power_w
 from repro.hardware import power_model as pm
 from repro.hardware.cluster import Cluster, ClusterSpec
@@ -361,7 +362,7 @@ def _set_up(pkg, state, cell, target, uncore, cap, temperature):
     state.pkg_freq_target_ghz[cell] = target
     state.pkg_uncore_ghz[cell] = uncore
     pkg.set_power_cap(cap)
-    pkg.thermal.reset(temperature)
+    thermal_reset(pkg.thermal, temperature)
 
 
 def _fields(record):
@@ -404,50 +405,68 @@ def test_package_physics_matches_reference(
 def _ref_temperature(pkg, temperature, expected):
     """The die temperature after the expected phase, on a fresh package."""
     twin = CpuPackage(pkg.spec, pkg.variation)
-    twin.thermal.reset(temperature)
+    thermal_reset(twin.thermal, temperature)
     return twin.thermal.advance(expected["power_w"], expected["duration_s"])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    spec=cpu_specs(), demand=demands(), variation=st.tuples(variations, variations),
-    cap=st.tuples(caps, caps), target=st.tuples(targets, targets),
-    uncore=st.tuples(uncores, uncores), temperature=st.tuples(temperatures, temperatures),
+    spec=cpu_specs(), demand=demands(), sockets=st.integers(1, 4), equal=st.booleans(),
     threads=st.one_of(st.none(), st.integers(-3, 4 * SPEC.cores)),
-    comm=st.one_of(st.none(), st.floats(-1.0, 5.0)),
+    comm=st.one_of(st.none(), st.floats(-1.0, 5.0)), data=st.data(),
 )
 def test_node_phase_matches_reference_aggregation(
-    spec, demand, variation, cap, target, uncore, temperature, threads, comm
+    spec, demand, sockets, equal, threads, comm, data
 ):
-    node = Node(NodeSpec(n_sockets=2, cpu=spec), variations=list(variation))
-    for i, pkg in enumerate(node.packages):
-        _set_up(pkg, node.cluster_state, (0, i), target[i], uncore[i], cap[i], temperature[i])
-    total = node.spec.total_cores if threads is None else max(1, min(threads, 2 * spec.cores))
+    """The node's pass equals a per-package reference, aggregated, bit for
+    bit, and times the phase only where a package ends at another
+    operating point than the package before it.  Half the time every
+    package gets the same variation, knobs and temperature, so they end at
+    one point and share one timing."""
+    knobs = st.tuples(variations, caps, targets, uncores, temperatures)
+    drawn = [data.draw(knobs)] * sockets if equal else [data.draw(knobs) for _ in range(sockets)]
+    node = Node(NodeSpec(n_sockets=sockets, cpu=spec), variations=[k[0] for k in drawn])
+    for i, (pkg, (_, cap, target, uncore, temperature)) in enumerate(zip(node.packages, drawn)):
+        _set_up(pkg, node.cluster_state, (0, i), target, uncore, cap, temperature)
+    total = node.spec.total_cores if threads is None else max(1, min(threads, sockets * spec.cores))
     expected = []
-    for pkg, start_temperature in zip(node.packages, temperature):
-        outcome = _ref_execute(pkg, demand, max(1, total // 2), comm)
-        outcome["temperature_c"] = _ref_temperature(pkg, start_temperature, outcome)
+    for pkg, knob in zip(node.packages, drawn):
+        outcome = _ref_execute(pkg, demand, max(1, total // sockets), comm)
+        outcome["temperature_c"] = _ref_temperature(pkg, knob[4], outcome)
         expected.append(outcome)
 
-    result = node.execute_phase(demand, threads=threads, comm_seconds_override=comm)
+    timed = []
+    timing = pm.phase_timing
+
+    def counted(demand, freq, uncore, *args):
+        timed.append((freq, uncore))
+        return timing(demand, freq, uncore, *args)
+
+    with mock.patch.object(pm, "phase_timing", counted):
+        result = node.execute_phase(demand, threads=threads, comm_seconds_override=comm)
+    points = [(e["frequency_ghz"], e["uncore_ghz"]) for e in expected]
+    assert timed == [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    if equal:
+        assert len(timed) == 1
     for pkg, outcome in zip(node.packages, expected):
         assert pkg.thermal.temperature_c == outcome["temperature_c"]
         outcome["busy_wait_power_w"] = _ref_spin_power(pkg)
     assert [_fields(execution) for execution in result.per_package] == expected
-    duration = max(e["duration_s"] for e in expected)
     power = sum(e["power_w"] for e in expected) + node.spec.platform_power_w
+    busy_wait = node.spec.platform_power_w
+    for outcome in expected:
+        busy_wait += outcome["busy_wait_power_w"]
+    duration = max(e["duration_s"] for e in expected)
     assert _fields(result) == dict(
         duration_s=duration,
         power_w=power,
         energy_j=power * duration,
         frequency_ghz=min(e["frequency_ghz"] for e in expected),
-        ipc=sum(e["ipc"] for e in expected) / 2,
+        ipc=sum(e["ipc"] for e in expected) / sockets,
         flops=sum(e["flops"] for e in expected),
         power_capped=any(e["power_capped"] for e in expected),
         per_package=result.per_package,
-        busy_wait_power_w=node.spec.platform_power_w
-        + expected[0]["busy_wait_power_w"]
-        + expected[1]["busy_wait_power_w"],
+        busy_wait_power_w=busy_wait,
     )
     assert node.current_power_w == power
     for i, outcome in enumerate(expected):
@@ -474,6 +493,26 @@ def _residual(demand):
     return max(0.0, 1.0 - demand.core_fraction - demand.memory_fraction - demand.comm_fraction)
 
 
+def _demand_terms(demand):
+    """Each demand-only term of the package physics, recomputed from the
+    fields the way the per-package walk and timing once computed it."""
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + _residual(demand) * 0.4
+    )
+    load = float(np.clip(demand.dram_intensity, 0.0, 1.0))
+    serial = demand.serial_fraction
+    return dict(
+        other_fraction=_residual(demand),
+        switching_activity=demand.activity_factor * busy_weight,
+        dram_load=load,
+        uncore_utilization=0.3 + 0.7 * load,
+        ref_thread_time=serial + (1.0 - serial) / demand.ref_threads,
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     demand=demands(),
@@ -482,17 +521,24 @@ def _residual(demand):
     tags=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
 )
 def test_other_fraction_is_the_residual_on_every_copy(demand, factor, share, tags):
-    """Stored once per demand, yet bit-equal to the residual of the fields
-    after construction, ``scaled``, ``with_tags`` and ``dataclasses.replace``."""
+    """Stored once per demand, yet each demand-only term is bit-equal to its
+    value from the fields after construction, ``scaled``, the tags copy
+    (``oracles.with_tags``) and ``dataclasses.replace``."""
     moved = dataclasses.replace(
         demand,
         core_fraction=demand.core_fraction * share,
         memory_fraction=demand.memory_fraction * share,
+        serial_fraction=demand.serial_fraction * share,
     )
-    for copy in (demand, demand.scaled(factor), demand.with_tags(**tags), moved):
-        assert copy.other_fraction.hex() == _residual(copy).hex()
-    assert "other_fraction" not in {f.name for f in dataclasses.fields(PhaseDemand)}
-    assert "other_fraction" not in repr(demand)
+    for copy in (demand, demand.scaled(factor), with_tags(demand, **tags), moved):
+        expected = _demand_terms(copy)
+        assert {name: getattr(copy, name).hex() for name in expected} == {
+            name: value.hex() for name, value in expected.items()
+        }
+    fields = {f.name for f in dataclasses.fields(PhaseDemand)}
+    for name in _demand_terms(demand):
+        assert name not in fields
+        assert name not in repr(demand)
 
 
 #: The field order of the records when they were frozen dataclasses, with
@@ -601,7 +647,7 @@ def test_phase_carries_the_busy_wait_price_it_leaves(spec, demand, sockets, thre
         state.pkg_freq_target_ghz[0, i] = data.draw(st.one_of(targets, st.just(float("nan"))))
         state.pkg_uncore_ghz[0, i] = data.draw(uncores)
         state.pkg_power_cap_w[0, i] = data.draw(cap_cells)
-        pkg.thermal.reset(data.draw(temperatures))
+        thermal_reset(pkg.thermal, data.draw(temperatures))
 
     result = node.execute_phase(demand, threads=threads)
     prices = (result.busy_wait_power_w, busy_wait_power_w(node), _ref_busy_wait_power_w(node))
@@ -686,6 +732,35 @@ def test_busy_wait_evaluates_static_terms_once_per_package(walks):
     assert walks == []
     first, second = (pkg.busy_wait_power_w() for pkg in node.packages)
     assert total == node.spec.platform_power_w + first + second == _ref_busy_wait_power_w(node)
+
+
+def test_node_phase_times_one_operating_point_once(walks, monkeypatch):
+    """Two packages that end at one operating point share one timing; each
+    still walks its own P-states once, and neither busy-wait price walks."""
+    timed = []
+    timing = pm.phase_timing
+
+    def recording(demand, freq, uncore, *args):
+        timed.append((freq, uncore))
+        return timing(demand, freq, uncore, *args)
+
+    monkeypatch.setattr(pm, "phase_timing", recording)
+    node = Node(NodeSpec(n_sockets=2))
+    node.set_frequency(SPEC.freq_max_ghz)
+    node.set_power_cap(300.0)
+    walks.clear()
+    result = node.execute_phase(compute_demand(), threads=56)
+    first, second = result.per_package
+    point = (first.frequency_ghz, first.uncore_ghz)
+    assert point == (second.frequency_ghz, second.uncore_ghz)
+    assert first.power_capped and second.power_capped
+    assert timed == [point]
+    assert [(freqs, start) for freqs, start, _ in walks] == [(walks[0][0], walks[0][1])] * 2
+    assert walks[0][0].index(point[0]) > walks[0][1]
+    assert [e.busy_wait_power_w for e in result.per_package] == [
+        pkg.busy_wait_power_w() for pkg in node.packages
+    ]
+    assert len(walks) == 2
 
 
 def test_scalar_path_never_calls_numpy_clip(monkeypatch):

@@ -18,6 +18,7 @@ from oracles import (
     static_power,
     uncore_power,
     voltage_at_frequency,
+    with_tags,
 )
 from repro.hardware.power_model import PowerModelParams, dram_power
 from repro.hardware.workload import PhaseDemand
@@ -65,7 +66,7 @@ def test_phase_demand_scaled():
 
 
 def test_phase_demand_with_tags_merges():
-    demand = make_demand().with_tags(mpi_call="Allreduce")
+    demand = with_tags(make_demand(), mpi_call="Allreduce")
     assert demand.tags["mpi_call"] == "Allreduce"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import thermal_advance
+from oracles import thermal_advance, thermal_reset, thermal_steady_state
 from repro.hardware.gpu import GpuDevice, GpuSpec
 from repro.hardware.rapl import ENERGY_COUNTER_WRAP_J, PowerSample, RaplDomain, RaplInterface
 from repro.hardware.thermal import ThermalModel, ThermalSpec
@@ -108,13 +108,13 @@ def test_power_sample_reliability_threshold():
 
 def test_thermal_steady_state():
     model = ThermalModel()
-    steady = model.steady_state_c(200.0)
+    steady = thermal_steady_state(model, 200.0)
     assert steady == pytest.approx(model.ambient_c + model.spec.resistance_k_per_w * 200.0)
 
 
 def test_thermal_advance_approaches_steady_state():
     model = ThermalModel()
-    target = model.steady_state_c(150.0)
+    target = thermal_steady_state(model, 150.0)
     for _ in range(200):
         model.advance(150.0, 5.0)
     assert model.temperature_c == pytest.approx(target, abs=0.5)
@@ -132,7 +132,7 @@ def test_thermal_reset_and_ambient_offset():
     model = ThermalModel(ambient_offset_c=5.0)
     assert model.ambient_c == pytest.approx(model.spec.ambient_c + 5.0)
     model.advance(300.0, 100.0)
-    model.reset()
+    thermal_reset(model)
     assert model.temperature_c == pytest.approx(model.ambient_c)
 
 
@@ -179,7 +179,7 @@ def test_thermal_step_matches_reference(spec, offset, start, steps):
     for _ in range(2):
         owner = SimpleNamespace(power_inputs_version=0)
         model = ThermalModel(spec, ambient_offset_c=offset, version_owner=owner)
-        model.reset(start)
+        thermal_reset(model, start)
         models.append((model, owner))
     (model, owner), (reference, _) = models
 

@@ -65,6 +65,13 @@ class JobRequest:
             and self.nodes_min > self.nodes_max
         ):
             raise ValueError("nodes_min must not exceed nodes_max")
+        # Checked here, not first at launch, where a refused parameter would
+        # raise inside a scheduling pass and wedge the FCFS head.
+        if self.params:
+            try:
+                self.application.validate_parameters(self.params)
+            except KeyError as error:
+                raise ValueError(error.args[0]) from None
 
     @property
     def moldable(self) -> bool:

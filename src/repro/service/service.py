@@ -29,13 +29,14 @@ tenant/session key.
 from __future__ import annotations
 
 import inspect
+import operator
 import os
 import sys
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -205,52 +206,92 @@ def _check_search(search: str) -> None:
         raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
 
 
-def _check_seed(seed: Optional[int]) -> None:
-    """SVC_RET_BAD_REQUEST for a negative seed, checked, like the search,
-    before a request spends a tuner or run id."""
-    if seed is not None and seed < 0:
-        raise ServiceError(ServiceErrorCode.BAD_REQUEST, "seed must be >= 0")
+@dataclass(frozen=True)
+class Arg:
+    """The values one argument accepts, declared as its annotation's
+    ``Annotated`` metadata: a range (``ge``/``gt``/``le``) for an ``int``
+    or ``float``, or the ``choices`` of a ``str`` (values or an ``Enum``)."""
+
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    choices: Any = None
 
 
-def _wire_kind(annotation: Any) -> Tuple[str, Callable[[Any], bool]]:
-    members = [arg for arg in get_args(annotation) if arg is not type(None)]
-    if get_origin(annotation) is Union and len(members) == 1:
-        annotation = members[0]
-    return _WIRE_KINDS[get_origin(annotation) or annotation]
+def _unwrap(hint: Any) -> Tuple[Any, Any, bool]:
+    """A hint's (bare annotation, ``Annotated`` metadata, ``Optional``)."""
+    metadata, nullable = None, False
+    while get_origin(hint) in (Annotated, Union):
+        if get_origin(hint) is Annotated:
+            hint, metadata = get_args(hint)[:2]
+        else:
+            (hint,) = [member for member in get_args(hint) if member is not type(None)]
+            nullable = True
+    return hint, metadata, nullable
 
 
 class _Command:
-    """One wire command and the validator its handler's signature implies.
+    """One wire command and the contract its handler's signature declares.
 
     ``_cmd_<family>_<verb>`` serves ``<family>.<verb>``.  A leading
-    ``session`` parameter means the command needs a session; every other
-    parameter is an argument, required when it has no default, whose wire
-    kind comes from its annotation.  ``null`` passes only an argument
-    annotated ``Optional[...]`` or ``Any``.
+    ``Session`` parameter (``OperatorSession``/``WorkingSession`` to name
+    the roles that may send it) means the command needs a session.  Every
+    other parameter is an argument, required when it has no default, with
+    the wire kind (and list item kind) of its annotation and the range or
+    choices of its ``Arg``.  ``null`` passes only an ``Optional`` or ``Any``.
     """
 
-    def __init__(self, handler: Callable[..., Any]):
-        params = list(inspect.signature(handler).parameters.values())[1:]  # self
-        self.requires_session = bool(params) and params[0].name == "session"
+    #: A declared range's fields: (test, sign in messages).
+    _LIMITS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<=")}
+
+    def __init__(self, handler: Callable[..., Any], op: Optional[str] = None):
+        hints = get_type_hints(handler, include_extras=True)
+        params = [p for p in inspect.signature(handler).parameters.values() if p.name != "self"]
+        first, roles, _ = _unwrap(hints[params[0].name]) if params else (None, None, False)
+        self.requires_session = first is Session
         if self.requires_session:
             params = params[1:]
-        hints = get_type_hints(handler)
-        self.op = handler.__name__[len("_cmd_"):].replace("_", ".", 1)
+        self.roles = frozenset(roles if self.requires_session and roles else Role)
+        self.op = op or handler.__name__[len("_cmd_"):].replace("_", ".", 1)
         self.handler = handler
         self.doc = inspect.getdoc(handler) or ""
-        #: name -> (wire kind, kind check, required), in signature order
-        self.args = {
-            p.name: (*_wire_kind(hints[p.name]), p.default is inspect.Parameter.empty)
-            for p in params
-        }
+        #: name -> (wire kind, kind check, required, nullable, item check or
+        #: None, declared values as describe publishes them), in signature order
+        self.args = {}
+        for p in params:
+            annotation, arg, nullable = _unwrap(hints[p.name])
+            declared = {k: v for k, v in vars(arg or Arg()).items() if v is not None}
+            if "choices" in declared:
+                declared["choices"] = [getattr(c, "value", c) for c in declared["choices"]]
+            item = get_args(annotation)[0] if get_origin(annotation) is list else Any
+            if item is not Any:
+                declared["items"] = _WIRE_KINDS[item][0]
+            kind, accepts = _WIRE_KINDS[get_origin(annotation) or annotation]
+            self.args[p.name] = (kind, accepts, p.default is inspect.Parameter.empty, nullable,
+                                 None if item is Any else _WIRE_KINDS[item][1], declared)
         self.names = frozenset(self.args)
         self.required = frozenset(name for name, spec in self.args.items() if spec[2])
-        self.optional = frozenset(
-            name for name in self.args if type(None) in get_args(hints[name])
-        )
+        self.bounds = [self._bound(name, spec[0], spec[5]) for name, spec in self.args.items()
+                       if spec[0] == "number" or spec[5].keys() - {"items"}]
+
+    def _bound(self, name: str, kind: str, declared: Dict[str, Any]) -> Tuple[Any, ...]:
+        """(name, test, code, message) of an argument's declared choices
+        (SVC_RET_BAD_REQUEST) or range, finite for a number (PWR_RET_BAD_VALUE)."""
+        must = f"{self.op}: argument {name!r} must be"
+        if "choices" in declared:
+            return (name, frozenset(declared["choices"]).__contains__,
+                    ServiceErrorCode.BAD_REQUEST, f"{must} one of {declared['choices']}")
+        finite = kind == "number"
+        limits = [(self._LIMITS[k], v) for k, v in declared.items() if k in self._LIMITS]
+
+        def test(value: Any) -> bool:
+            return (not finite or _finite(value)) and all(cmp(value, v) for (cmp, _), v in limits)
+
+        terms = ["a finite number"] * finite + [f"{sign} {v}" for (_, sign), v in limits]
+        return name, test, ServiceErrorCode.BAD_VALUE, f"{must} {' and '.join(terms)}"
 
     def validate(self, given: Mapping[str, Any]) -> None:
-        """Reject unknown, missing, wrong-kind and non-finite arguments;
+        """Reject unknown, missing and wrong-kind arguments and list items;
         ``null`` is of kind ``any`` and of every ``Optional`` kind."""
         keys = given.keys()
         if not keys <= self.names:
@@ -266,28 +307,45 @@ class _Command:
                 f"{sorted(self.required.difference(keys))}",
             )
         for name, value in given.items():
-            if value is None and name in self.optional:
+            kind, accepts, _, nullable, item_accepts, declared = self.args[name]
+            if value is None and nullable:
                 continue
-            kind, accepts, _ = self.args[name]
             if not accepts(value):
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST,
                     f"{self.op}: argument {name!r} must be of kind {kind!r}",
                 )
-            if kind == "number" and not _finite(value):
+            if item_accepts is not None and not all(map(item_accepts, value)):
                 raise ServiceError(
-                    ServiceErrorCode.BAD_VALUE,
-                    f"{self.op}: argument {name!r} must be a finite number",
+                    ServiceErrorCode.BAD_REQUEST,
+                    f"{self.op}: argument {name!r} items must be of kind {declared['items']!r}",
                 )
+
+    def permit(self, session: Session) -> None:
+        """PWR_RET_NO_PERM unless the session's role may send the command."""
+        if session.role not in self.roles:
+            raise ServiceError(
+                ServiceErrorCode.NO_PERMISSION,
+                f"role {session.role.value!r} may not send {self.op} "
+                f"(needs one of {[r.value for r in Role if r in self.roles]})",
+            )
+
+    def bound(self, given: Mapping[str, Any]) -> None:
+        """Reject a value outside its argument's declared range or choices."""
+        for name, test, code, message in self.bounds:
+            value = given.get(name)
+            if value is not None and not test(value):
+                raise ServiceError(code, message)
 
     def describe(self) -> Dict[str, Any]:
         return {
             "op": self.op,
             "doc": self.doc,
             "requires_session": self.requires_session,
+            "roles": [role.value for role in Role if role in self.roles],
             "args": [
-                {"name": name, "kind": kind, "required": required}
-                for name, (kind, _, required) in self.args.items()
+                {"name": name, "kind": kind, "required": required, **declared}
+                for name, (kind, _, required, _, _, declared) in self.args.items()
             ],
         }
 
@@ -384,8 +442,34 @@ class Session:
 _OPERATOR_ROLES = (Role.RESOURCE_MANAGER, Role.ADMINISTRATOR)
 #: Roles whose database queries see every tenant (site-wide read).
 _SITE_READ_ROLES = (Role.MONITOR, Role.ADMINISTRATOR)
-#: Read-only actor roles: telemetry only, no state mutation anywhere.
-_READ_ONLY_ROLES = (Role.APPLICATION, Role.MONITOR)
+
+#: The session of a command only an operator role may send.
+OperatorSession = Annotated[Session, _OPERATOR_ROLES]
+#: The session of a command that spends or queues work: not the read-only
+#: application and monitor roles.
+WorkingSession = Annotated[Session, (*_OPERATOR_ROLES, Role.OPERATING_SYSTEM, Role.RUNTIME)]
+
+#: Arguments several commands declare alike.
+RoleArg = Annotated[str, Arg(choices=Role)]
+AttrArg = Annotated[str, Arg(choices=AttrName)]
+BatchSize = Annotated[int, Arg(ge=1)]
+Seed = Annotated[int, Arg(ge=0)]
+
+
+def _session_state(
+    session: str,
+    tenant: str,
+    role: RoleArg,
+    ordinal: Annotated[int, Arg(ge=1)],
+    quota: Optional[int] = None,
+    used_evaluations: int = 0,
+    scope_hostnames: Optional[List[str]] = None,
+) -> None:
+    """The ``state`` a ``session.snapshot`` returns and ``session.restore``
+    takes; its fields keep the kinds ``session.open`` declares."""
+
+
+_SESSION_STATE = _Command(_session_state, op="session.restore state")
 
 
 class StackService:
@@ -467,8 +551,11 @@ class StackService:
                 command.validate(request.args)
                 if command.requires_session:
                     session = self._session_of(request)
+                    command.permit(session)
+                    command.bound(request.args)
                     result = command.handler(self, session, **request.args)
                 else:
+                    command.bound(request.args)
                     result = command.handler(self, **request.args)
                 return Response.success(result, request=request)
             except ServiceError as error:
@@ -574,23 +661,16 @@ class StackService:
     def _cmd_session_open(
         self,
         tenant: str,
-        role: str = Role.MONITOR.value,
+        role: RoleArg = Role.MONITOR.value,
         quota: Optional[int] = None,
         scope_hostnames: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
         """Open a tenant session carrying a Power API ``role`` (default
         monitor), an RNG stream and a ``quota`` of chargeable evaluations;
         ``scope_hostnames`` restricts writes to those nodes."""
-        try:
-            resolved = Role(role)
-        except ValueError:
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"unknown role {role!r}; valid: {[r.value for r in Role]}",
-            ) from None
         ordinal = self._tenant_counters.get(tenant, 0) + 1
         session = self._register_session(
-            f"s{self._session_counter + 1:04d}-{tenant}", tenant, resolved, ordinal,
+            f"s{self._session_counter + 1:04d}-{tenant}", tenant, Role(role), ordinal,
             quota if quota is not None else self.default_quota, scope_hostnames,
         )
         self._session_counter += 1
@@ -670,36 +750,18 @@ class StackService:
     def _cmd_session_restore(self, state: Mapping[str, Any]) -> Dict[str, Any]:
         """Recreate a session from the ``state`` a session.snapshot returned;
         RNG streams re-derive identically."""
-        required = {"session", "tenant", "role", "ordinal"}
-        missing = sorted(required - set(state))
-        if missing:
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"session.restore: state is missing field(s) {missing}",
-            )
-        session_id = str(state["session"])
+        # Every field is checked before anything is registered.
+        _SESSION_STATE.validate(state)
+        _SESSION_STATE.bound(state)
+        session_id, tenant, ordinal = state["session"], state["tenant"], state["ordinal"]
         if session_id in self._sessions:
             raise ServiceError(
                 ServiceErrorCode.BAD_REQUEST,
                 f"session {session_id!r} is still open; close it before restoring",
             )
-        tenant = str(state["tenant"])
-        ordinal = int(state["ordinal"])
-        if ordinal < 1:
-            raise ServiceError(
-                ServiceErrorCode.BAD_VALUE, "session ordinal must be >= 1"
-            )
-        try:
-            role = Role(state["role"])
-        except ValueError:
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"unknown role {state['role']!r} in snapshot",
-            ) from None
-        quota = state.get("quota")
         session = self._register_session(
-            session_id, tenant, role, ordinal, None if quota is None else int(quota),
-            state.get("scope_hostnames"), int(state.get("used_evaluations", 0)),
+            session_id, tenant, Role(state["role"]), ordinal, state.get("quota"),
+            state.get("scope_hostnames"), state.get("used_evaluations", 0),
         )
         # Keep future session.open calls from reusing the restored ordinal
         # or session number.
@@ -712,41 +774,24 @@ class StackService:
         return session.info()
 
     # -- power plane -------------------------------------------------------
-    @staticmethod
-    def _attr(name: str) -> AttrName:
-        try:
-            return AttrName(name)
-        except ValueError:
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"unknown attribute {name!r}; valid: {[a.value for a in AttrName]}",
-            ) from None
-
-    def _cmd_power_read(self, session: Session, path: str, attr: str) -> Dict[str, Any]:
+    def _cmd_power_read(self, session: Session, path: str, attr: AttrArg) -> Dict[str, Any]:
         """Read one attribute of one power object (role-checked)."""
-        value = session.context.read(path, self._attr(attr))
+        value = session.context.read(path, AttrName(attr))
         return {"path": path, "attr": attr, "value": value}
 
     def _cmd_power_write(
-        self, session: Session, path: str, attr: str, value: float
+        self, session: Session, path: str, attr: AttrArg, value: float
     ) -> Dict[str, Any]:
         """Write one attribute of one power object (role- and scope-checked)."""
-        applied = session.context.write(path, self._attr(attr), float(value))
+        applied = session.context.write(path, AttrName(attr), float(value))
         return {"path": path, "attr": attr, "applied": applied}
 
     def _cmd_power_read_group(
-        self, session: Session, obj_type: str, attr: str
+        self, session: Session, obj_type: Annotated[str, Arg(choices=ObjType)], attr: AttrArg
     ) -> Dict[str, Any]:
         """Read one attribute across every in-scope object of a type."""
-        try:
-            resolved = ObjType(obj_type)
-        except ValueError:
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"unknown object type {obj_type!r}; valid: {[t.value for t in ObjType]}",
-            ) from None
-        attribute = self._attr(attr)
-        group = session.context.group(f"{obj_type}s", resolved)
+        attribute = AttrName(attr)
+        group = session.context.group(f"{obj_type}s", ObjType(obj_type))
         # Per-member reads go through the context so the role check (and
         # its error code) is identical to single-object power.read.
         return {
@@ -780,20 +825,14 @@ class StackService:
                     ServiceErrorCode.NO_OBJECT, f"unknown hostname(s) {unknown}"
                 )
             return np.asarray([self._node_index[h] for h in hostnames], dtype=int)
-        out = []
         for index in indices:
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise ServiceError(
-                    ServiceErrorCode.BAD_REQUEST, "'indices' must be integers"
-                )
             if not 0 <= index < len(self.cluster.nodes):
                 raise ServiceError(
                     ServiceErrorCode.NO_OBJECT,
                     f"node index {index} out of range (cluster has "
                     f"{len(self.cluster.nodes)} nodes)",
                 )
-            out.append(index)
-        return np.asarray(out, dtype=int)
+        return np.asarray(indices, dtype=int)
 
     @staticmethod
     def _watt_value(value: Any, field: str) -> float:
@@ -932,7 +971,7 @@ class StackService:
 
     def _cmd_jobs_submit(
         self,
-        session: Session,
+        session: WorkingSession,
         app: Any,
         nodes: int = 1,
         params: Optional[Mapping[str, Any]] = None,
@@ -945,13 +984,15 @@ class StackService:
     ) -> Dict[str, Any]:
         """Submit a job to the power-aware scheduler; ``app`` is an
         application kind or spec, ``params`` its application parameters."""
-        self._require_working_role(session, "submit jobs")
         application = _build_application(app)
-        self._job_counter += 1
-        identifier = job_id or f"job-{self._job_counter:05d}"
+        # The number is taken only once the scheduler accepts the job, so a
+        # rejected submit spends none; a client-chosen id is never reissued.
+        number = self._job_counter + 1
+        while not job_id and f"job-{number:05d}" in self.scheduler.jobs:
+            number += 1
         try:
             request = JobRequest(
-                job_id=identifier,
+                job_id=job_id or f"job-{number:05d}",
                 application=application,
                 params=dict(params or {}),
                 nodes_requested=int(nodes),
@@ -966,6 +1007,7 @@ class StackService:
             job = self.scheduler.submit(request)
         except ValueError as error:
             raise ServiceError(ServiceErrorCode.BAD_REQUEST, str(error)) from error
+        self._job_counter = number
         return self._job_dict(job)
 
     def _cmd_jobs_query(self, session: Session, job_id: str) -> Dict[str, Any]:
@@ -990,21 +1032,6 @@ class StackService:
             f"operate on job {job.job_id!r} owned by {job.request.user!r}",
         )
 
-    def _require_operator(self, session: Session, action: str) -> None:
-        if session.role not in _OPERATOR_ROLES:
-            raise ServiceError(
-                ServiceErrorCode.NO_PERMISSION,
-                f"role {session.role.value!r} may not {action} "
-                f"(needs one of {[r.value for r in _OPERATOR_ROLES]})",
-            )
-
-    def _require_working_role(self, session: Session, action: str) -> None:
-        if session.role in _READ_ONLY_ROLES:
-            raise ServiceError(
-                ServiceErrorCode.NO_PERMISSION,
-                f"read-only role {session.role.value!r} may not {action}",
-            )
-
     def _cmd_jobs_cancel(self, session: Session, job_id: str) -> Dict[str, Any]:
         """Cancel a pending or running job (owner or operator roles)."""
         job = self._job(job_id)
@@ -1017,18 +1044,15 @@ class StackService:
         self.scheduler.cancel(job_id)
         return self._job_dict(job)
 
-    def _cmd_jobs_run(self, session: Session, extra_time_s: float = 0.0) -> Dict[str, Any]:
-        """Drive the simulated cluster until all submitted jobs finish
-        (operator roles)."""
-        self._require_operator(session, "drive the cluster")
+    def _cmd_jobs_run(self, session: OperatorSession, extra_time_s: float = 0.0) -> Dict[str, Any]:
+        """Drive the simulated cluster until all submitted jobs finish."""
         stats = self.scheduler.run_until_complete(extra_time_s=float(extra_time_s))
         return {"time_s": self.env.now, "stats": stats.as_dict()}
 
-    def _cmd_jobs_advance(self, session: Session, duration_s: float) -> Dict[str, Any]:
-        """Advance the simulated clock by a fixed duration (operator roles)."""
-        self._require_operator(session, "advance the clock")
-        if duration_s <= 0:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "duration_s must be positive")
+    def _cmd_jobs_advance(
+        self, session: OperatorSession, duration_s: Annotated[float, Arg(gt=0)]
+    ) -> Dict[str, Any]:
+        """Advance the simulated clock by a fixed duration."""
         until = self.env.now + float(duration_s)
         if not _finite(until):
             raise ServiceError(
@@ -1121,22 +1145,18 @@ class StackService:
 
     def _cmd_tuning_open(
         self,
-        session: Session,
+        session: WorkingSession,
         parameters: Mapping[str, Any],
         search: str = "forest",
-        batch_size: int = 8,
+        batch_size: BatchSize = 8,
         minimize: bool = True,
-        seed: Optional[int] = None,
+        seed: Optional[Seed] = None,
     ) -> Dict[str, Any]:
         """Open an ask/tell tuning exchange over the parameter space
         ``parameters`` (``{name: [values]}``); ``seed`` overrides the
         session-derived seed."""
-        self._require_working_role(session, "open tuning sessions")
-        if batch_size < 1:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "batch_size must be >= 1")
         space = self._make_space(parameters)
         _check_search(search)
-        _check_seed(seed)
         session._tuner_counter += 1
         ordinal = session._tuner_counter
         if seed is None:
@@ -1168,13 +1188,11 @@ class StackService:
         }
 
     def _cmd_tuning_ask(
-        self, session: Session, tuner_id: str, n: Optional[int] = None
+        self, session: Session, tuner_id: str, n: Optional[BatchSize] = None
     ) -> Dict[str, Any]:
         """Next batch of configurations to evaluate."""
         state = self._tuner(session, tuner_id)
-        count = state.batch_size if n is None else int(n)
-        if count < 1:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "n must be >= 1")
+        count = state.batch_size if n is None else n
         configs: List[Dict[str, Any]] = []
         if not state.search.is_exhausted():
             # Searches draw values from the space's own value lists and keep
@@ -1285,20 +1303,17 @@ class StackService:
 
     def _cmd_tuning_run(
         self,
-        session: Session,
+        session: WorkingSession,
         parameters: Mapping[str, Any],
         evaluator: str,
         search: str = "forest",
-        max_evals: int = 30,
-        batch_size: int = 8,
+        max_evals: Annotated[int, Arg(ge=1)] = 30,
+        batch_size: BatchSize = 8,
         cache_evaluations: bool = False,
-        seed: Optional[int] = None,
+        seed: Optional[Seed] = None,
     ) -> Dict[str, Any]:
         """Run a whole batched autotuning loop service-side against a
         registered evaluator."""
-        self._require_working_role(session, "run tuning loops")
-        if max_evals < 1:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "max_evals must be >= 1")
         fn = EVALUATOR_REGISTRY.get(evaluator)
         if fn is None:
             raise ServiceError(
@@ -1308,10 +1323,7 @@ class StackService:
         space = self._make_space(parameters)
         # Everything that can still reject the run is checked before it
         # spends a run id and the seed stream named by it.
-        if batch_size < 1:
-            raise ServiceError(ServiceErrorCode.BAD_REQUEST, "batch_size must be >= 1")
         _check_search(search)
-        _check_seed(seed)
         session.check_quota(int(max_evals))
         self._run_counter += 1
         run_id = f"run-{self._run_counter:04d}"
@@ -1364,26 +1376,14 @@ class StackService:
     # -- campaign plane ----------------------------------------------------
     def _cmd_campaign_run(
         self,
-        session: Session,
+        session: WorkingSession,
         scenarios: List[Any],
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
+        executor: Annotated[str, Arg(choices=("serial", "thread", "process"))] = "serial",
+        # One request must not choose how many processes the server forks.
+        max_workers: Optional[Annotated[int, Arg(ge=1, le=os.cpu_count() or 1)]] = None,
         name: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Run an experiment campaign; every run is charged and captured."""
-        self._require_working_role(session, "run campaigns")
-        if executor not in ("serial", "thread", "process"):
-            raise ServiceError(
-                ServiceErrorCode.BAD_REQUEST,
-                f"unknown executor {executor!r}; available: serial, thread, process",
-            )
-        # One request must not choose how many processes the server forks.
-        cpus = os.cpu_count() or 1
-        if max_workers is not None and not 1 <= max_workers <= cpus:
-            raise ServiceError(
-                ServiceErrorCode.BAD_VALUE,
-                f"max_workers must be null or in [1, {cpus}], got {max_workers}",
-            )
         built = []
         for index, entry in enumerate(scenarios):
             if not isinstance(entry, Mapping) or "use_case" not in entry:
@@ -1447,13 +1447,11 @@ class StackService:
         return {"best": None if best is None else best.to_dict()}
 
     def _cmd_db_top_k(
-        self, session: Session, k: int, minimize: bool = True
+        self, session: Session, k: Annotated[int, Arg(ge=0)], minimize: bool = True
     ) -> Dict[str, Any]:
         """The k best records visible to this session."""
-        if k < 0:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "k must be >= 0")
         records = self.database.top_k(
-            int(k), minimize=bool(minimize), **self._scope_tags(session, None)
+            k, minimize=bool(minimize), **self._scope_tags(session, None)
         )
         return {"records": [record.to_dict() for record in records]}
 
@@ -1503,18 +1501,15 @@ class StackService:
 
     def _cmd_db_checkpoint(
         self,
-        session: Session,
+        session: OperatorSession,
         directory: Optional[str] = None,
-        keep_generations: Optional[int] = None,
+        keep_generations: Optional[Annotated[int, Arg(ge=1)]] = None,
     ) -> Dict[str, Any]:
         """Checkpoint the sharded database into the durability root
         ``directory`` (write-ahead journal + atomic bounded snapshot
         generations, ``keep_generations`` of them kept); attaches the
-        journal on first use, where ``directory`` is required (operator roles)."""
-        self._require_operator(session, "checkpoint the database")
-        if keep_generations is not None and keep_generations < 1:
-            raise ServiceError(ServiceErrorCode.BAD_VALUE, "keep_generations must be >= 1")
-        kwargs = {} if keep_generations is None else {"keep_generations": int(keep_generations)}
+        journal on first use, where ``directory`` is required."""
+        kwargs = {} if keep_generations is None else {"keep_generations": keep_generations}
         from repro import durability
 
         journal = self.database.journal
@@ -1541,11 +1536,9 @@ class StackService:
             "absorbed_entries": info["absorbed_entries"],
         }
 
-    def _cmd_db_recover(self, session: Session, directory: str) -> Dict[str, Any]:
+    def _cmd_db_recover(self, session: OperatorSession, directory: str) -> Dict[str, Any]:
         """Replace the sharded database with one recovered from a durability
-        root: newest valid snapshot plus the journal's intact suffix
-        (operator roles)."""
-        self._require_operator(session, "recover the database")
+        root: newest valid snapshot plus the journal's intact suffix."""
         try:
             recovered = ShardedPerformanceDatabase.recover(directory)
         except FileNotFoundError as error:
@@ -1571,15 +1564,14 @@ class StackService:
     # -- chaos plane -------------------------------------------------------
     def _cmd_chaos_inject(
         self,
-        session: Session,
+        session: OperatorSession,
         profile: str,
         seed: int = 0,
         enabled: bool = True,
     ) -> Dict[str, Any]:
         """Install the registered fault-injection ``profile`` on the service's
-        power/scheduler planes (operator roles); ``seed`` is the fault-plan
-        seed (default 0), and ``enabled=false`` installs the plan disarmed."""
-        self._require_operator(session, "inject faults")
+        power/scheduler planes; ``seed`` is the fault-plan seed (default 0),
+        and ``enabled=false`` installs the plan disarmed."""
         from repro.faults import injector as fault_injector
         from repro.faults import profiles as fault_profiles
 
@@ -1608,9 +1600,8 @@ class StackService:
             return {"active": False}
         return {"active": True, **injector.stats()}
 
-    def _cmd_chaos_clear(self, session: Session) -> Dict[str, Any]:
-        """Remove the active fault plan (operator roles)."""
-        self._require_operator(session, "clear fault plans")
+    def _cmd_chaos_clear(self, session: OperatorSession) -> Dict[str, Any]:
+        """Remove the active fault plan."""
         from repro.faults import injector as fault_injector
 
         injector = fault_injector.clear()

@@ -314,6 +314,15 @@ def test_job_request_validation():
         JobRequest("j", StreamTriad(), nodes_requested=2, nodes_min=4, nodes_max=2)
 
 
+def test_job_request_rejects_params_its_application_refuses():
+    """Refused at construction, not at launch, where they raised inside a
+    scheduling pass with the job already queued at the FCFS head."""
+    with pytest.raises(ValueError, match="unknown parameter 'x'"):
+        JobRequest("j", StreamTriad(), params={"x": 1})
+    with pytest.raises(ValueError, match="value 9999 not allowed"):
+        JobRequest("j", StreamTriad(), params={"threads_per_rank": 9999})
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

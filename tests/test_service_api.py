@@ -598,6 +598,40 @@ def test_unrunnable_job_rejected_with_reason():
     assert "no acceptable node count" in job["reject_reason"]
 
 
+@pytest.mark.parametrize(
+    "params", [{"x": 1}, {"threads_per_rank": 9999}], ids=["unknown-name", "disallowed-value"]
+)
+def test_submit_with_refused_params_does_not_wedge_the_queue(params):
+    """Params the application refuses reject the submit before it is
+    queued.  They used to raise inside the submit's own scheduling pass,
+    leaving the job pending at the FCFS head: every later submit answered
+    with its error and ``jobs.run`` ran nothing."""
+    service = make_service(n_nodes=2)
+    wire = _wire_caller(service)
+    a, b, ops = (
+        wire("session.open", tenant=tenant, role=role).result["session"]
+        for tenant, role in (("a", "runtime"), ("b", "runtime"), ("ops", "resource_manager"))
+    )
+    refused = wire("jobs.submit", a, app={"kind": "stream"}, params=params)
+    assert refused.error_code == ServiceErrorCode.BAD_REQUEST.value
+    served = wire("jobs.submit", b, app={"kind": "stream", "n_iterations": 4})
+    assert served.ok and served.result["job_id"] == "job-00001", served.error
+    assert wire("jobs.run", ops).ok
+    assert wire("jobs.query", b, job_id="job-00001").result["state"] == "completed"
+    assert [job["job_id"] for job in wire("jobs.list", ops).result] == ["job-00001"]
+
+
+def test_rejected_submit_spends_no_job_id():
+    """A job id is taken only once the scheduler accepts the job, and an
+    id a client chose is never issued again."""
+    wire = _wire_caller(make_service(n_nodes=2))
+    a = wire("session.open", tenant="a", role="runtime").result["session"]
+    assert wire("jobs.submit", a, app="stream", nodes=0).error_code == "SVC_RET_BAD_REQUEST"
+    assert wire("jobs.submit", a, app="stream").result["job_id"] == "job-00001"
+    assert wire("jobs.submit", a, app="stream", job_id="job-00003").ok
+    assert wire("jobs.submit", a, app="stream").result["job_id"] == "job-00004"
+
+
 # ---------------------------------------------------------------------------
 # tuning plane
 # ---------------------------------------------------------------------------
@@ -1338,7 +1372,7 @@ def test_rejected_tuning_run_spends_no_run_id_or_seed():
     assert clean[0] == "run-0001"
     assert other_tenants_run([({"search": "nope"}, ServiceErrorCode.BAD_REQUEST)]) == clean
     assert other_tenants_run([
-        ({"search": "random", "batch_size": 0}, ServiceErrorCode.BAD_REQUEST),
+        ({"search": "random", "batch_size": 0}, ServiceErrorCode.BAD_VALUE),
         ({"search": "random", "max_evals": 50}, ServiceErrorCode.QUOTA_EXCEEDED),
     ]) == clean
 
@@ -1359,7 +1393,7 @@ def _wire_caller(service):
     [
         ("tuning.run", {"parameters": {"x": [1, 2, 3]}, "evaluator": "quadratic",
                         "search": "random", "max_evals": 2, "seed": -1},
-         None, ServiceErrorCode.BAD_REQUEST),
+         None, ServiceErrorCode.BAD_VALUE),
         ("campaign.run", {"scenarios": [{"use_case": "uc6", "seeds": [1, 2]}]},
          1, ServiceErrorCode.QUOTA_EXCEEDED),
         ("campaign.run", {"scenarios": []}, None, ServiceErrorCode.BAD_REQUEST),
@@ -1421,7 +1455,7 @@ def test_rejected_negative_seed_open_spends_no_tuner_id_or_seed():
         if rejected:
             refused = wire("tuning.open", a, parameters={"x": [1, 2, 3]}, search="random",
                            seed=-1)
-            assert refused.error["code"] == ServiceErrorCode.BAD_REQUEST.value
+            assert refused.error["code"] == ServiceErrorCode.BAD_VALUE.value
         opened = wire("tuning.open", a, parameters={"x": [1, 2, 3]}, search="random").result
         return opened["tuner_id"], opened["seed"]
 

@@ -130,7 +130,11 @@ class Application(abc.ABC):
     def phase_sequence(
         self, params: Mapping[str, Any], nodes: int, ranks_per_node: int
     ) -> List[PhaseDemand]:
-        """Per-node phases of one main iteration at the reference point."""
+        """Per-node phases of one main iteration at the reference point.
+
+        A pure function of its arguments: a job asks for them once per
+        node count, so phases that change between iterations belong in
+        :meth:`iteration_phase_sequence`."""
 
     def iteration_phase_sequence(
         self, params: Mapping[str, Any], nodes: int, ranks_per_node: int, iteration: int

@@ -272,57 +272,57 @@ class MpiJobSimulator:
                 )
 
     # -- execution --------------------------------------------------------------
-    def _node_demand(self, demand: PhaseDemand, node: Node, rng: np.random.Generator) -> PhaseDemand:
-        """Apply static + dynamic load imbalance to one node's share."""
-        dynamic = float(np.exp(rng.normal(0.0, self.imbalance_sigma))) if self.imbalance_sigma > 0 else 1.0
-        factor = self._static_skew.get(node.hostname, 1.0) * dynamic
-        return demand.scaled(factor)
-
     # repro-lint: hot
     def _execute_region(self, demand: PhaseDemand, iteration: int) -> List[RegionRecord]:
-        rng = self._imbalance_rng
-        threads = self.threads_per_node
-        self.hooks.on_region_enter(self, demand, iteration)
+        # The region runs at the thread count set before it; what the enter
+        # hook sets applies from the next region on.
+        hooks, threads = self.hooks, self.threads_per_node
+        hooks.on_region_enter(self, demand, iteration)
+        nodes = self.nodes
 
-        results: List[tuple[Node, NodePhaseResult]] = []
-        comm_base = demand.ref_seconds * demand.comm_fraction
-        comm_override = comm_base if demand.comm_fraction > 0 else None
-        for node in self.nodes:
-            local = self._node_demand(demand, node, rng)
-            results.append((node, node.execute_phase(local, threads, comm_override)))
+        # Every node's share: its static skew times a dynamic imbalance,
+        # drawn for all nodes with one normal draw and one exp per region.
+        sigma = self.imbalance_sigma
+        if sigma > 0:
+            dynamic = np.exp(self._imbalance_rng.normal(0.0, sigma, len(nodes))).tolist()
+        else:
+            dynamic = [1.0] * len(nodes)
+        skew = self._static_skew
+        comm_override = (
+            demand.ref_seconds * demand.comm_fraction if demand.comm_fraction > 0 else None
+        )
+        results = [
+            node.execute_phase(
+                demand.scaled(skew.get(node.hostname, 1.0) * factor), threads, comm_override
+            )
+            for node, factor in zip(nodes, dynamic)
+        ]
 
-        region_duration = max(r.duration_s for _, r in results)
+        region_duration = max(r.duration_s for r in results)
         name = demand.name
         wait_name = f"{name}.mpi_wait"
         telemetry = self.telemetry
+        # Records are built with ``tuple.__new__``: a named tuple's own
+        # ``__new__`` adds a Python frame per record.
+        record = tuple.__new__
         records: List[RegionRecord] = []
-        for node, result in results:
+        for node, result in zip(nodes, results):
             hostname = node.hostname
             wait = region_duration - result.duration_s
-            wait_power = self.hooks.wait_power_w(self, node, demand, wait)
+            wait_power = hooks.wait_power_w(self, node, demand, wait)
             if wait_power is None:
                 wait_power = result.busy_wait_power_w
-            records.append(RegionRecord(hostname, name, iteration, result, wait, wait_power))
+            records.append(record(RegionRecord, (hostname, name, iteration, result, wait, wait_power)))
             acc = telemetry.get(hostname)
             if acc is None:
                 acc = telemetry[hostname] = TelemetryAccumulator()
             acc.record_phase(
-                name,
-                result.duration_s,
-                result.power_w,
-                result.ipc,
-                result.flops,
-                result.frequency_ghz,
-                result.power_capped,
+                name, result.duration_s, result.power_w, result.ipc, result.flops,
+                result.frequency_ghz, result.power_capped, wait_name, wait, wait_power,
             )
-            if wait > 0:
-                acc.record_phase(
-                    wait_name, wait, wait_power, 0.05, 0.0,
-                    result.frequency_ghz, False,
-                )
             # Average node power over the whole region (compute + wait).
             if region_duration > 0:
-                node.current_power_w = (
+                node._state.node_current_power_w[node._node_index] = (
                     result.energy_j + wait * wait_power
                 ) / region_duration
 
@@ -330,7 +330,7 @@ class MpiJobSimulator:
             total_energy = sum(r.total_energy_j for r in records)
             self.power_series.record(self.env.now, total_energy / region_duration)
 
-        self.hooks.on_region_exit(self, demand, iteration, records)
+        hooks.on_region_exit(self, demand, iteration, records)
         return records
 
     def run(self):
@@ -361,15 +361,27 @@ class MpiJobSimulator:
         if self.max_iterations is not None:
             n_iter = min(n_iter, self.max_iterations)
 
+        # An app that runs the same phases every iteration builds them once
+        # per node count (a resize can change it); one that overrides
+        # ``iteration_phase_sequence`` builds each iteration's own.
+        per_iteration = type(app).iteration_phase_sequence is not Application.iteration_phase_sequence
+        phases: List[PhaseDemand] = []
+        phases_nodes = 0
         completed = 0
         for iteration in range(n_iter):
             if self._cancelled:
                 break
             self.current_iteration = iteration
             self.hooks.on_iteration_start(self, iteration)
-            for demand in app.iteration_phase_sequence(
-                params, len(self.nodes), self.ranks_per_node, iteration
-            ):
+            n_nodes = len(self.nodes)
+            if per_iteration:
+                phases = app.iteration_phase_sequence(
+                    params, n_nodes, self.ranks_per_node, iteration
+                )
+            elif n_nodes != phases_nodes:
+                phases = app.phase_sequence(params, n_nodes, self.ranks_per_node)
+                phases_nodes = n_nodes
+            for demand in phases:
                 records = self._execute_region(demand, iteration)
                 all_records.extend(records)
                 duration = max(r.total_seconds for r in records)

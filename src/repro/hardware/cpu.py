@@ -257,7 +257,11 @@ class CpuPackage:
     # -- knob setters ----------------------------------------------------
     def clamp_frequency(self, freq_ghz: float) -> float:
         """Clamp a requested frequency to the nearest supported P-state."""
-        freq = min(max(freq_ghz, self.spec.freq_min_ghz), self._turbo_ghz)
+        # ``min(max(freq_ghz, freq_min), turbo)`` without two builtin calls;
+        # like them, a NaN request stays NaN.
+        floor, turbo = self.spec.freq_min_ghz, self._turbo_ghz
+        freq = floor if floor > freq_ghz else freq_ghz
+        freq = turbo if turbo < freq else freq
         freqs = self._table[0]
         index = self._first_at_or_below(freq + 1e-9)
         return freqs[index] if index < len(freqs) else freqs[-1]
@@ -279,10 +283,19 @@ class CpuPackage:
         return granted
 
     def set_uncore_frequency(self, uncore_ghz: float) -> float:
-        """Request an uncore frequency; returns the granted value."""
-        granted = float(min(max(uncore_ghz, self.spec.uncore_min_ghz), self.spec.uncore_max_ghz))
-        self._state.pkg_uncore_ghz[self._index] = granted
-        self._state.power_inputs_version += 1
+        """Request an uncore frequency; returns the granted value.
+
+        Granting the value the package already runs writes nothing, so the
+        state's ``power_inputs_version`` (and what it memoizes) stays.
+        """
+        spec, state = self.spec, self._state
+        # ``min(max(uncore_ghz, uncore_min), uncore_max)``, as in clamp_frequency.
+        granted = spec.uncore_min_ghz if spec.uncore_min_ghz > uncore_ghz else uncore_ghz
+        granted = float(spec.uncore_max_ghz if spec.uncore_max_ghz < granted else granted)
+        if granted == state.pkg_uncore_ghz.item(self._index):
+            return granted
+        state.pkg_uncore_ghz[self._index] = granted
+        state.power_inputs_version += 1
         return granted
 
     def set_power_cap(self, watts: Optional[float]) -> float:

@@ -296,10 +296,14 @@ class Node:
         node-level power is the sum plus the platform power.
         """
         spec = self.spec
-        total = spec.total_cores
+        sockets = spec.n_sockets
+        total = sockets * spec.cpu.cores
+        # ``max(1, min(threads, total))`` and ``max(1, threads // sockets)``
+        # without the builtin calls.
         threads = total if threads is None else int(threads)
-        threads = max(1, min(threads, total))
-        per_pkg_threads = max(1, threads // spec.n_sockets)
+        threads = total if total < threads else threads if threads > 1 else 1
+        per_pkg_threads = threads // sockets
+        per_pkg_threads = per_pkg_threads if per_pkg_threads > 1 else 1
 
         metered = self._metered_packages
         if metered is None:

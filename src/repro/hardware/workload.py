@@ -145,9 +145,13 @@ class PhaseDemand:
         """
         if factor < 0:
             raise ValueError("factor must be >= 0")
-        ref_seconds = _checked_ref_seconds(self.ref_seconds * factor)
+        ref_seconds = self.ref_seconds * factor
+        if not 0.0 <= ref_seconds < math.inf:
+            _checked_ref_seconds(ref_seconds)  # raises
+        state = self.__dict__.copy()
+        state["ref_seconds"] = ref_seconds
         copy = object.__new__(type(self))
-        vars(copy).update(vars(self), ref_seconds=ref_seconds)
+        object.__setattr__(copy, "__dict__", state)
         return copy
 
     def thread_scaling(self, threads: int) -> float:

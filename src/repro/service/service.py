@@ -454,6 +454,8 @@ RoleArg = Annotated[str, Arg(choices=Role)]
 AttrArg = Annotated[str, Arg(choices=AttrName)]
 BatchSize = Annotated[int, Arg(ge=1)]
 Seed = Annotated[int, Arg(ge=0)]
+#: A session's evaluation quota, or the evaluations it has spent.
+Quota = Annotated[int, Arg(ge=0)]
 
 
 def _session_state(
@@ -461,8 +463,8 @@ def _session_state(
     tenant: str,
     role: RoleArg,
     ordinal: Annotated[int, Arg(ge=1)],
-    quota: Optional[int] = None,
-    used_evaluations: int = 0,
+    quota: Optional[Quota] = None,
+    used_evaluations: Quota = 0,
     scope_hostnames: Optional[List[str]] = None,
 ) -> None:
     """The ``state`` a ``session.snapshot`` returns and ``session.restore``
@@ -662,7 +664,7 @@ class StackService:
         self,
         tenant: str,
         role: RoleArg = Role.MONITOR.value,
-        quota: Optional[int] = None,
+        quota: Optional[Quota] = None,
         scope_hostnames: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
         """Open a tenant session carrying a Power API ``role`` (default

@@ -72,10 +72,20 @@ class TelemetryAccumulator:
         flops: float,
         frequency_ghz: float,
         power_capped: bool = False,
+        wait_name: str = "",
+        wait_s: float = 0.0,
+        wait_power_w: float = 0.0,
     ) -> None:
-        """Fold one executed phase into the aggregates."""
+        """Fold one executed phase into the aggregates, then the MPI wait
+        that followed it when ``wait_s`` > 0.
+
+        The wait counts as a phase of its own, region ``wait_name``, drawing
+        ``wait_power_w`` at the phase's frequency with an IPC of 0.05, no
+        FLOPs and no cap; every aggregate adds the phase, then the wait.
+        """
         if duration_s < 0 or power_w < 0:
             raise ValueError("duration and power must be >= 0")
+        per_region = self.per_region
         energy = power_w * duration_s
         self.runtime_s += duration_s
         self.energy_j += energy
@@ -85,11 +95,29 @@ class TelemetryAccumulator:
         if power_capped:
             self.capped_seconds += duration_s
         self.phase_count += 1
-
-        region = self.per_region.setdefault(
-            name, {"runtime_s": 0.0, "energy_j": 0.0, "count": 0.0}
-        )
+        region = per_region.get(name)
+        if region is None:
+            region = per_region[name] = {"runtime_s": 0.0, "energy_j": 0.0, "count": 0.0}
         region["runtime_s"] += duration_s
+        region["energy_j"] += energy
+        region["count"] += 1.0
+        if not wait_s > 0:
+            return
+
+        if wait_power_w < 0:
+            raise ValueError("duration and power must be >= 0")
+        energy = wait_power_w * wait_s
+        self.runtime_s += wait_s
+        self.energy_j += energy
+        # A wait retires no FLOPs; the 0 x wait term keeps an infinite wait's NaN.
+        self.flop += 0.0 * wait_s
+        self.weighted_ipc += 0.05 * wait_s
+        self.weighted_freq += frequency_ghz * wait_s
+        self.phase_count += 1
+        region = per_region.get(wait_name)
+        if region is None:
+            region = per_region[wait_name] = {"runtime_s": 0.0, "energy_j": 0.0, "count": 0.0}
+        region["runtime_s"] += wait_s
         region["energy_j"] += energy
         region["count"] += 1.0
 

@@ -31,7 +31,11 @@ provably decision-identical:
   into one scalar pass with the same operations in the same order;
 * :func:`thermal_advance` — the RC thermal step through the
   :func:`thermal_steady_state`/``time_constant_s`` chain, which
-  ``ThermalModel.advance`` evaluates in one step.
+  ``ThermalModel.advance`` evaluates in one step;
+* :class:`ReferenceRegionLoop` — the MPI region loop with a scalar
+  imbalance draw per node, two ``record_phase`` calls per node-phase
+  and the phases asked for every iteration, which
+  ``MpiJobSimulator`` runs as one region pass.
 
 It also holds the test-only helpers that production has no use for:
 :func:`thermal_steady_state` and :func:`thermal_reset` on a
@@ -50,6 +54,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.apps.mpi import JobResult, MpiJobSimulator, RegionRecord
 from repro.core.objectives import PENALTY_OBJECTIVE
 from repro.core.parameters import CategoricalParameter, Parameter
 from repro.core.space import ParameterSpace
@@ -58,6 +63,7 @@ from repro.hardware.power_model import PowerModelParams, dram_power
 from repro.hardware.workload import PhaseDemand
 from repro.resource_manager.job import Job
 from repro.resource_manager.slurm import PESSIMISTIC_SHADOW_S, PowerAwareScheduler
+from repro.telemetry.counters import TelemetryAccumulator
 from repro.telemetry.database import EvaluationRecord
 
 __all__ = [
@@ -81,6 +87,7 @@ __all__ = [
     "thermal_steady_state",
     "thermal_reset",
     "with_tags",
+    "ReferenceRegionLoop",
 ]
 
 
@@ -511,3 +518,113 @@ def with_tags(demand: PhaseDemand, **tags: str) -> PhaseDemand:
     merged = dict(demand.tags)
     merged.update(tags)
     return dataclasses.replace(demand, tags=merged)
+
+
+# -- the MPI region loop, one node and one record at a time ---------------------
+
+
+class ReferenceRegionLoop(MpiJobSimulator):
+    """``MpiJobSimulator`` with the region loop the region pass replaced.
+
+    Each node draws its dynamic imbalance as it runs (one scalar normal
+    and one ``np.exp``, in :meth:`_node_demand`), each node-phase is
+    recorded with two ``record_phase`` calls (the phase, then its wait),
+    records and node powers go through the named-tuple constructor and
+    the ``current_power_w`` setter, and every iteration asks the app for
+    its phases.
+    """
+
+    def _node_demand(self, demand: PhaseDemand, node, rng: np.random.Generator) -> PhaseDemand:
+        """Apply static + dynamic load imbalance to one node's share."""
+        dynamic = float(np.exp(rng.normal(0.0, self.imbalance_sigma))) if self.imbalance_sigma > 0 else 1.0
+        factor = self._static_skew.get(node.hostname, 1.0) * dynamic
+        return demand.scaled(factor)
+
+    def _execute_region(self, demand: PhaseDemand, iteration: int) -> List[RegionRecord]:
+        rng = self._imbalance_rng
+        threads = self.threads_per_node
+        self.hooks.on_region_enter(self, demand, iteration)
+
+        results = []
+        comm_base = demand.ref_seconds * demand.comm_fraction
+        comm_override = comm_base if demand.comm_fraction > 0 else None
+        for node in self.nodes:
+            local = self._node_demand(demand, node, rng)
+            results.append((node, node.execute_phase(local, threads, comm_override)))
+
+        region_duration = max(r.duration_s for _, r in results)
+        name = demand.name
+        wait_name = f"{name}.mpi_wait"
+        records: List[RegionRecord] = []
+        for node, result in results:
+            hostname = node.hostname
+            wait = region_duration - result.duration_s
+            wait_power = self.hooks.wait_power_w(self, node, demand, wait)
+            if wait_power is None:
+                wait_power = result.busy_wait_power_w
+            records.append(RegionRecord(hostname, name, iteration, result, wait, wait_power))
+            acc = self.telemetry.get(hostname)
+            if acc is None:
+                acc = self.telemetry[hostname] = TelemetryAccumulator()
+            acc.record_phase(
+                name, result.duration_s, result.power_w, result.ipc, result.flops,
+                result.frequency_ghz, result.power_capped,
+            )
+            if wait > 0:
+                acc.record_phase(wait_name, wait, wait_power, 0.05, 0.0, result.frequency_ghz, False)
+            if region_duration > 0:
+                node.current_power_w = (result.energy_j + wait * wait_power) / region_duration
+
+        if self.power_series is not None and region_duration > 0:
+            total_energy = sum(r.total_energy_j for r in records)
+            self.power_series.record(self.env.now, total_energy / region_duration)
+
+        self.hooks.on_region_exit(self, demand, iteration, records)
+        return records
+
+    def run(self):
+        app, params = self.application, self.params
+        result = JobResult(
+            job_id=self.job_id,
+            app_name=app.name,
+            params=dict(params),
+            hostnames=[n.hostname for n in self.nodes],
+        )
+        start_time = self.env.now
+        self.hooks.on_job_start(self)
+
+        all_records: List[RegionRecord] = []
+        for demand in app.setup_phases(params, len(self.nodes), self.ranks_per_node):
+            records = self._execute_region(demand, iteration=-1)
+            all_records.extend(records)
+            yield self.env.timeout(max(r.total_seconds for r in records))
+
+        n_iter = app.iterations(params)
+        if self.max_iterations is not None:
+            n_iter = min(n_iter, self.max_iterations)
+        completed = 0
+        for iteration in range(n_iter):
+            if self._cancelled:
+                break
+            self.current_iteration = iteration
+            self.hooks.on_iteration_start(self, iteration)
+            for demand in app.iteration_phase_sequence(
+                params, len(self.nodes), self.ranks_per_node, iteration
+            ):
+                records = self._execute_region(demand, iteration)
+                all_records.extend(records)
+                yield self.env.timeout(max(r.total_seconds for r in records))
+            completed += 1
+            self.hooks.on_iteration_end(self, iteration)
+
+        result.runtime_s = self.env.now - start_time
+        result.iterations_done = completed
+        result.region_records = all_records
+        result.per_node = dict(self.telemetry)
+        result.hostnames = [n.hostname for n in self.nodes]
+        result.energy_j = sum(r.total_energy_j for r in all_records)
+        result.mpi_wait_s = sum(r.wait_s for r in all_records)
+        for node in self.nodes:
+            node.current_power_w = node.idle_power_w()
+        self.hooks.on_job_end(self, result)
+        return result

@@ -3,18 +3,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferenceRegionLoop
 from repro.apps.base import SyntheticApplication, make_phase
 from repro.apps.espreso import EspresoFeti
 from repro.apps.generator import JobRequest, WorkloadGenerator
 from repro.apps.hypre import HypreLaplacian
 from repro.apps.kernels import TileableKernel
 from repro.apps.lulesh import LuleshProxy
-from repro.apps.mpi import MpiJobSimulator, RuntimeHooks
+from repro.apps.md import MolecularDynamics
+from repro.apps.mpi import MpiJobSimulator, RuntimeHooks, busy_wait_power_w
 from repro.apps.stream import DgemmKernel, StreamTriad
 from repro.hardware.cluster import Cluster, ClusterSpec
+from repro.hardware.workload import PhaseDemand
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
+from repro.telemetry.sampler import PowerTimeSeries
 
 
 @pytest.fixture()
@@ -302,6 +308,215 @@ def test_power_cap_slows_job_but_cuts_power(cluster):
     )
     assert capped.runtime_s > free.runtime_s
     assert capped.average_power_w < free.average_power_w
+
+
+# -- the region pass equals the node-at-a-time loop ------------------------------------
+
+
+def _bits(value):
+    """``value`` with every float as its type name and ``float.hex``, for an
+    exact comparison (NaN included)."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, PhaseDemand):
+        return _bits(vars(value))
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_bits(item) for item in value]
+    return value
+
+
+class _RegionHooks(RuntimeHooks):
+    """Sets each region's uncore on every node and the job's thread count
+    (a MERIC-style region switch), optionally prices the wait itself, and
+    snapshots the node power cells at each region exit."""
+
+    def __init__(self, cluster, uncore=None, threads=None, wait_scale=None):
+        self.cluster = cluster
+        self.uncore = uncore or {}
+        self.threads = threads or {}
+        self.wait_scale = wait_scale
+        self.cells = []
+
+    def on_region_enter(self, sim, region, iteration):
+        ghz = self.uncore.get(region.name)
+        if ghz is not None:
+            for node in sim.nodes:
+                node.set_uncore_frequency(ghz)
+        threads = self.threads.get(region.name)
+        if threads is not None:
+            sim.threads_per_node = threads
+
+    def wait_power_w(self, sim, node, region, wait_s):
+        if self.wait_scale is None:
+            return None
+        return busy_wait_power_w(node) * self.wait_scale
+
+    def on_region_exit(self, sim, region, iteration, records):
+        self.cells.append(_bits(self.cluster.state.node_current_power_w.tolist()))
+
+
+def _twin_outcomes(app, n_nodes, seed=5, params=None, node_ghz=None, skew=None, hooks=None,
+                   hooks_class=_RegionHooks, **kwargs):
+    """Run the same job with ``MpiJobSimulator`` and with the reference loop,
+    each on its own twin cluster, and return what each left behind."""
+    outcomes = []
+    for simulator in (MpiJobSimulator, ReferenceRegionLoop):
+        cluster = Cluster(ClusterSpec(n_nodes=8), seed=seed)
+        nodes = cluster.nodes[:n_nodes]
+        if node_ghz is not None:
+            for node in nodes:
+                node.set_frequency(node_ghz)
+        job_hooks = hooks_class(cluster, **(hooks or {}))
+        series = PowerTimeSeries()
+        env = Environment()
+        sim = simulator(
+            env, nodes, app, params, hooks=job_hooks, streams=RandomStreams(seed),
+            power_series=series,
+            static_skew={nodes[i].hostname: factor for i, factor in (skew or {}).items()},
+            **kwargs,
+        )
+        result = env.run(env.process(sim.run()))
+        state = cluster.state
+        outcomes.append({
+            "regions": [record.region for record in result.region_records],
+            "records": _bits(result.region_records),
+            "telemetry": {host: _bits(vars(acc)) for host, acc in result.per_node.items()},
+            "metrics": _bits(result.metrics()),
+            "job": (result.iterations_done, result.hostnames, _bits(result.runtime_s)),
+            "region_cells": job_hooks.cells,
+            "cells": _bits(state.node_current_power_w.tolist()),
+            "packages": _bits([state.pkg_temperature_c.tolist(), state.pkg_energy_j.tolist(),
+                               state.pkg_uncore_ghz.tolist()]),
+            "series": _bits([series.times.tolist(), series.values.tolist()]),
+            "imbalance_stream": sim._imbalance_rng.bit_generator.state,
+        })
+    return outcomes
+
+
+PHASE_KINDS = ("compute", "memory", "mixed", "mpi", "io")
+
+
+@st.composite
+def synthetic_apps(draw):
+    def phase(name):
+        kind = draw(st.sampled_from(PHASE_KINDS))
+        comm = draw(st.sampled_from([0.0, 0.3, 0.7])) if kind in ("mixed", "mpi") else 0.0
+        seconds = draw(st.floats(0.01, 2.0))
+        return make_phase(name, seconds, kind=kind, comm_fraction=comm,
+                          ref_threads=draw(st.integers(1, 56)))
+
+    phases = [phase(f"r{i}") for i in range(draw(st.integers(1, 3)))]
+    setup = [phase("setup")] if draw(st.booleans()) else []
+    return SyntheticApplication("drawn", phases, n_iterations=draw(st.integers(1, 4)), setup=setup)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    app=synthetic_apps(),
+    n_nodes=st.integers(1, 5),
+    sigma=st.one_of(st.just(0.0), st.floats(0.001, 0.3)),
+    static_imbalance=st.sampled_from([0.0, 0.05, 0.2]),
+    skewed=st.lists(st.one_of(st.none(), st.floats(0.8, 1.3)), min_size=5, max_size=5),
+    threads=st.one_of(st.none(), st.integers(1, 120)),
+    node_ghz=st.sampled_from([None, 1.5, 2.4, 3.6]),
+    uncore=st.lists(st.sampled_from([None, 1.2, 1.8, 2.4]), min_size=4, max_size=4),
+    region_threads=st.lists(st.sampled_from([None, 1, 28, 56]), min_size=4, max_size=4),
+    wait_scale=st.one_of(st.none(), st.floats(0.0, 1.5)),
+)
+def test_region_pass_equals_the_reference_loop(
+    app, n_nodes, sigma, static_imbalance, skewed, threads, node_ghz, uncore, region_threads,
+    wait_scale,
+):
+    """Records, telemetry (``per_region`` included), the node power cells
+    after every region and at the end, the package state, the power series
+    and the imbalance stream's state equal the node-at-a-time reference
+    loop bit for bit, over drawn node counts, imbalance, partial static
+    skews, thread counts, knobs set at region entry and wait-power hooks."""
+    names = ["setup", "r0", "r1", "r2"]
+    hooks = {"uncore": dict(zip(names, uncore)), "threads": dict(zip(names, region_threads)),
+             "wait_scale": wait_scale}
+    skew = {i: factor for i, factor in enumerate(skewed[:n_nodes]) if factor is not None}
+    new, reference = _twin_outcomes(
+        app, n_nodes, node_ghz=node_ghz, skew=skew, hooks=hooks, imbalance_sigma=sigma,
+        static_imbalance=static_imbalance, threads_per_node=threads,
+    )
+    assert new == reference
+
+
+def test_region_pass_equals_the_reference_loop_across_a_resize():
+    """A job that grows from 2 to 5 nodes after its second iteration, and
+    moves to 3 other nodes after its fourth, rebuilds its phases for each
+    node count; every output equals the reference loop's."""
+
+    class Twice(_RegionHooks):
+        def on_iteration_end(self, sim, iteration):
+            if iteration == 1:
+                sim.resize(self.cluster.nodes[:5])
+            elif iteration == 3:
+                sim.resize(self.cluster.nodes[5:8])
+
+    app = SyntheticApplication(
+        "resized",
+        [make_phase("solve", 1.0, kind="mixed", comm_fraction=0.3, ref_threads=56),
+         make_phase("halo", 0.2, kind="mpi", comm_fraction=0.7, ref_threads=56)],
+        n_iterations=6,
+    )
+    new, reference = _twin_outcomes(app, 2, seed=3, hooks={"wait_scale": 0.5}, hooks_class=Twice,
+                                    imbalance_sigma=0.1)
+    assert new == reference
+    assert len(new["job"][1]) == 3
+
+
+def test_region_pass_equals_the_reference_loop_for_molecular_dynamics():
+    """MD builds each timestep's own phases (neighbour-list rebuilds and
+    thermostat steps come and go); every output equals the reference loop's."""
+    app = MolecularDynamics(n_atoms=400_000, n_timesteps=12, rebuild_interval=5,
+                            thermo_interval=4)
+    new, reference = _twin_outcomes(app, 3, skew={1: 1.1}, hooks={"wait_scale": 0.8},
+                                    imbalance_sigma=0.08)
+    assert new == reference
+    assert {"neighbor_rebuild", "thermostat_reduce"} <= set(new["regions"])
+
+
+def _counted(calls, method):
+    def counted(params, nodes, *args):
+        calls.append(nodes)
+        return method(params, nodes, *args)
+
+    return counted
+
+
+def test_plain_app_builds_its_phases_once_per_node_count(cluster):
+    """An app that does not override ``iteration_phase_sequence`` is asked
+    for its phases once per node count: at the start and after a resize
+    that changes the count, not after one that keeps it."""
+
+    class Resizer(RuntimeHooks):
+        def on_iteration_end(self, sim, iteration):
+            if iteration == 1:
+                sim.resize(cluster.nodes[:4])
+            elif iteration == 3:
+                sim.resize(cluster.nodes[:2] + cluster.nodes[2:4][::-1])
+
+    app = simple_app(6)
+    calls = []
+    app.phase_sequence = _counted(calls, app.phase_sequence)
+    result = MpiJobSimulator.evaluate(cluster.nodes[:2], app, hooks=Resizer(), job_id="t10")
+    assert result.iterations_done == 6
+    assert calls == [2, 4]
+
+
+def test_md_builds_each_iterations_phases():
+    """MD overrides ``iteration_phase_sequence``, so every iteration asks it."""
+    app = MolecularDynamics(n_atoms=400_000, n_timesteps=7)
+    calls = []
+    app.iteration_phase_sequence = _counted(calls, app.iteration_phase_sequence)
+    cluster = Cluster(ClusterSpec(n_nodes=2), seed=2)
+    result = MpiJobSimulator.evaluate(cluster.nodes, app, job_id="t11")
+    assert result.iterations_done == 7
+    assert calls == [2] * 7
 
 
 # -- workload generator ---------------------------------------------------------------------

@@ -609,6 +609,39 @@ def test_knob_setters_match_reference(spec, variation, request):
     assert _same(pkg.set_power_cap(request), pkg.power_cap_w, want)
 
 
+@pytest.mark.parametrize("variation", [VariationDraw(1.0, 1.0, 1.0), VariationDraw(0.93, 1.1, 1.2)])
+def test_set_frequency_matches_reference_at_the_edges(variation):
+    """NaN, +-inf, requests below ``freq_min`` and above the part's turbo,
+    and every exact P-state (and turbo itself) grant what the reference
+    clamp grants."""
+    pkg = CpuPackage(CpuSpec(), variation)
+    spec, turbo = pkg.spec, pkg.max_frequency_ghz
+    requests = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0,
+                spec.freq_min_ghz - 0.05, turbo, turbo + 0.05, turbo + 10.0]
+    requests += [p.frequency_ghz for p in spec.pstates()]
+    for request in requests:
+        want = _ref_clamp_frequency(pkg, request)
+        assert pkg.set_frequency(request) == pkg.frequency_ghz == want, request
+
+
+def test_set_uncore_frequency_to_the_current_value_writes_nothing():
+    """Granting the uncore a package already runs leaves its cell and the
+    state's ``power_inputs_version`` as they are; a new value moves both."""
+    node = Node(NodeSpec())
+    state = node.cluster_state
+    for request in (node.spec.cpu.uncore_max_ghz, 99.0):
+        before = state.power_inputs_version
+        assert node.set_uncore_frequency(request) == node.spec.cpu.uncore_max_ghz
+        assert state.power_inputs_version == before
+        assert state.pkg_uncore_ghz.tolist() == [[node.spec.cpu.uncore_max_ghz] * 2]
+    before = state.power_inputs_version
+    assert node.set_uncore_frequency(1.8) == 1.8
+    assert state.pkg_uncore_ghz.tolist() == [[1.8, 1.8]]
+    assert state.power_inputs_version == before + 2
+    assert node.packages[0].set_uncore_frequency(1.8) == 1.8
+    assert state.power_inputs_version == before + 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     spec=cpu_specs(), variation=st.tuples(variations, variations), cap=st.tuples(caps, caps),

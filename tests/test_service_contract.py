@@ -49,6 +49,7 @@ POLICY_ROLES = {
 #: Every declared range, choice set and item kind.
 POLICY_ARGS = {
     ("session.open", "role"): {"choices": ROLES},
+    ("session.open", "quota"): {"ge": 0},
     ("session.open", "scope_hostnames"): {"items": "str"},
     ("power.read", "attr"): {"choices": ATTRS},
     ("power.write", "attr"): {"choices": ATTRS},
@@ -253,5 +254,37 @@ def test_hostile_shapes_answer_bad_request_and_register_nothing(case, tmp_path):
         response = _send(service, op, sessions["administrator"], args)
         assert response.error_code == BAD_REQUEST, response.error
         assert spent(service) == before
+    finally:
+        service.close()
+
+
+def test_negative_quota_opens_no_session(tmp_path):
+    """``session.open`` with a negative quota answers PWR_RET_BAD_VALUE and
+    registers nothing: no session, ordinal or session number is spent."""
+    service, sessions = contract_service(tmp_path)
+    try:
+        before = spent(service)
+        args = {"tenant": "neg", "role": "runtime", "quota": -3}
+        response = _send(service, "session.open", None, args)
+        assert response.error_code == ServiceErrorCode.BAD_VALUE.value, response.error
+        assert "argument 'quota'" in response.error["message"]
+        assert spent(service) == before
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("fields", [{"quota": -1}, {"quota": 5, "used_evaluations": -1000}],
+                         ids=["quota", "used_evaluations"])
+def test_restore_refuses_negative_quota_accounting(fields, tmp_path):
+    """A ``session.restore`` state whose quota or spend is negative answers
+    PWR_RET_BAD_VALUE and registers nothing, so no restored session can
+    spend past its quota."""
+    service, sessions = contract_service(tmp_path)
+    try:
+        before = spent(service)
+        response = _send(service, "session.restore", None, _restored(**fields))
+        assert response.error_code == ServiceErrorCode.BAD_VALUE.value, response.error
+        assert spent(service) == before
+        assert "s0009-ghost" not in service._sessions
     finally:
         service.close()

@@ -44,8 +44,22 @@ WRONG = {
 }
 
 
+#: Services built by the running test, closed when it ends.
+_BUILT = []
+
+
 def make_service() -> StackService:
-    return StackService(n_nodes=4, seed=1)
+    service = StackService(n_nodes=4, seed=1)
+    _BUILT.append(service)
+    return service
+
+
+@pytest.fixture(autouse=True)
+def close_built_services():
+    """Close every service the test built (a db.checkpoint journal stays open otherwise)."""
+    yield
+    while _BUILT:
+        _BUILT.pop().close()
 
 
 def test_derived_catalogue_matches_golden():
